@@ -2,17 +2,16 @@
 
 from fractions import Fraction
 
-from coinfield import (OrderForm, fe_mul, isolate_roots, lower, parse,
-                       vanishing_order, vanishing_order_at_point)
+from coinfield import (fe_mul, isolate_roots, lower, parse, vanishing_order,
+                       vanishing_order_at_point)
 
-# Every ratio h = r + s*t normalizes to (A + B*w)/C with w = sqrt(p(1-p)).
+# Every ratio h = r + s*t is held as (A + B*w)/C with w = sqrt(p(1-p)).
 # The order of h at a point z counts how fast |h| dies (or blows up, when
 # negative). Orders are half-integers at the endpoints because w itself
 # carries a factor sqrt(p) at 0 and sqrt(1-p) at 1.
 
 def order_at(expr, z):
-    form = OrderForm.from_field_elem(lower(parse(expr)))
-    res = vanishing_order(form, z)
+    res = vanishing_order(lower(parse(expr)), z)
     print(f"  ord_{float(z):<4g} {expr:18s} = {res.order}   residual {res.residual}")
     return res.order
 
@@ -30,9 +29,9 @@ print("additivity under fe_mul")
 h1 = lower(parse("p*t"))
 h2 = lower(parse("(p-1/2)^2/t"))
 for z in (Fraction(0), Fraction(1, 2), Fraction(1)):
-    o1 = vanishing_order(OrderForm.from_field_elem(h1), z).order
-    o2 = vanishing_order(OrderForm.from_field_elem(h2), z).order
-    o12 = vanishing_order(OrderForm.from_field_elem(fe_mul(h1, h2)), z).order
+    o1 = vanishing_order(h1, z).order
+    o2 = vanishing_order(h2, z).order
+    o12 = vanishing_order(fe_mul(h1, h2), z).order
     print(f"  z={float(z):<4g} ord(h1)={o1}  ord(h2)={o2}  ord(h1*h2)={o12}"
           f"  additive: {o12 == o1 + o2}")
 
@@ -41,9 +40,8 @@ for z in (Fraction(0), Fraction(1, 2), Fraction(1)):
 print()
 print("an algebraic zero")
 h = lower(parse("p^2 - 1/2"))
-form = OrderForm.from_field_elem(h)
-_, points = isolate_roots(form.A.real_part(), 0, 1)
+_, points = isolate_roots(h.A.real_part(), 0, 1)
 for pt in points:
-    res = vanishing_order_at_point(form, pt)
+    res = vanishing_order_at_point(h, pt)
     print(f"  point ~ {pt.approx():.6f} in [{pt.lo}, {pt.hi}]"
           f"  order {res.order}  residual {res.residual}")

@@ -7,8 +7,8 @@ from .scalars import Scalar, sqrt_fraction
 from .polys import (AlgebraicPoint, Poly, RatFn, certify_nonneg, is_square,
                     isolate_roots, poly_gcd, rational_roots, square_test,
                     squarefree_decompose, sturm_count)
-from .field import (FieldElem, INFINITY, Infinity, OrderForm, OrderResult,
-                    fe_add, fe_conj, fe_eval, fe_inv, fe_mod_squared, fe_mul,
+from .field import (FieldElem, INFINITY, Infinity, OrderResult, fe_add,
+                    fe_conj, fe_eval, fe_inv, fe_mod_squared, fe_mul,
                     sqrt_in_scalar_field, vanishing_order,
                     vanishing_order_at_point)
 from .lang import (Expr, NotInFieldError, ParseError, eval_expr_numeric,

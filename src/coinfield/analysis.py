@@ -14,8 +14,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, OrderForm,
-                    fe_eval, fe_mod_squared, sqrt_in_scalar_field,
+from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, ONE_MINUS_P,
+                    W_SQUARED, fe_eval, fe_mod_squared, sqrt_in_scalar_field,
                     vanishing_order, vanishing_order_at_point)
 from .lang import Expr, NotInFieldError, field_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_POLY, Poly, RatFn, certify_nonneg,
@@ -153,7 +153,8 @@ def decide_qq_ratio(e: Expr | str) -> RatioDecision:
         h = lower(e)
     except NotInFieldError as err:
         return RatioDecision(False, None, None, str(err))
-    witness = (h.s.num, h.s.den, h.r.num, h.r.den)
+    r, s = h.r, h.s
+    witness = (s.num, s.den, r.num, r.den)
     return RatioDecision(True, witness, h, "")
 
 
@@ -271,7 +272,6 @@ def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
                                 f"interior {what} inside ({a},{b})")
 
     half = Fraction(1, 2)
-    one_minus_p = Poly((1, -1))
     for n in range(1, n_max + 1):
         ok = True
         for a, b, piece in f.pieces:
@@ -280,7 +280,7 @@ def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
                     ok = False
                     break
             if b > half:
-                if not _certify_piece_bound(piece, one_minus_p ** n,
+                if not _certify_piece_bound(piece, ONE_MINUS_P ** n,
                                             max(a, half), b):
                     ok = False
                     break
@@ -344,11 +344,11 @@ def _f_of_h(h: FieldElem, x: float) -> float:
     return m / (1.0 + m)
 
 
-def _candidate_points(form: OrderForm):
-    a, b, c = form.A, form.B, form.C
-    x = a * a.conj() + b * b.conj() * Poly((0, 1, -1))
+def _candidate_points(h: FieldElem):
+    a, b, c = h.A, h.B, h.C
+    x = a * a.conj() + b * b.conj() * W_SQUARED
     y = a * b.conj() + a.conj() * b
-    q_num = x * x - y * y * Poly((0, 1, -1))
+    q_num = x * x - y * y * W_SQUARED
     q_den = c * c.conj()
     rationals, points = isolate_roots((q_num * q_den).real_part(), 0, 1)
     cands: list[Fraction | AlgebraicPoint] = [Fraction(0), Fraction(1)]
@@ -364,14 +364,13 @@ def classify_qc(h: FieldElem) -> QCReport:
     if isinstance(h, Infinity) or h.is_zero():
         raise ValueError("degenerate ratio: f is constant 0 or 1 and the "
                          "zero/one sets are not finite")
-    form = OrderForm.from_field_elem(h)
-    cands = _candidate_points(form)
+    cands = _candidate_points(h)
     found: list[tuple[Fraction | AlgebraicPoint, Fraction, str]] = []
     for z in cands:
         if isinstance(z, Fraction):
-            res = vanishing_order(form, z)
+            res = vanishing_order(h, z)
         else:
-            res = vanishing_order_at_point(form, z)
+            res = vanishing_order_at_point(h, z)
         if res.order != 0:
             found.append((z, res.order, res.residual))
 
@@ -405,12 +404,11 @@ def classify_qc(h: FieldElem) -> QCReport:
 def verify_spb(h: FieldElem, report: QCReport) -> bool:
     """Independent re-check of an SPB certificate: recompute each vanishing
     order exactly and test the lower bound on a fresh grid."""
-    form = OrderForm.from_field_elem(h)
     for entry in report.zeros + report.ones:
         if isinstance(entry.point, Fraction):
-            res = vanishing_order(form, entry.point)
+            res = vanishing_order(h, entry.point)
         else:
-            res = vanishing_order_at_point(form, entry.point)
+            res = vanishing_order_at_point(h, entry.point)
         want = entry.order if entry.kind == "zero" else -entry.order
         if 2 * res.order != want:
             return False
@@ -419,7 +417,8 @@ def verify_spb(h: FieldElem, report: QCReport) -> bool:
         grid_hi = min(1.0, x + entry.delta)
         for j in range(200):
             p = grid_lo + j * (grid_hi - grid_lo) / 199
-            if abs(p - x) < 1e-12:
+            # the window may reach an end of [0, 1], where h is not defined
+            if abs(p - x) < 1e-12 or not 0 < p < 1:
                 continue
             fv = _f_of_h(h, p)
             if entry.kind == "one":

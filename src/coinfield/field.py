@@ -2,7 +2,7 @@
 
 Membership of a target ratio in this field is exactly what separates
 simulable targets from unsimulable ones, so everything here is exact:
-rational-function coefficients, no floating point in any decision path.
+polynomial coefficients, no floating point in any decision path.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import (ONE_POLY, AlgebraicPoint, Poly, RatFn, ZERO_RF,
-                    _squarefree_part, poly_gcd, sturm_count)
-from .scalars import Scalar, sqrt_fraction
+from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, _squarefree_part,
+                    poly_gcd, sturm_count)
+from .scalars import ONE, Scalar, sqrt_fraction
 
 # t^2 = p/(1-p); w = sqrt(p(1-p)) = t*(1-p) is the polynomial-friendly twin
 TAU = RatFn(Poly((0, 1)), Poly((1, -1)))
@@ -41,16 +41,56 @@ class Infinity:
 INFINITY = Infinity()
 
 
-class FieldElem:
-    """r + s*t with rational-function r, s over the exact scalar field."""
+_PZERO = Poly()
 
-    __slots__ = ("r", "s")
+
+def _raw(A: Poly, B: Poly, C: Poly) -> "FieldElem":
+    """An element from parts already in canonical form."""
+    h = object.__new__(FieldElem)
+    h.A, h.B, h.C = A, B, C
+    return h
+
+
+class FieldElem:
+    """r + s*t, stored as (A + B*w)/C with polynomial A, B, C over the exact
+    scalar field, gcd(A, B, C) = 1 and C monic. Since w is not in the
+    coefficient field this form is canonical, so equal elements have equal
+    parts. r = A/C and s = B*(1-p)/C are views computed on access."""
+
+    __slots__ = ("A", "B", "C")
 
     def __init__(self, r: RatFn, s: RatFn = ZERO_RF):
-        self.r = r
-        self.s = s
+        if s.is_zero():
+            # r is already coprime with a monic denominator
+            self.A, self.B, self.C = r.num, _PZERO, r.den
+            return
+        # r + s*t = [rn*sd*(1-p) + sn*rd*w] / [rd*sd*(1-p)]
+        rn, rd, sn, sd = r.num, r.den, s.num, s.den
+        h = FieldElem.from_abc(rn * sd * ONE_MINUS_P, sn * rd,
+                               rd * sd * ONE_MINUS_P)
+        self.A, self.B, self.C = h.A, h.B, h.C
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_abc(A: Poly, B: Poly, C: Poly) -> "FieldElem":
+        """The element (A + B*w)/C, brought to canonical form by one gcd
+        normalisation."""
+        if C.is_zero():
+            raise ZeroDivisionError("field element with zero denominator")
+        if A.is_zero() and B.is_zero():
+            return FE_ZERO
+        g = C
+        for f in (A, B):
+            if g.degree > 0 and not f.is_zero():
+                g = poly_gcd(g, f)
+        if g.degree > 0:
+            A, B, C = A // g, B // g, C // g
+        lc = C.leading
+        if lc != ONE:
+            linv = lc.inverse()
+            A, B, C = A.scale(linv), B.scale(linv), C.scale(linv)
+        return _raw(A, B, C)
 
     @staticmethod
     def const(x: Scalar | int | Fraction) -> "FieldElem":
@@ -60,22 +100,28 @@ class FieldElem:
     def coin() -> "FieldElem":
         return FieldElem(ZERO_RF, RatFn.const(1))
 
-    @staticmethod
-    def from_ratfn(f: RatFn) -> "FieldElem":
-        return FieldElem(f)
-
     # -- structure ---------------------------------------------------------
 
+    @property
+    def r(self) -> RatFn:
+        """The rational part A/C."""
+        return RatFn(self.A, self.C)
+
+    @property
+    def s(self) -> RatFn:
+        """The t coefficient B*(1-p)/C."""
+        return RatFn(self.B * ONE_MINUS_P, self.C)
+
     def is_zero(self) -> bool:
-        return self.r.is_zero() and self.s.is_zero()
+        return self.A.is_zero() and self.B.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.r == other.r and self.s == other.s
+        return self.A == other.A and self.B == other.B and self.C == other.C
 
     def __hash__(self) -> int:
-        return hash((self.r, self.s))
+        return hash((self.A, self.B, self.C))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -83,24 +129,29 @@ class FieldElem:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        return FieldElem(self.r + other.r, self.s + other.s)
+        return FieldElem.from_abc(self.A * other.C + other.A * self.C,
+                                  self.B * other.C + other.B * self.C,
+                                  self.C * other.C)
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.r, -self.s)
+        return _raw(-self.A, -self.B, self.C)
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return self + (-other)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        r = self.r * other.r + self.s * other.s * TAU
-        s = self.r * other.s + self.s * other.r
-        return FieldElem(r, s)
+        # (A1 + B1*w)(A2 + B2*w) with w^2 = p(1-p)
+        A1, B1, A2, B2 = self.A, self.B, other.A, other.B
+        return FieldElem.from_abc(A1 * A2 + B1 * B2 * W_SQUARED,
+                                  A1 * B2 + B1 * A2, self.C * other.C)
 
     def inverse(self) -> "FieldElem":
-        den = self.r * self.r - self.s * self.s * TAU
-        if den.is_zero():
+        # C/(A + B*w) = C*(A - B*w) / (A^2 - B^2*w^2); the norm is nonzero
+        # for a nonzero element because w is not in the coefficient field
+        if self.is_zero():
             raise ZeroDivisionError("inverse of the zero element")
-        return FieldElem(self.r / den, -(self.s / den))
+        A, B, C = self.A, self.B, self.C
+        return FieldElem.from_abc(C * A, -(C * B), A * A - B * B * W_SQUARED)
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
@@ -118,12 +169,14 @@ class FieldElem:
         return out
 
     def conj(self) -> "FieldElem":
-        return FieldElem(self.r.conj(), self.s.conj())
+        # w is real on (0, 1), so conjugation acts on the coefficients only
+        return _raw(self.A.conj(), self.B.conj(), self.C.conj())
 
     def mod_squared(self) -> "FieldElem":
-        r = self.r * self.r.conj() + self.s * self.s.conj() * TAU
-        s = self.r.conj() * self.s + self.r * self.s.conj()
-        return FieldElem(r, s)
+        A, B, C = self.A, self.B, self.C
+        Ac, Bc = A.conj(), B.conj()
+        return FieldElem.from_abc(A * Ac + B * Bc * W_SQUARED, A * Bc + Ac * B,
+                                  C * C.conj())
 
     # -- evaluation --------------------------------------------------------
 
@@ -131,21 +184,25 @@ class FieldElem:
         x = float(p0)
         if not 0 < x < 1:
             raise ValueError("coin bias must lie strictly inside (0, 1)")
-        t0 = (x / (1 - x)) ** 0.5
-        return self.r.eval_complex(x) + self.s.eval_complex(x) * t0
+        c = self.C.eval_complex(x)
+        if c == 0:
+            raise ZeroDivisionError(f"pole at p = {x}")
+        w0 = (x * (1 - x)) ** 0.5
+        return (self.A.eval_complex(x) + self.B.eval_complex(x) * w0) / c
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.s.is_zero():
-            return str(self.r)
-        s = str(self.s)
+        r, s = self.r, self.s
+        if s.is_zero():
+            return str(r)
+        s = str(s)
         if " " in s and not (s.startswith("(") and s.endswith(")")):
             s = f"({s})"
         tpart = "t" if s == "1" else f"{s}*t"
-        if self.r.is_zero():
+        if r.is_zero():
             return tpart
-        return f"{self.r} + {tpart}"
+        return f"{r} + {tpart}"
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
@@ -206,67 +263,7 @@ def sqrt_in_scalar_field(q: Fraction) -> Scalar | None:
     return None
 
 
-# -- order forms and vanishing orders --------------------------------------
-
-class OrderForm:
-    """(A + B*w)/C with polynomial A, B, C and w = sqrt(p(1-p)).
-
-    Every field element has this shape after clearing denominators; it is the
-    representation on which vanishing orders are read off."""
-
-    __slots__ = ("A", "B", "C")
-
-    def __init__(self, A: Poly, B: Poly, C: Poly):
-        if C.is_zero():
-            raise ZeroDivisionError("order form with zero denominator")
-        if A.is_zero() and B.is_zero():
-            self.A, self.B, self.C = Poly(), Poly(), ONE_POLY
-            return
-        g = poly_gcd(poly_gcd(A, B), C)
-        if g.degree > 0:
-            A, B, C = A // g, B // g, C // g
-        self.A, self.B, self.C = A, B, C
-
-    @staticmethod
-    def from_field_elem(h: FieldElem) -> "OrderForm":
-        # r + s*t = [rn*sd*(1-p) + sn*rd*w] / [rd*sd*(1-p)]
-        rn, rd = h.r.num, h.r.den
-        sn, sd = h.s.num, h.s.den
-        return OrderForm(rn * sd * ONE_MINUS_P, sn * rd, rd * sd * ONE_MINUS_P)
-
-    def to_field_elem(self) -> FieldElem:
-        return FieldElem(RatFn(self.A, self.C), RatFn(self.B * ONE_MINUS_P, self.C))
-
-    def is_zero(self) -> bool:
-        return self.A.is_zero() and self.B.is_zero()
-
-    def __mul__(self, other: "OrderForm") -> "OrderForm":
-        A = self.A * other.A + self.B * other.B * W_SQUARED
-        B = self.A * other.B + self.B * other.A
-        return OrderForm(A, B, self.C * other.C)
-
-    def equivalent(self, other: "OrderForm") -> bool:
-        return (self.A * other.C == other.A * self.C
-                and self.B * other.C == other.B * self.C)
-
-    def __str__(self) -> str:
-        a = str(self.A)
-        b = str(self.B)
-        if " " in a:
-            a = f"({a})"
-        if " " in b:
-            b = f"({b})"
-        num = a if self.B.is_zero() else f"{a} + {b}*w"
-        if self.C.is_one():
-            return num
-        c = str(self.C)
-        if " " in c:
-            c = f"({c})"
-        return f"({num})/{c}"
-
-    def __repr__(self) -> str:
-        return f"OrderForm({self})"
-
+# -- vanishing orders ------------------------------------------------------
 
 def _ord_at(poly: Poly, z: Fraction) -> int | None:
     """Multiplicity of rational z in a possibly complex polynomial; None if zero poly."""
@@ -293,15 +290,15 @@ class OrderResult:
     residual: str
 
 
-def vanishing_order(form: OrderForm, z: Fraction | int) -> OrderResult:
+def vanishing_order(h: FieldElem, z: Fraction | int) -> OrderResult:
     """Order of vanishing at z in [0, 1]; half-integers at the endpoints,
     negative for poles."""
     z = Fraction(z)
     if not 0 <= z <= 1:
         raise ValueError("vanishing orders are read on [0, 1]")
-    if form.is_zero():
-        raise ValueError("vanishing order of the zero form")
-    A, B, C = form.A, form.B, form.C
+    if h.is_zero():
+        raise ValueError("vanishing order of the zero element")
+    A, B, C = h.A, h.B, h.C
     ordC = _ord_at(C, z)
     if z == 0 or z == 1:
         # w itself vanishes to order 1/2 at each endpoint, and the integer
@@ -344,11 +341,11 @@ def vanishing_order(form: OrderForm, z: Fraction | int) -> OrderResult:
     return OrderResult(Fraction(shared + extra - ordC), why)
 
 
-def vanishing_order_at_point(form: OrderForm, pt: AlgebraicPoint) -> OrderResult:
+def vanishing_order_at_point(h: FieldElem, pt: AlgebraicPoint) -> OrderResult:
     """Vanishing order at an exactly represented irrational point in (0, 1)."""
-    if form.is_zero():
-        raise ValueError("vanishing order of the zero form")
-    A, B, C = form.A, form.B, form.C
+    if h.is_zero():
+        raise ValueError("vanishing order of the zero element")
+    A, B, C = h.A, h.B, h.C
     kA = pt.multiplicity_in_complex(A)
     kB = pt.multiplicity_in_complex(B)
     if kA is None:
@@ -374,8 +371,8 @@ def vanishing_order_at_point(form: OrderForm, pt: AlgebraicPoint) -> OrderResult
         allowed = 1 if pt.is_root_of(Vs) else 0
         while sturm_count(Vs, pt.lo, pt.hi) > allowed:
             pt.refine()
-        below = V.eval_exact(pt.point_below()).sign()
-        above = V.eval_exact(pt.point_above()).sign()
+        below, above = (V.eval_exact(pt.point_beside(side)).sign()
+                        for side in (-1, 1))
         n = p_ord - k if (below < 0 and above < 0) else k
         why = (f"conjugate product vanishes to order {p_ord} > 2k = {2 * k}; "
                f"the modulus-comparison sign ({below}, {above}) assigns the "

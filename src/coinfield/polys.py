@@ -518,6 +518,15 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _strip_endpoint_roots(fs: Poly, a: Fraction, b: Fraction) -> Poly:
+    """Squarefree fs with its roots at a and b divided out."""
+    for endpoint in (a, b):
+        divisor = Poly([-endpoint, 1])
+        while not fs.eval_exact(endpoint):
+            fs = fs // divisor
+    return fs
+
+
 def sturm_count(f: Poly, a: Fraction | int, b: Fraction | int) -> int:
     """Number of distinct real roots of f in the open interval (a, b)."""
     a, b = Fraction(a), Fraction(b)
@@ -527,11 +536,7 @@ def sturm_count(f: Poly, a: Fraction | int, b: Fraction | int) -> int:
         raise ValueError("root counting on the zero polynomial")
     if not f.is_real():
         raise ValueError("root counting requires real coefficients")
-    fs = _squarefree_part(f)
-    for endpoint in (a, b):
-        divisor = Poly([-endpoint, 1])
-        while not fs.eval_exact(endpoint):
-            fs = fs // divisor
+    fs = _strip_endpoint_roots(_squarefree_part(f), a, b)
     if fs.is_constant():
         return 0
     chain = _sturm_chain(fs)
@@ -671,26 +676,18 @@ class AlgebraicPoint:
         else:
             self.hi = mid
 
-    def point_below(self) -> Fraction:
-        """A rational point strictly between lo and the root."""
-        lo_sign = self.g.eval_exact(self.lo).sign()
+    def point_beside(self, side: int) -> Fraction:
+        """A rational point strictly between the root and lo (side < 0) or
+        hi (side > 0)."""
+        end = self.lo if side < 0 else self.hi
+        end_sign = self.g.eval_exact(end).sign()
         for denom in (16, 256, 4096, 65536):
-            for k in range(1, denom):
+            ks = range(1, denom) if side < 0 else range(denom - 1, 0, -1)
+            for k in ks:
                 u = self.lo + (self.hi - self.lo) * Fraction(k, denom)
-                s = self.g.eval_exact(u).sign()
-                if s == lo_sign:
+                if self.g.eval_exact(u).sign() == end_sign:
                     return u
-        raise AssertionError("no rational point found below the root")
-
-    def point_above(self) -> Fraction:
-        hi_sign = self.g.eval_exact(self.hi).sign()
-        for denom in (16, 256, 4096, 65536):
-            for k in range(denom - 1, 0, -1):
-                u = self.lo + (self.hi - self.lo) * Fraction(k, denom)
-                s = self.g.eval_exact(u).sign()
-                if s == hi_sign:
-                    return u
-        raise AssertionError("no rational point found above the root")
+        raise AssertionError("no rational point found beside the root")
 
     def is_root_of(self, q: Poly) -> bool:
         """Does q (real coefficients) vanish at this point?"""
@@ -753,11 +750,7 @@ def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
     """Distinct real roots of f in (a, b): exact rational roots, plus
     AlgebraicPoint handles for the irrational ones."""
     a, b = Fraction(a), Fraction(b)
-    fs = _squarefree_part(f)
-    for endpoint in (a, b):
-        divisor = Poly([-endpoint, 1])
-        while not fs.eval_exact(endpoint):
-            fs = fs // divisor
+    fs = _strip_endpoint_roots(_squarefree_part(f), a, b)
     exact: list[Fraction] = []
     points: list[AlgebraicPoint] = []
     if fs.is_constant():

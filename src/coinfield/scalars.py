@@ -12,11 +12,15 @@ import math
 from fractions import Fraction
 
 
+# one shared zero: most components of the scalars in play are zero
+_FRAC_ZERO = Fraction(0)
+
+
 def _frac(x: int | Fraction) -> Fraction:
     if isinstance(x, Fraction):
-        return x
+        return x if x else _FRAC_ZERO
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else _FRAC_ZERO
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -184,15 +188,6 @@ class Scalar:
 
     def abs_real(self) -> "Scalar":
         return -self if self.sign() < 0 else self
-
-    # -- square root of a rational value -----------------------------------
-
-    def is_square_rational(self) -> "Scalar | None":
-        """Nonnegative rational square root if this is a rational square, else None."""
-        if not self.is_rational():
-            return None
-        r = sqrt_fraction(self.a)
-        return None if r is None else Scalar(r)
 
     # -- evaluation and rendering ------------------------------------------
 

@@ -10,6 +10,7 @@ kept unnormalized with denominators cleared.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import INFINITY, FieldElem, Infinity, ONE_MINUS_P, W_SQUARED
-from .polys import Poly, RatFn, gcd_many
+from .polys import Poly, gcd_many
 from .scalars import HALF_SQRT2, Scalar
 from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
                     static_counts, validate_program)
@@ -235,10 +236,10 @@ def _symbolic_pass(prog: CircuitProgram, p0: Fraction | None
     (a0, b0), (a1, b1) = grp.amps
     if a1.is_zero() and b1.is_zero():
         return INFINITY, probs
-    den = a1 * a1 - b1 * b1 * W_SQUARED
-    r = RatFn(a0 * a1 - b0 * b1 * W_SQUARED, den)
-    s = RatFn((b0 * a1 - a0 * b1) * ONE_MINUS_P, den)
-    return FieldElem(r, s), probs
+    # (a0 + b0*w)/(a1 + b1*w), rationalised by the conjugate a1 - b1*w
+    ratio = FieldElem.from_abc(a0 * a1 - b0 * b1 * W_SQUARED, b0 * a1 - a0 * b1,
+                               a1 * a1 - b1 * b1 * W_SQUARED)
+    return ratio, probs
 
 
 def run_symbolic(prog: CircuitProgram) -> FieldElem | Infinity:
@@ -518,6 +519,8 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         raise ValueError("p0 must lie strictly between 0 and 1")
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     validate_program(prog)
     analytic = expected_cost(prog, Fraction(p0).limit_denominator(10 ** 12))
     steps = _compile_steps(prog)
@@ -525,12 +528,14 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
     amp0 = complex(math.sqrt(float(p0)))
     amp1 = complex(math.sqrt(1.0 - float(p0)))
 
-    if workers <= 1:
+    # outcomes are seeded per trial, so the pool size changes no result
+    threads = min(workers, trials, os.cpu_count() or 1)
+    if threads == 1:
         parts = [_run_chunk(steps, node_items, prog.root, prog.output,
                             amp0, amp1, seed, range(trials), max_retries)]
     else:
-        chunks = [range(w, trials, workers) for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = [range(w, trials, threads) for w in range(threads)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             futs = [pool.submit(_run_chunk, steps, node_items, prog.root,
                                 prog.output, amp0, amp1, seed, chunk,
                                 max_retries)

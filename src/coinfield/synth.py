@@ -218,16 +218,17 @@ def compile(h: FieldElem | Infinity) -> CircuitProgram:
         return emit_inv(const_program(0))
     if h.is_zero():
         return const_program(0)
+    r, s = h.r, h.s
     r_prog = None
-    if not h.r.is_zero():
-        r_prog = _ratfn_program(h.r.num, h.r.den)
+    if not r.is_zero():
+        r_prog = _ratfn_program(r.num, r.den)
     s_prog = None
-    if not h.s.is_zero():
+    if not s.is_zero():
         coin = coin_program()
-        if h.s.num.is_one() and h.s.den.is_one():
+        if s.num.is_one() and s.den.is_one():
             s_prog = coin
         else:
-            s_prog = emit_mul(_ratfn_program(h.s.num, h.s.den), coin)
+            s_prog = emit_mul(_ratfn_program(s.num, s.den), coin)
     if r_prog is None:
         return s_prog
     if s_prog is None:

@@ -12,7 +12,7 @@ from coinfield.analysis import (classify, classify_cc, classify_qc,
                                 classify_qq, check_phased_witness,
                                 decide_qq_ratio, parse_piecewise,
                                 verify_spb, PiecewiseFn)
-from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, OrderForm, TAU,
+from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, TAU,
                              fe_add, fe_inv, fe_mod_squared, fe_mul,
                              vanishing_order)
 from coinfield.lang import lower, parse
@@ -206,12 +206,11 @@ def test_criterion_7_set_relations_and_certificates():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_vanishing_orders():
-    coin_form = OrderForm.from_field_elem(FieldElem.coin())
+    coin_form = FieldElem.coin()
     ok = vanishing_order(coin_form, 0).order == Fraction(1, 2)
     ok = ok and vanishing_order(coin_form, 1).order == Fraction(-1, 2)
     half = Poly.const(Scalar(Fraction(1, 2)))
-    sq = OrderForm.from_field_elem(
-        FieldElem(RatFn.from_poly((P_POLY - half) * (P_POLY - half))))
+    sq = FieldElem(RatFn.from_poly((P_POLY - half) * (P_POLY - half)))
     ok = ok and vanishing_order(sq, Fraction(1, 2)).order == 2
 
     rnd = random.Random(3131)
@@ -223,11 +222,8 @@ def test_criterion_8_vanishing_orders():
         if a.is_zero() or b.is_zero() or prod.is_zero():
             continue
         z = Fraction(rnd.randint(0, 12), 12)
-        fa = OrderForm.from_field_elem(a)
-        fb = OrderForm.from_field_elem(b)
-        fp = OrderForm.from_field_elem(prod)
-        ok = ok and (vanishing_order(fa, z).order + vanishing_order(fb, z).order
-                     == vanishing_order(fp, z).order)
+        ok = ok and (vanishing_order(a, z).order + vanishing_order(b, z).order
+                     == vanishing_order(prod, z).order)
         checked += 1
     assert _report(8, "vanishing orders: worked values and 100-pair additivity", ok)
 

@@ -324,6 +324,16 @@ def test_verify_spb_catches_tampering():
     assert not verify_spb(h, greedy)
 
 
+@pytest.mark.parametrize("expr", ["-i/4 + i*t",                  # zero at 1/17
+                                  "(-1/6 + i/3) + (1/2 - i)*t"])  # zero at 1/10
+def test_verify_spb_window_past_endpoint(expr):
+    # the certificate window around the zero reaches past p = 0
+    h = lower(parse(expr))
+    rep = classify_qc(h)
+    assert rep.zeros and rep.zeros[0].position() < rep.zeros[0].delta
+    assert verify_spb(h, rep)
+
+
 def test_qc_random_targets_verify():
     rnd = random.Random(131)
     done = 0

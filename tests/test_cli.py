@@ -192,6 +192,32 @@ def test_run_rejects_bad_p0(capsys):
     assert code == 1 and err
 
 
+@pytest.mark.parametrize("argv", [
+    ("decide", "1/0"),
+    ("compile", "1/(p-p)"),
+    ("corollary", "0^-1"),
+    ("classify", "1/(p-p)"),
+    ("classify", "p", "--witness", "1/(p-p)"),
+    ("cost", "--p0", "1/0", "-"),
+])
+def test_division_by_zero_exits_one(capsys, argv):
+    from coinfield.synth import program_to_json, worked_example_program
+    prog_json = json.dumps(program_to_json(worked_example_program()))
+    code, out, err = run_cli(capsys, *argv, stdin=prog_json)
+    assert code == 1 and not out
+    assert len(err.strip().splitlines()) == 1 and err.startswith("bad input")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_rejects_bad_workers(capsys, workers):
+    from coinfield.synth import program_to_json, worked_example_program
+    prog_json = json.dumps(program_to_json(worked_example_program()))
+    code, out, err = run_cli(capsys, "run", "--p0", "0.3", "--trials", "10",
+                             "--workers", workers, "-", stdin=prog_json)
+    assert code == 1 and not out
+    assert len(err.strip().splitlines()) == 1 and "workers" in err
+
+
 def test_simulate_rejects_corrupt_program(capsys):
     code, _, err = run_cli(capsys, "simulate", "-", stdin='{"bogus": 1}')
     assert code == 1 and err

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, ONE_MINUS_P, OrderForm,
+from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, ONE_MINUS_P,
                              TAU, W_SQUARED, fe_add, fe_conj, fe_eval, fe_inv,
                              fe_mod_squared, fe_mul, sqrt_in_scalar_field,
                              vanishing_order, vanishing_order_at_point)
-from coinfield.polys import P, Poly, RatFn, isolate_roots
+from coinfield.polys import P, Poly, RatFn, isolate_roots, poly_gcd
 from coinfield.scalars import HALF_SQRT2, ONE, SQRT2, Scalar
 
 
@@ -40,7 +40,7 @@ def random_form(rnd):
     C = Poly.zero()
     while C.is_zero():
         C = Poly(tuple(Scalar(Fraction(rnd.randint(-3, 3))) for _ in range(rnd.randint(1, 2))))
-    return OrderForm(A, B, C)
+    return FieldElem.from_abc(A, B, C)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +169,14 @@ def test_sqrt_in_scalar_field():
 def test_order_form_round_trip():
     rnd = random.Random(27)
     for _ in range(20):
-        h = FieldElem(random_ratfn(rnd, deg=2), random_ratfn(rnd, deg=1))
-        form = OrderForm.from_field_elem(h)
-        assert form.to_field_elem() == h
+        r, s = random_ratfn(rnd, deg=2), random_ratfn(rnd, deg=1)
+        h = FieldElem(r, s)
+        assert (h.r, h.s) == (r, s)
+        assert FieldElem.from_abc(h.A, h.B, h.C) == h
 
 
 def test_vanishing_order_of_coin_at_endpoints():
-    form = OrderForm.from_field_elem(FieldElem.coin())
+    form = FieldElem.coin()
     at0 = vanishing_order(form, 0)
     assert at0.order == Fraction(1, 2)
     at1 = vanishing_order(form, 1)
@@ -185,17 +186,17 @@ def test_vanishing_order_of_coin_at_endpoints():
 def test_vanishing_order_of_squared_offset():
     half = Poly.const(Scalar(Fraction(1, 2)))
     f = (P - half) * (P - half)
-    form = OrderForm.from_field_elem(FieldElem(RatFn.from_poly(f)))
+    form = FieldElem(RatFn.from_poly(f))
     res = vanishing_order(form, Fraction(1, 2))
     assert res.order == 2
 
 
 def test_vanishing_order_conjugate_pair():
     # 1/2 - w vanishes to order 2 at p = 1/2 because the conjugate does not vanish
-    form = OrderForm(Poly.const(Scalar(Fraction(1, 2))), Poly.const(Scalar(-1)), Poly.const(ONE))
+    form = FieldElem.from_abc(Poly.const(Scalar(Fraction(1, 2))), Poly.const(Scalar(-1)), Poly.const(ONE))
     res = vanishing_order(form, Fraction(1, 2))
     assert res.order == 2
-    other = OrderForm(Poly.const(Scalar(Fraction(1, 2))), Poly.const(ONE), Poly.const(ONE))
+    other = FieldElem.from_abc(Poly.const(Scalar(Fraction(1, 2))), Poly.const(ONE), Poly.const(ONE))
     assert vanishing_order(other, Fraction(1, 2)).order == 0
 
 
@@ -205,15 +206,13 @@ def test_vanishing_order_additive():
     for _ in range(30):
         f = random_form(rnd)
         g = random_form(rnd)
-        hf = f.to_field_elem()
-        hg = g.to_field_elem()
-        prod = fe_mul(hf, hg)
+        prod = fe_mul(f, g)
         if prod.is_zero():
             continue
         z = zs[rnd.randrange(len(zs))]
         a = vanishing_order(f, z).order
         b = vanishing_order(g, z).order
-        c = vanishing_order(OrderForm.from_field_elem(prod), z).order
+        c = vanishing_order(prod, z).order
         assert c == a + b
 
 
@@ -222,23 +221,23 @@ def test_vanishing_order_at_algebraic_point():
     rat, alg = isolate_roots(g, 0, 1)
     assert rat == [] and len(alg) == 1
     pt = alg[0]
-    form = OrderForm.from_field_elem(FieldElem(RatFn.from_poly(g)))
+    form = FieldElem(RatFn.from_poly(g))
     assert vanishing_order_at_point(form, pt).order == 1
     sq = FieldElem(RatFn.from_poly(g * g))
-    assert vanishing_order_at_point(OrderForm.from_field_elem(sq), pt).order == 2
+    assert vanishing_order_at_point(sq, pt).order == 2
 
 
 def test_vanishing_order_rejects_bad_input():
-    form = OrderForm.from_field_elem(FieldElem.coin())
+    form = FieldElem.coin()
     with pytest.raises(ValueError):
         vanishing_order(form, 2)
-    zero = OrderForm(Poly.zero(), Poly.zero(), Poly.const(ONE))
+    zero = FieldElem.from_abc(Poly.zero(), Poly.zero(), Poly.const(ONE))
     with pytest.raises(ValueError):
         vanishing_order(zero, Fraction(1, 2))
 
 
 def test_order_result_carries_residual():
-    form = OrderForm.from_field_elem(FieldElem.coin())
+    form = FieldElem.coin()
     res = vanishing_order(form, 0)
     assert isinstance(res.residual, str) and res.residual
 
@@ -252,3 +251,46 @@ def test_field_elem_json_round_trip():
     for _ in range(10):
         h = random_elem(rnd)
         assert FieldElem.from_json(h.to_json()) == h
+
+
+# ---------------------------------------------------------------------------
+# Canonical form (A + B*w)/C: property test on Gaussian-rational elements
+# ---------------------------------------------------------------------------
+
+def test_canonical_form_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    gaussian = st.builds(lambda a, b, c, d: Scalar(Fraction(a, b), 0, Fraction(c, d)),
+                         st.integers(-3, 3), st.integers(1, 3),
+                         st.integers(-3, 3), st.integers(1, 3))
+    poly = st.lists(gaussian, min_size=1, max_size=3).map(lambda cs: Poly(tuple(cs)))
+    ratfn = st.tuples(poly, poly.filter(lambda d: not d.is_zero())).map(
+        lambda nd: RatFn(*nd))
+    elem = st.builds(FieldElem, ratfn, ratfn)
+
+    def parts(h):
+        return (h.A, h.B, h.C)
+
+    @hypothesis.settings(max_examples=50, deadline=None, database=None)
+    @hypothesis.given(elem, elem, poly.filter(lambda f: not f.is_zero()),
+                      st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(5, 7)]))
+    def check(a, b, k, p0):
+        assert FieldElem(a.r, a.s) == a
+        assert FieldElem.from_abc(a.A, a.B, a.C) == a
+        assert FieldElem.from_abc(a.A * k, a.B * k, a.C * k) == a
+        assert a.C.leading == ONE
+        if not a.is_zero():
+            assert poly_gcd(poly_gcd(a.A, a.B), a.C).is_one()
+        for x, y in ((a * b, b * a), ((a + b) - b, a)):
+            assert parts(x) == parts(y) and hash(x) == hash(y)
+        if not b.is_zero():
+            q = (a * b) / b
+            assert parts(q) == parts(a) and hash(q) == hash(a)
+        if not a.C.eval_exact(p0):
+            return  # a pole at p0
+        x = float(p0)
+        want = a.r.eval_complex(x) + a.s.eval_complex(x) * math.sqrt(x / (1 - x))
+        assert abs(fe_eval(a, p0) - want) <= 1e-9 * (1 + abs(want))
+
+    check()

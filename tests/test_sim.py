@@ -2,6 +2,7 @@
 
 import math
 import random
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,45 @@ def test_numeric_is_deterministic_and_worker_invariant():
     assert key(a) == key(b) == key(c)
 
 
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records the pool size and runs each
+    task at once, so no thread is started."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("workers, trials, want", [
+    (10 ** 6, 50, 3),   # capped at the cpu count
+    (10 ** 6, 2, 2),    # capped at the trial count
+    (2, 50, 2),
+    (10 ** 6, 1, None),  # a single trial runs without a pool
+])
+def test_numeric_pool_size_is_capped(monkeypatch, workers, trials, want):
+    import coinfield.sim as sim
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    _RecordingPool.sizes = []
+    prog = worked_example_program()
+    got = run_numeric(prog, 0.3, trials=trials, seed=5, workers=workers)
+    assert _RecordingPool.sizes == ([] if want is None else [want])
+    one = run_numeric(prog, 0.3, trials=trials, seed=5)
+    key = lambda r: (r.successes, r.completed, r.aborted, r.coins_total, r.consts_total)
+    assert key(got) == key(one)
+
+
 def test_numeric_seed_changes_stream():
     prog = worked_example_program()
     a = run_numeric(prog, 0.3, trials=4000, seed=5)
@@ -249,3 +289,5 @@ def test_numeric_rejects_bad_arguments():
         run_numeric(coin_program(), 0.0, trials=10)
     with pytest.raises(ValueError):
         run_numeric(coin_program(), 0.5, trials=0)
+    with pytest.raises(ValueError):
+        run_numeric(coin_program(), 0.5, trials=10, workers=0)
