@@ -24,7 +24,7 @@ print(f"p0 = 0.3: success chance {rep.success_probability:.4f} per attempt")
 print(f"          expected coins {rep.expected_coins:.4f}")
 print()
 
-# The Monte Carlo runner draws real trials with a seeded generator. The
+# The Monte Carlo runner draws real trials from a seeded stream. The
 # heads frequency should approach (1-2*0.3)^2/1.16 = 4/29 = 0.1379..., and
 # the coin spend per trial should approach the analytic 3.448.
 
@@ -34,7 +34,7 @@ print(f"  heads frequency   {res.empirical_p0_prob:.5f}   (target {4/29:.5f})")
 print(f"  coins per trial   {res.expected_coins_empirical:.4f}   (target {res.expected_coins_analytic:.4f})")
 
 # Determinism: the same seed gives bit-identical totals, whatever the worker
-# count, because every trial owns a spawned child generator.
+# count, because every trial draws from a stream keyed by (seed, trial).
 again = run_numeric(prog, 0.3, trials=50000, seed=1, workers=4)
 print("  identical with 4 workers:",
       (res.successes, res.coins_total) == (again.successes, again.coins_total))

@@ -191,7 +191,7 @@ def cmd_run(args) -> int:
         print(json.dumps(res.to_json()))
     else:
         for key, val in res.to_json().items():
-            print(f"{key}: {val}")
+            print(f"{key}: {json.dumps(val) if isinstance(val, dict) else val}")
     return 0
 
 

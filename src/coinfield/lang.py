@@ -8,9 +8,11 @@ Grammar (precedence high to low: ^, unary -, * /, + -):
     factor := atom ('^' ['-'] int)?
     atom   := int | 'p' | 'i' | 'sqrt2' | 't' | 'sqrt' '(' expr ')' | '(' expr ')'
 
-Rational literals like 3/4 come out of the division operator. sqrt(...) is
-only accepted during lowering when its argument is an exact square (possibly
-after dividing by p/(1-p)); everything else is reported as outside the field.
+Expressions nest at most MAX_DEPTH levels, counting each operator, sqrt and
+pair of parentheses. Rational literals like 3/4 come out of the division
+operator. sqrt(...) is only accepted during lowering when its argument is an
+exact square (possibly after dividing by p/(1-p)); everything else is
+reported as outside the field.
 """
 
 from __future__ import annotations
@@ -151,12 +153,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+MAX_DEPTH = 100  # keeps the parser, printer and lowering within Python's recursion limit
+
+
 class _Parser:
-    __slots__ = ("toks", "k")
+    """Recursive descent; each method returns (node, height), where height
+    counts the nesting levels of the subtree: one per operator, sqrt and
+    pair of parentheses."""
+
+    __slots__ = ("toks", "k", "open")
 
     def __init__(self, toks):
         self.toks = toks
         self.k = 0
+        self.open = 0  # parentheses, sqrt and unary minus being parsed
 
     def peek(self):
         return self.toks[self.k]
@@ -172,38 +182,56 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.next()
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def deeper(self, height: int, pos: int) -> int:
+        """Height of a node above a subtree of this height."""
+        if height >= MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels",
+                             pos)
+        return height + 1
+
+    def nested(self, parse, pos: int):
+        """Parse an operand one level down. The open levels bound the final
+        height from below, so they are checked before descending further."""
+        self.open = self.deeper(self.open, pos)
+        node, height = parse()
+        self.open -= 1
+        return node, self.deeper(height, pos)
+
+    def expr(self) -> tuple[Expr, int]:
+        node, height = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
+                rhs, rh = self.term()
                 node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                height = self.deeper(max(height, rh), pos)
             else:
-                return node
+                return node, height
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        node, height = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
-                rhs = self.unary()
+                rhs, rh = self.unary()
                 node = Mul(node, rhs) if val == "*" else Div(node, rhs)
+                height = self.deeper(max(height, rh), pos)
             else:
-                return node
+                return node, height
 
-    def unary(self) -> Expr:
-        kind, val, _ = self.peek()
+    def unary(self) -> tuple[Expr, int]:
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return Sub(RationalConst(Fraction(0)), self.unary())
+            node, height = self.nested(self.unary, pos)
+            return Sub(RationalConst(Fraction(0)), node), height
         return self.factor()
 
-    def factor(self) -> Expr:
-        node = self.atom()
-        kind, val, _ = self.peek()
+    def factor(self) -> tuple[Expr, int]:
+        node, height = self.atom()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
             sign = 1
@@ -215,39 +243,40 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected an integer exponent", pos)
             self.next()
-            return Pow(node, sign * int(val))
-        return node
+            return Pow(node, sign * int(val)), self.deeper(height, pos)
+        return node, height
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, val, pos = self.next()
         if kind == "int":
-            return RationalConst(Fraction(int(val)))
+            return RationalConst(Fraction(int(val))), 1
         if kind == "name":
             if val == "p":
-                return P()
+                return P(), 1
             if val == "i":
-                return I()
+                return I(), 1
             if val == "sqrt2":
-                return Sqrt2()
+                return Sqrt2(), 1
             if val == "t":
-                return T()
+                return T(), 1
             if val == "sqrt":
                 self.expect_op("(")
-                inner = self.expr()
+                inner, height = self.nested(self.expr, pos)
                 self.expect_op(")")
-                return Sqrt(inner)
+                return Sqrt(inner), height
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
-            inner = self.expr()
+            inner, height = self.nested(self.expr, pos)
             self.expect_op(")")
-            return inner
+            return inner, height
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 
 
 def parse(text: str) -> Expr:
-    """Parse a target-ratio expression."""
+    """Parse a target-ratio expression; it may nest at most MAX_DEPTH
+    levels, counting each operator, sqrt and pair of parentheses."""
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     kind, val, pos = parser.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {val!r}", pos)

@@ -10,12 +10,8 @@ kept unnormalized with denominators cleared.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .field import INFINITY, FieldElem, Infinity, ONE_MINUS_P, W_SQUARED
 from .polys import Poly, gcd_many
@@ -326,11 +322,21 @@ def expected_cost(prog: CircuitProgram, p0: Fraction | float) -> CostReport:
 
 
 # -- Monte Carlo execution -------------------------------------------------
+#
+# A kept measurement always leaves the same pure state, and a miss rebuilds
+# the measuring node's whole subtree from fresh coins, so every attempt of a
+# measurement meets the same keep probability. run_numeric therefore runs
+# the float amplitudes once with every measurement kept, then replays each
+# trial's retries against those fixed probabilities.
 
 @dataclass(frozen=True)
 class RunResult:
-    """Seeded Monte Carlo outcome; integer fields are bit-identical across
-    repeated runs and across worker counts."""
+    """Seeded Monte Carlo outcome; the integer fields depend only on the
+    program, p0, the seed, the trial count and max_retries.
+
+    node_attempts maps each provenance node to its observed attempts per
+    completed trial, keyed like CostReport.expected_attempts.
+    max_retries_seen is the most retries one measurement took in one trial."""
     p0: float
     trials: int
     successes: int
@@ -344,6 +350,8 @@ class RunResult:
     consts_total: int
     max_retries: int
     workers: int
+    node_attempts: dict[int, float]
+    max_retries_seen: int
 
     def to_json(self) -> dict:
         return {
@@ -360,11 +368,42 @@ class RunResult:
             "consts_total": self.consts_total,
             "max_retries": self.max_retries,
             "workers": self.workers,
+            "node_attempts": {str(k): v for k, v in self.node_attempts.items()},
+            "max_retries_seen": self.max_retries_seen,
         }
 
 
-class _Abort(Exception):
-    pass
+# Counter-based uniforms (SplitMix64): the draw-th number of a trial is a
+# hash of (seed, trial, draw), so no generator state is seeded or shared.
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """The SplitMix64 finaliser, a bijection on 64-bit words."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _seed_key(seed: int) -> int:
+    """Hash a non-negative seed of any size, 64 bits at a time."""
+    key = 0
+    while True:
+        key = _mix64((key + _GAMMA + (seed & _MASK64)) & _MASK64)
+        seed >>= 64
+        if not seed:
+            return key
+
+
+def _trial_key(seed_key: int, trial: int) -> int:
+    return _mix64((seed_key + trial * _GAMMA) & _MASK64)
+
+
+def _uniform(key: int, draw: int) -> float:
+    """The draw-th uniform in [0, 1) of the stream with this key."""
+    return (_mix64((key + draw * _GAMMA) & _MASK64) >> 11) * 2.0 ** -53
 
 
 class _NGroup:
@@ -376,7 +415,7 @@ class _NGroup:
 
 
 def _compile_steps(prog: CircuitProgram):
-    """Flatten instructions into dispatch tuples for the trial loop."""
+    """Flatten instructions into dispatch tuples for the float pass."""
     steps = []
     for idx, ins in enumerate(prog.instructions):
         if isinstance(ins, AllocCoin):
@@ -392,160 +431,192 @@ def _compile_steps(prog: CircuitProgram):
     return steps
 
 
-def _one_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries):
-    """Returns (outcome_bit_is_zero, coins, consts) or raises _Abort."""
+def _apply_gate(group_of: dict[int, _NGroup], regs, mat) -> None:
+    """Apply a float gate matrix in place, merging the groups of a
+    two-register gate first."""
+    if len(regs) == 2:
+        g1, g2 = group_of[regs[0]], group_of[regs[1]]
+        if g1 is not g2:
+            grp = _NGroup(g1.regs + g2.regs,
+                          [a * b for a in g1.amps for b in g2.amps])
+            for r in grp.regs:
+                group_of[r] = grp
+        else:
+            grp = g1
+    else:
+        grp = group_of[regs[0]]
+    n = len(grp.regs)
+    amps = grp.amps
+    if len(regs) == 1:
+        s = 1 << (n - 1 - grp.regs.index(regs[0]))
+        for base in range(1 << n):
+            if base & s:
+                continue
+            a0, a1 = amps[base], amps[base | s]
+            amps[base] = mat[0][0] * a0 + mat[0][1] * a1
+            amps[base | s] = mat[1][0] * a0 + mat[1][1] * a1
+    else:
+        s1 = 1 << (n - 1 - grp.regs.index(regs[0]))
+        s2 = 1 << (n - 1 - grp.regs.index(regs[1]))
+        for base in range(1 << n):
+            if base & s1 or base & s2:
+                continue
+            idx = (base, base | s2, base | s1, base | s1 | s2)
+            old = [amps[i] for i in idx]
+            for k in range(4):
+                amps[idx[k]] = (mat[k][0] * old[0] + mat[k][1] * old[1]
+                                + mat[k][2] * old[2] + mat[k][3] * old[3])
+
+
+def _float_pass(prog: CircuitProgram, p0: float
+                ) -> tuple[dict[int, float], float]:
+    """Float amplitudes in program order with every measurement kept.
+    Returns each measurement's keep probability, by instruction index, and
+    the final probability of output outcome 0."""
+    amp0 = complex(math.sqrt(p0))
+    amp1 = complex(math.sqrt(1.0 - p0))
     group_of: dict[int, _NGroup] = {}
-    retries: dict[int, int] = {}
-    coins = 0
-    consts = 0
-
-    def apply_gate(regs, mat):
-        if len(regs) == 2:
-            g1, g2 = group_of[regs[0]], group_of[regs[1]]
-            if g1 is not g2:
-                grp = _NGroup(g1.regs + g2.regs,
-                              [a * b for a in g1.amps for b in g2.amps])
-                for r in grp.regs:
-                    group_of[r] = grp
-            else:
-                grp = g1
+    keep_probs: dict[int, float] = {}
+    for step in _compile_steps(prog):
+        op = step[0]
+        if op == "coin":
+            group_of[step[1]] = _NGroup((step[1],), [amp0, amp1])
+        elif op == "const":
+            a = step[2]
+            norm = math.sqrt(abs(a) ** 2 + 1.0)
+            group_of[step[1]] = _NGroup((step[1],), [a / norm, 1.0 / norm])
+        elif op == "gate":
+            _apply_gate(group_of, step[1], step[2])
         else:
-            grp = group_of[regs[0]]
-        n = len(grp.regs)
-        amps = grp.amps
-        if len(regs) == 1:
-            s = 1 << (n - 1 - grp.regs.index(regs[0]))
-            for base in range(1 << n):
-                if base & s:
-                    continue
-                a0, a1 = amps[base], amps[base | s]
-                amps[base] = mat[0][0] * a0 + mat[0][1] * a1
-                amps[base | s] = mat[1][0] * a0 + mat[1][1] * a1
-        else:
-            s1 = 1 << (n - 1 - grp.regs.index(regs[0]))
-            s2 = 1 << (n - 1 - grp.regs.index(regs[1]))
-            for base in range(1 << n):
-                if base & s1 or base & s2:
-                    continue
-                idx = (base, base | s2, base | s1, base | s1 | s2)
-                old = [amps[i] for i in idx]
-                for k in range(4):
-                    amps[idx[k]] = (mat[k][0] * old[0] + mat[k][1] * old[1]
-                                    + mat[k][2] * old[2] + mat[k][3] * old[3])
-
-    def run_node(nid):
-        nonlocal coins, consts
-        while True:
-            ok = True
-            for tag, ref in node_items[nid]:
-                if tag == "child":
-                    run_node(ref)
-                    continue
-                step = steps[ref]
-                op = step[0]
-                if op == "coin":
-                    group_of[step[1]] = _NGroup((step[1],), [amp0, amp1])
-                    coins += 1
-                elif op == "const":
-                    a = step[2]
-                    norm = math.sqrt(abs(a) ** 2 + 1.0)
-                    group_of[step[1]] = _NGroup((step[1],),
-                                                [a / norm, 1.0 / norm])
-                    consts += 1
-                elif op == "gate":
-                    apply_gate(step[1], step[2])
-                else:
-                    reg, keep, midx = step[1], step[2], step[3]
-                    grp = group_of[reg]
-                    n = len(grp.regs)
-                    s = 1 << (n - 1 - grp.regs.index(reg))
-                    total = 0.0
-                    kept_mass = 0.0
-                    for i in range(1 << n):
-                        m = abs(grp.amps[i]) ** 2
-                        total += m
-                        if ((i & s) != 0) == (keep == 1):
-                            kept_mass += m
-                    if rng.random() < kept_mass / total:
-                        norm = math.sqrt(kept_mass)
-                        amps = [grp.amps[i] / norm for i in range(1 << n)
-                                if ((i & s) != 0) == (keep == 1)]
-                        del group_of[reg]
-                        regs = tuple(r for r in grp.regs if r != reg)
-                        if regs:
-                            grp.regs = regs
-                            grp.amps = amps
-                    else:
-                        c = retries.get(midx, 0) + 1
-                        if c > max_retries:
-                            raise _Abort()
-                        retries[midx] = c
-                        ok = False
-                        break
-            if ok:
-                return
-
-    run_node(root)
-    grp = group_of[output]
+            reg, keep, midx = step[1], step[2], step[3]
+            grp = group_of.pop(reg)
+            n = len(grp.regs)
+            s = 1 << (n - 1 - grp.regs.index(reg))
+            total = 0.0
+            kept_mass = 0.0
+            for i in range(1 << n):
+                m = abs(grp.amps[i]) ** 2
+                total += m
+                if ((i & s) != 0) == (keep == 1):
+                    kept_mass += m
+            keep_probs[midx] = kept_mass / total
+            norm = math.sqrt(kept_mass)
+            amps = [grp.amps[i] / norm for i in range(1 << n)
+                    if ((i & s) != 0) == (keep == 1)]
+            regs = tuple(r for r in grp.regs if r != reg)
+            if regs:
+                grp.regs = regs
+                grp.amps = amps
+    grp = group_of[prog.output]
     m0 = abs(grp.amps[0]) ** 2
     m1 = abs(grp.amps[1]) ** 2
-    return rng.random() < m0 / (m0 + m1), coins, consts
+    return keep_probs, m0 / (m0 + m1)
 
 
-def _run_chunk(steps, node_items, root, output, amp0, amp1, seed,
-               trial_indices, max_retries):
-    successes = coins_total = consts_total = aborted = 0
-    for trial in trial_indices:
-        rng = np.random.default_rng(np.random.SeedSequence(seed,
-                                                           spawn_key=(trial,)))
+_CHILD, _COIN, _CONST, _MEASURE = range(4)
+
+
+def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
+    """What one attempt of each provenance node does, in order: run a
+    child, take a coin or a constant coin, or draw against a measurement's
+    keep probability. Gates cost nothing in the replay."""
+    plans = []
+    for node in prog.nodes:
+        plan = []
+        for tag, ref in node.items:
+            if tag == "child":
+                plan.append((_CHILD, ref, 0.0))
+                continue
+            ins = prog.instructions[ref]
+            if isinstance(ins, AllocCoin):
+                plan.append((_COIN, ref, 0.0))
+            elif isinstance(ins, AllocConst):
+                plan.append((_CONST, ref, 0.0))
+            elif isinstance(ins, Measure):
+                plan.append((_MEASURE, ref, keep_probs[ref]))
+        plans.append(tuple(plan))
+    return plans
+
+
+class _Abort(Exception):
+    pass
+
+
+def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
+            max_retries: int):
+    """Replay every trial: each measurement attempt draws one uniform and a
+    miss restarts the node that holds the measurement; a trial aborts once
+    one measurement's retries exceed max_retries, and a completed trial
+    draws once more for its outcome. Returns (successes, coins, consts,
+    aborted, attempts per node over completed trials, most retries)."""
+    seed_key = _seed_key(seed)
+    totals = [0] * len(plans)
+    successes = coins_total = consts_total = aborted = worst = 0
+    key = draw = coins = consts = 0
+    attempts: list[int] = []
+    retries: dict[int, int] = {}
+
+    def run_node(nid):
+        nonlocal draw, coins, consts, worst
+        while True:
+            attempts[nid] += 1
+            for kind, ref, prob in plans[nid]:
+                if kind == _CHILD:
+                    run_node(ref)
+                elif kind == _COIN:
+                    coins += 1
+                elif kind == _CONST:
+                    consts += 1
+                else:
+                    draw += 1
+                    if _uniform(key, draw) < prob:
+                        continue
+                    tries = retries.get(ref, 0) + 1
+                    if tries > max_retries:
+                        raise _Abort()
+                    retries[ref] = tries
+                    worst = max(worst, tries)
+                    break
+            else:
+                return
+
+    for trial in range(trials):
+        key = _trial_key(seed_key, trial)
+        draw = coins = consts = 0
+        attempts = [0] * len(plans)
+        retries = {}
         try:
-            hit, coins, consts = _one_trial(steps, node_items, root, output,
-                                            amp0, amp1, rng, max_retries)
+            run_node(root)
         except _Abort:
             aborted += 1
             continue
-        successes += int(hit)
+        draw += 1
+        successes += _uniform(key, draw) < out_prob
         coins_total += coins
         consts_total += consts
-    return successes, coins_total, consts_total, aborted
+        totals = [t + a for t, a in zip(totals, attempts)]
+    return successes, coins_total, consts_total, aborted, totals, worst
 
 
 def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
                 max_retries: int = 1000, workers: int = 1) -> RunResult:
     """Monte Carlo runs of a program at coin bias p0. Each trial draws from
-    its own generator spawned off (seed, trial), so integer outcomes do not
-    depend on the worker count or on scheduling."""
+    a counter-based stream keyed by (seed, trial), so results depend on
+    nothing else. workers is checked and echoed for compatibility; the run
+    takes place in the calling thread."""
     if not 0.0 < float(p0) < 1.0:
         raise ValueError("p0 must lie strictly between 0 and 1")
     if trials <= 0:
         raise ValueError("trials must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    validate_program(prog)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     analytic = expected_cost(prog, Fraction(p0).limit_denominator(10 ** 12))
-    steps = _compile_steps(prog)
-    node_items = [node.items for node in prog.nodes]
-    amp0 = complex(math.sqrt(float(p0)))
-    amp1 = complex(math.sqrt(1.0 - float(p0)))
-
-    # outcomes are seeded per trial, so the pool size changes no result
-    threads = min(workers, trials, os.cpu_count() or 1)
-    if threads == 1:
-        parts = [_run_chunk(steps, node_items, prog.root, prog.output,
-                            amp0, amp1, seed, range(trials), max_retries)]
-    else:
-        chunks = [range(w, trials, threads) for w in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_run_chunk, steps, node_items, prog.root,
-                                prog.output, amp0, amp1, seed, chunk,
-                                max_retries)
-                    for chunk in chunks]
-            parts = [f.result() for f in futs]
-
-    successes = sum(p[0] for p in parts)
-    coins_total = sum(p[1] for p in parts)
-    consts_total = sum(p[2] for p in parts)
-    aborted = sum(p[3] for p in parts)
+    keep_probs, out_prob = _float_pass(prog, float(p0))
+    successes, coins_total, consts_total, aborted, attempts, worst = _replay(
+        _node_plans(prog, keep_probs), prog.root, out_prob, seed, trials,
+        max_retries)
     completed = trials - aborted
     return RunResult(
         p0=float(p0),
@@ -561,4 +632,7 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         consts_total=consts_total,
         max_retries=max_retries,
         workers=workers,
+        node_attempts={nid: a / completed if completed else math.nan
+                       for nid, a in enumerate(attempts)},
+        max_retries_seen=worst,
     )

@@ -184,6 +184,32 @@ def test_run_seeded(capsys):
     assert json.loads(out2) == data
 
 
+def test_run_reports_observed_attempts(capsys):
+    from coinfield.synth import program_to_json, worked_example_program
+    prog_json = json.dumps(program_to_json(worked_example_program()))
+    code, out, _ = run_cli(capsys, "run", "--p0", "0.3", "--trials", "2000",
+                           "--seed", "5", "--json", "-", stdin=prog_json)
+    assert code == 0
+    data = json.loads(out)
+    assert set(data["node_attempts"]) == {"0"}
+    assert data["node_attempts"]["0"] >= 1
+    assert 0 < data["max_retries_seen"] <= data["max_retries"]
+    code, out, _ = run_cli(capsys, "run", "--p0", "0.3", "--trials", "2000",
+                           "--seed", "5", "-", stdin=prog_json)
+    assert code == 0
+    assert f'node_attempts: {{"0": {data["node_attempts"]["0"]}}}' in out
+    assert f"max_retries_seen: {data['max_retries_seen']}" in out
+
+
+def test_run_rejects_negative_seed(capsys):
+    from coinfield.synth import program_to_json, worked_example_program
+    prog_json = json.dumps(program_to_json(worked_example_program()))
+    code, out, err = run_cli(capsys, "run", "--p0", "0.3", "--trials", "10",
+                             "--seed", "-1", "-", stdin=prog_json)
+    assert code == 1 and not out
+    assert len(err.strip().splitlines()) == 1 and "seed" in err
+
+
 def test_run_rejects_bad_p0(capsys):
     from coinfield.synth import program_to_json, worked_example_program
     prog_json = json.dumps(program_to_json(worked_example_program()))
@@ -206,6 +232,34 @@ def test_division_by_zero_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv, stdin=prog_json)
     assert code == 1 and not out
     assert len(err.strip().splitlines()) == 1 and err.startswith("bad input")
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "(" * 2000 + "p" + ")" * 2000),
+    ("decide", "0" + "-" * 3000 + "p"),
+    ("parse", "+".join(["p"] * 3000)),
+    ("compile", "sqrt(" * 500 + "p^2" + ")" * 500),
+])
+def test_deep_expression_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert len(err.strip().splitlines()) == 1 and "deeper than" in err
+
+
+def test_import_leaves_numpy_out():
+    import os
+    import subprocess
+    import coinfield
+    src = os.path.dirname(os.path.dirname(coinfield.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coinfield.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,12 +1,14 @@
 """Program execution: exact symbolic pass, cost accounting, Monte Carlo."""
 
+import itertools
 import math
 import random
-from concurrent.futures import Future
+import threading
 from fractions import Fraction
 
 import pytest
 
+from coinfield import sim
 from coinfield.field import (FE_ONE, FieldElem, INFINITY, TAU, fe_eval, fe_inv,
                              fe_mod_squared, fe_mul)
 from coinfield.lang import lower, parse
@@ -229,43 +231,26 @@ def test_numeric_is_deterministic_and_worker_invariant():
     assert key(a) == key(b) == key(c)
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records the pool size and runs each
-    task at once, so no thread is started."""
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-@pytest.mark.parametrize("workers, trials, want", [
-    (10 ** 6, 50, 3),   # capped at the cpu count
-    (10 ** 6, 2, 2),    # capped at the trial count
+@pytest.mark.parametrize("workers, trials, old_pool", [
+    (10 ** 6, 50, 3),
+    (10 ** 6, 2, 2),
     (2, 50, 2),
-    (10 ** 6, 1, None),  # a single trial runs without a pool
+    (10 ** 6, 1, None),
 ])
-def test_numeric_pool_size_is_capped(monkeypatch, workers, trials, want):
-    import coinfield.sim as sim
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
-    _RecordingPool.sizes = []
+def test_numeric_pool_size_is_capped(monkeypatch, workers, trials, old_pool):
+    # old_pool is the thread-pool size the per-trial engine used on a 3-cpu
+    # box (None: no pool). The pool is gone: workers is checked and echoed,
+    # and the run stays in the calling thread whatever it asks for.
+    def refuse(self):
+        raise AssertionError(f"run_numeric started a thread (was a pool of {old_pool})")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     prog = worked_example_program()
     got = run_numeric(prog, 0.3, trials=trials, seed=5, workers=workers)
-    assert _RecordingPool.sizes == ([] if want is None else [want])
-    one = run_numeric(prog, 0.3, trials=trials, seed=5)
+    one = run_numeric(prog, 0.3, trials=trials, seed=5, workers=1)
     key = lambda r: (r.successes, r.completed, r.aborted, r.coins_total, r.consts_total)
     assert key(got) == key(one)
+    assert got.workers == workers
 
 
 def test_numeric_seed_changes_stream():
@@ -291,3 +276,145 @@ def test_numeric_rejects_bad_arguments():
         run_numeric(coin_program(), 0.5, trials=0)
     with pytest.raises(ValueError):
         run_numeric(coin_program(), 0.5, trials=10, workers=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference engine: the per-trial float amplitude loop, one full simulation
+# per attempt, fed by run_numeric's uniform stream
+# ---------------------------------------------------------------------------
+
+class _OracleAbort(Exception):
+    pass
+
+
+def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries):
+    """Returns (outcome_bit_is_zero, coins, consts) or raises _OracleAbort."""
+    group_of = {}
+    retries = {}
+    coins = 0
+    consts = 0
+
+    def run_node(nid):
+        nonlocal coins, consts
+        while True:
+            ok = True
+            for tag, ref in node_items[nid]:
+                if tag == "child":
+                    run_node(ref)
+                    continue
+                step = steps[ref]
+                op = step[0]
+                if op == "coin":
+                    group_of[step[1]] = sim._NGroup((step[1],), [amp0, amp1])
+                    coins += 1
+                elif op == "const":
+                    a = step[2]
+                    norm = math.sqrt(abs(a) ** 2 + 1.0)
+                    group_of[step[1]] = sim._NGroup((step[1],),
+                                                    [a / norm, 1.0 / norm])
+                    consts += 1
+                elif op == "gate":
+                    sim._apply_gate(group_of, step[1], step[2])
+                else:
+                    reg, keep, midx = step[1], step[2], step[3]
+                    grp = group_of[reg]
+                    n = len(grp.regs)
+                    s = 1 << (n - 1 - grp.regs.index(reg))
+                    total = 0.0
+                    kept_mass = 0.0
+                    for i in range(1 << n):
+                        m = abs(grp.amps[i]) ** 2
+                        total += m
+                        if ((i & s) != 0) == (keep == 1):
+                            kept_mass += m
+                    if rng() < kept_mass / total:
+                        norm = math.sqrt(kept_mass)
+                        amps = [grp.amps[i] / norm for i in range(1 << n)
+                                if ((i & s) != 0) == (keep == 1)]
+                        del group_of[reg]
+                        regs = tuple(r for r in grp.regs if r != reg)
+                        if regs:
+                            grp.regs = regs
+                            grp.amps = amps
+                    else:
+                        c = retries.get(midx, 0) + 1
+                        if c > max_retries:
+                            raise _OracleAbort()
+                        retries[midx] = c
+                        ok = False
+                        break
+            if ok:
+                return
+
+    run_node(root)
+    grp = group_of[output]
+    m0 = abs(grp.amps[0]) ** 2
+    m1 = abs(grp.amps[1]) ** 2
+    return rng() < m0 / (m0 + m1), coins, consts
+
+
+def _oracle_run(prog, p0, trials, seed, max_retries=1000):
+    """(successes, completed, aborted, coins_total, consts_total)"""
+    steps = sim._compile_steps(prog)
+    node_items = [node.items for node in prog.nodes]
+    amp0 = complex(math.sqrt(p0))
+    amp1 = complex(math.sqrt(1.0 - p0))
+    seed_key = sim._seed_key(seed)
+    successes = aborted = coins_total = consts_total = 0
+    for trial in range(trials):
+        key = sim._trial_key(seed_key, trial)
+        draws = (sim._uniform(key, k) for k in itertools.count(1))
+        try:
+            hit, coins, consts = _oracle_trial(
+                steps, node_items, prog.root, prog.output, amp0, amp1,
+                lambda: next(draws), max_retries)
+        except _OracleAbort:
+            aborted += 1
+            continue
+        successes += hit
+        coins_total += coins
+        consts_total += consts
+    return successes, trials - aborted, aborted, coins_total, consts_total
+
+
+@pytest.mark.parametrize("make, p0, trials, max_retries", [
+    (worked_example_program, 0.3, 3000, 1000),
+    (worked_example_program, 0.5, 2000, 0),
+    (construct_p, 0.5, 200, 1000),
+    (construct_p, 0.3, 200, 3),
+    (lambda: compile(lower(parse("1 - 2*p"))), 0.3, 20, 1000),
+    (lambda: compile(lower(parse("t + p - 1/2"))), 0.4, 100, 1000),
+])
+def test_numeric_matches_per_trial_oracle(make, p0, trials, max_retries):
+    prog = make()
+    res = run_numeric(prog, p0, trials=trials, seed=17, max_retries=max_retries)
+    got = (res.successes, res.completed, res.aborted, res.coins_total,
+           res.consts_total)
+    assert got == _oracle_run(prog, p0, trials, 17, max_retries)
+    assert 0 <= res.max_retries_seen <= max_retries
+    if res.aborted:
+        assert res.max_retries_seen == max_retries
+
+
+def test_numeric_node_attempts_track_analytic():
+    prog = worked_example_program()
+    res = run_numeric(prog, 0.3, trials=20000, seed=7)
+    want = expected_cost(prog, Fraction(3, 10)).expected_attempts
+    assert set(res.node_attempts) == set(want)
+    assert abs(want[prog.root] - 1 / 0.58) < 1e-12
+    assert abs(res.node_attempts[prog.root] - want[prog.root]) \
+        < 0.05 * want[prog.root]
+    assert res.max_retries_seen > 0
+    data = res.to_json()
+    assert data["node_attempts"] == {str(prog.root): res.node_attempts[prog.root]}
+    assert data["max_retries_seen"] == res.max_retries_seen
+
+
+def test_numeric_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        run_numeric(coin_program(), 0.5, trials=10, seed=-1)
+
+
+def test_seed_key_uses_every_bit():
+    keys = {sim._seed_key(s) for s in (0, 1, 2 ** 64, 2 ** 64 + 1, 2 ** 128)}
+    assert len(keys) == 5
