@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, ONE_MINUS_P,
-                    W_SQUARED, fe_eval, fe_mod_squared, sqrt_in_scalar_field,
-                    vanishing_order, vanishing_order_at_point)
+                    fe_eval, fe_mod_squared, sqrt_in_scalar_field,
+                    vanishing_order, vanishing_order_at_point, w_mul, w_norm)
 from .lang import Expr, NotInFieldError, field_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_POLY, Poly, RatFn, certify_nonneg,
                     isolate_roots, sturm_count)
@@ -346,9 +346,7 @@ def _f_of_h(h: FieldElem, x: float) -> float:
 
 def _candidate_points(h: FieldElem):
     a, b, c = h.A, h.B, h.C
-    x = a * a.conj() + b * b.conj() * W_SQUARED
-    y = a * b.conj() + a.conj() * b
-    q_num = x * x - y * y * W_SQUARED
+    q_num = w_norm(w_mul((a, b), (a.conj(), b.conj())))
     q_den = c * c.conj()
     rationals, points = isolate_roots((q_num * q_den).real_part(), 0, 1)
     cands: list[Fraction | AlgebraicPoint] = [Fraction(0), Fraction(1)]

@@ -413,7 +413,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ZeroDivisionError as err:  # 1/0, 0^-1 or 1/(p-p) in an argument
+    except (ZeroDivisionError, lang.DegreeLimitError) as err:
+        # 1/0, 0^-1, 1/(p-p) or a power past lang.MAX_DEGREE in an argument
         return _fail(f"bad input: {err}", 1)
 
 

@@ -21,6 +21,20 @@ W_SQUARED = Poly((0, 1, -1))
 ONE_MINUS_P = Poly((1, -1))
 
 
+def w_mul(a, b, wsq=W_SQUARED):
+    """(a0 + a1*w)(b0 + b1*w) as a pair (x, y) meaning x + y*w. The parts are
+    Polys with w^2 = p(1-p), or Scalars with wsq the value of w^2 at a point."""
+    (a0, a1), (b0, b1) = a, b
+    return a0 * b0 + a1 * b1 * wsq, a0 * b1 + a1 * b0
+
+
+def w_norm(a):
+    """(a0 + a1*w)(a0 - a1*w) = a0^2 - a1^2*p(1-p) for a pair of Polys;
+    nonzero for a nonzero pair, because w is not in the coefficient field."""
+    a0, a1 = a
+    return a0 * a0 - a1 * a1 * W_SQUARED
+
+
 class Infinity:
     """Projective point at infinity for amplitude ratios (zero |1> amplitude)."""
 
@@ -140,18 +154,15 @@ class FieldElem:
         return self + (-other)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        # (A1 + B1*w)(A2 + B2*w) with w^2 = p(1-p)
-        A1, B1, A2, B2 = self.A, self.B, other.A, other.B
-        return FieldElem.from_abc(A1 * A2 + B1 * B2 * W_SQUARED,
-                                  A1 * B2 + B1 * A2, self.C * other.C)
+        return FieldElem.from_abc(*w_mul((self.A, self.B), (other.A, other.B)),
+                                  self.C * other.C)
 
     def inverse(self) -> "FieldElem":
-        # C/(A + B*w) = C*(A - B*w) / (A^2 - B^2*w^2); the norm is nonzero
-        # for a nonzero element because w is not in the coefficient field
+        # C/(A + B*w) = C*(A - B*w) / (A^2 - B^2*w^2)
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero element")
         A, B, C = self.A, self.B, self.C
-        return FieldElem.from_abc(C * A, -(C * B), A * A - B * B * W_SQUARED)
+        return FieldElem.from_abc(C * A, -(C * B), w_norm((A, B)))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
@@ -174,8 +185,7 @@ class FieldElem:
 
     def mod_squared(self) -> "FieldElem":
         A, B, C = self.A, self.B, self.C
-        Ac, Bc = A.conj(), B.conj()
-        return FieldElem.from_abc(A * Ac + B * Bc * W_SQUARED, A * Bc + Ac * B,
+        return FieldElem.from_abc(*w_mul((A, B), (A.conj(), B.conj())),
                                   C * C.conj())
 
     # -- evaluation --------------------------------------------------------
@@ -333,7 +343,7 @@ def vanishing_order(h: FieldElem, z: Fraction | int) -> OrderResult:
     # numerator still vanishes through cancellation against w; its conjugate
     # A - B*w cannot vanish too, so the product A^2 - B^2*p*(1-p) carries
     # exactly the remaining order
-    prod = A * A - B * B * W_SQUARED
+    prod = w_norm((A, B))
     extra = prod.order_at(z)
     why = (f"after extracting (p - {z})^{shared}, the numerator vanishes by "
            f"cancellation against the root; its conjugate does not, and "
@@ -354,7 +364,7 @@ def vanishing_order_at_point(h: FieldElem, pt: AlgebraicPoint) -> OrderResult:
         k = kA
     else:
         k = min(kA, kB)
-    prod = A * A - B * B * W_SQUARED
+    prod = w_norm((A, B))
     p_ord = pt.multiplicity_in_complex(prod)
     ordC = pt.multiplicity_in_complex(C) or 0
     if p_ord == 2 * k:

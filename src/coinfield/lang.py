@@ -9,10 +9,11 @@ Grammar (precedence high to low: ^, unary -, * /, + -):
     atom   := int | 'p' | 'i' | 'sqrt2' | 't' | 'sqrt' '(' expr ')' | '(' expr ')'
 
 Expressions nest at most MAX_DEPTH levels, counting each operator, sqrt and
-pair of parentheses. Rational literals like 3/4 come out of the division
-operator. sqrt(...) is only accepted during lowering when its argument is an
-exact square (possibly after dividing by p/(1-p)); everything else is
-reported as outside the field.
+pair of parentheses, and lowering refuses a power past MAX_DEGREE. Rational
+literals like 3/4 come out of the division operator. sqrt(...) is only
+accepted during lowering when its argument is an exact square (possibly
+after dividing by p/(1-p)); everything else is reported as outside the
+field.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .scalars import Scalar
 
 __all__ = [
     "Expr", "RationalConst", "I", "Sqrt2", "P", "T", "Add", "Sub", "Mul",
-    "Div", "Pow", "Sqrt", "ParseError", "NotInFieldError", "parse",
-    "print_expr", "lower", "field_sqrt", "eval_expr_numeric",
+    "Div", "Pow", "Sqrt", "ParseError", "NotInFieldError", "DegreeLimitError",
+    "parse", "print_expr", "lower", "field_sqrt", "eval_expr_numeric",
 ]
 
 
@@ -116,6 +117,10 @@ class NotInFieldError(ValueError):
         super().__init__(message)
         self.odd_factors = odd_factors
         self.t_route_odd_factors = t_route_odd_factors
+
+
+class DegreeLimitError(ValueError):
+    """Lowering refused a power whose result would exceed MAX_DEGREE."""
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -424,9 +429,13 @@ def field_sqrt(u: RatFn) -> FieldElem:
     return _lower_sqrt(FieldElem(u))
 
 
+MAX_DEGREE = 128  # bounds the polynomial work one power can ask for
+
+
 def lower(e: Expr) -> FieldElem:
     """Evaluate the tree inside the field; raises NotInFieldError when the
-    expression falls outside it."""
+    expression falls outside it, and DegreeLimitError on a power whose
+    base's degree (at least 1) times |exponent| exceeds MAX_DEGREE."""
     if isinstance(e, RationalConst):
         return FieldElem.const(e.value)
     if isinstance(e, I):
@@ -449,7 +458,14 @@ def lower(e: Expr) -> FieldElem:
             raise ZeroDivisionError("division by the zero element")
         return lower(e.left) / den
     if isinstance(e, Pow):
-        return lower(e.base) ** e.exp
+        base = lower(e.base)
+        # degree in p of A, B*w and C, with w counted as degree 1
+        degree = max(base.A.degree, base.B.degree + 1, base.C.degree, 1)
+        if degree * abs(e.exp) > MAX_DEGREE:
+            raise DegreeLimitError(
+                f"power ^{e.exp} of a degree-{degree} base exceeds degree "
+                f"{MAX_DEGREE}")
+        return base ** e.exp
     if isinstance(e, Sqrt):
         return _lower_sqrt(lower(e.child))
     raise TypeError(f"not an expression node: {e!r}")

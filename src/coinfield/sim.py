@@ -1,10 +1,12 @@
-"""Execute circuit programs two ways: exact symbolic amplitudes, and seeded
-Monte Carlo with retry and cost accounting.
+"""Execute circuit programs: the exact output ratio, the analytic retry
+cost, and seeded Monte Carlo runs.
 
-Symbolic execution tracks each entangled register group as a vector of
-amplitude pairs (A, B), meaning the polynomial A(p) + B(p)*w with
-w = sqrt(p(1-p)). Global factors cancel in the final ratio, so states are
-kept unnormalized with denominators cleared.
+One exact pass serves all three. It tracks each entangled register group as
+a vector of amplitude pairs (A, B), meaning the polynomial A(p) + B(p)*w
+with w = sqrt(p(1-p)). Global factors cancel in the final ratio, so states
+are kept unnormalized with denominators cleared. At a rational bias p0 the
+pass also reads each measurement's keep probability, which fixes the
+analytic cost and drives the Monte Carlo replay of every trial's retries.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import INFINITY, FieldElem, Infinity, ONE_MINUS_P, W_SQUARED
+from .field import INFINITY, FieldElem, Infinity, ONE_MINUS_P, w_mul, w_norm
 from .polys import Poly, gcd_many
 from .scalars import HALF_SQRT2, Scalar
 from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
@@ -63,17 +65,8 @@ def _pair_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
-def _pair_mul(a, b):
-    # (A1 + B1 w)(A2 + B2 w) with w^2 = p(1-p)
-    return (a[0] * b[0] + a[1] * b[1] * W_SQUARED, a[0] * b[1] + a[1] * b[0])
-
-
 def _pair_scale(c: Scalar, a):
     return (a[0] * c, a[1] * c)
-
-
-def _pair_is_zero(a):
-    return a[0].is_zero() and a[1].is_zero()
 
 
 class _SymGroup:
@@ -102,7 +95,7 @@ class _SymState:
         self.group_of[reg] = _SymGroup((reg,), amps)
 
     def _merge(self, g1: _SymGroup, g2: _SymGroup) -> _SymGroup:
-        amps = [_pair_mul(a, b) for a in g1.amps for b in g2.amps]
+        amps = [w_mul(a, b) for a in g1.amps for b in g2.amps]
         merged = _SymGroup(g1.regs + g2.regs, amps)
         for r in merged.regs:
             self.group_of[r] = merged
@@ -150,7 +143,7 @@ class _SymState:
         s = 1 << (n - 1 - pos)
         kept = [grp.amps[i] for i in range(1 << n)
                 if ((i & s) != 0) == (keep == 1)]
-        if all(_pair_is_zero(a) for a in kept):
+        if all(a.is_zero() and b.is_zero() for a, b in kept):
             raise PostselectionError(
                 f"kept branch of register {reg} has amplitude identically zero")
         del self.group_of[reg]
@@ -185,12 +178,22 @@ class _SymState:
         for i in range(1 << n):
             a, b = grp.amps[i]
             av, bv = a.eval_exact(p0), b.eval_exact(p0)
-            x = av * av.conj() + bv * bv.conj() * wsq
-            y = av * bv.conj() + bv * av.conj()
+            x, y = w_mul((av, bv), (av.conj(), bv.conj()), wsq)
             xt, yt = xt + x, yt + y
             if ((i & s) != 0) == (keep == 1):
                 xk, yk = xk + x, yk + y
         return xk, yk, xt, yt
+
+    def keep_prob(self, reg: int, keep: int, p0: Fraction) -> float:
+        """Probability at p0 that measuring reg gives keep, as a float;
+        exactly 0.0 when the kept mass is exactly zero."""
+        xk, yk, xt, yt = self.measure_mass(reg, keep, p0)
+        if _mass_is_zero(xk, yk, p0):
+            return 0.0
+        w0 = math.sqrt(float(p0) * (1 - float(p0)))
+        kept, total = (x.to_complex().real + y.to_complex().real * w0
+                       for x, y in ((xk, yk), (xt, yt)))
+        return min(1.0, max(0.0, kept / total))
 
 
 def _mass_is_zero(x: Scalar, y: Scalar, p0: Fraction) -> bool:
@@ -201,16 +204,13 @@ def _mass_is_zero(x: Scalar, y: Scalar, p0: Fraction) -> bool:
     return q * q == Scalar(p0 * (1 - p0))
 
 
-def _mass_float(x: Scalar, y: Scalar, w0: float) -> float:
-    return x.to_complex().real + y.to_complex().real * w0
-
-
-def _symbolic_pass(prog: CircuitProgram, p0: Fraction | None
-                   ) -> tuple[FieldElem | Infinity, dict[int, float]]:
+def _exact_pass(prog: CircuitProgram, p0: Fraction | None
+                ) -> tuple[_SymState, dict[int, float]]:
+    """Run a program exactly with every postselection kept. At a rational
+    p0 also read each measurement's keep probability, by instruction index."""
     validate_program(prog)
     state = _SymState()
     probs: dict[int, float] = {}
-    w0 = math.sqrt(float(p0) * (1 - float(p0))) if p0 is not None else 0.0
     for idx, ins in enumerate(prog.instructions):
         if isinstance(ins, AllocCoin):
             state.alloc_coin(ins.reg)
@@ -220,30 +220,25 @@ def _symbolic_pass(prog: CircuitProgram, p0: Fraction | None
             state.apply_gate(ins.name, ins.regs)
         else:
             if p0 is not None:
-                xk, yk, xt, yt = state.measure_mass(ins.reg, ins.keep, p0)
-                if _mass_is_zero(xk, yk, p0):
+                probs[idx] = state.keep_prob(ins.reg, ins.keep, p0)
+                if not probs[idx]:
                     raise PostselectionError(
                         f"measurement of register {ins.reg} succeeds with "
                         f"probability 0 at p = {p0}")
-                prob = _mass_float(xk, yk, w0) / _mass_float(xt, yt, w0)
-                probs[idx] = min(1.0, max(0.0, prob))
             state.measure(ins.reg, ins.keep)
-    grp = state.group_of[prog.output]
-    (a0, b0), (a1, b1) = grp.amps
-    if a1.is_zero() and b1.is_zero():
-        return INFINITY, probs
-    # (a0 + b0*w)/(a1 + b1*w), rationalised by the conjugate a1 - b1*w
-    ratio = FieldElem.from_abc(a0 * a1 - b0 * b1 * W_SQUARED, b0 * a1 - a0 * b1,
-                               a1 * a1 - b1 * b1 * W_SQUARED)
-    return ratio, probs
+    return state, probs
 
 
 def run_symbolic(prog: CircuitProgram) -> FieldElem | Infinity:
     """Exact output amplitude ratio of a program, assuming every
     postselection succeeds. Raises PostselectionError when a kept branch
     is identically zero."""
-    ratio, _ = _symbolic_pass(prog, None)
-    return ratio
+    state, _ = _exact_pass(prog, None)
+    (a0, b0), (a1, b1) = state.group_of[prog.output].amps
+    if a1.is_zero() and b1.is_zero():
+        return INFINITY
+    # (a0 + b0*w)/(a1 + b1*w), rationalised by the conjugate a1 - b1*w
+    return FieldElem.from_abc(*w_mul((a0, b0), (a1, -b1)), w_norm((a1, b1)))
 
 
 # -- expected cost ---------------------------------------------------------
@@ -275,59 +270,82 @@ class CostReport:
         }
 
 
+_CHILD, _COIN, _CONST, _MEASURE = range(4)
+
+
+def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
+    """What one attempt of each provenance node does, in order: run a
+    child, take a coin or a constant coin, or draw against a measurement's
+    keep probability. Gates cost nothing here."""
+    plans = []
+    for node in prog.nodes:
+        plan = []
+        for tag, ref in node.items:
+            if tag == "child":
+                plan.append((_CHILD, ref, 0.0))
+                continue
+            ins = prog.instructions[ref]
+            if isinstance(ins, AllocCoin):
+                plan.append((_COIN, ref, 0.0))
+            elif isinstance(ins, AllocConst):
+                plan.append((_CONST, ref, 0.0))
+            elif isinstance(ins, Measure):
+                plan.append((_MEASURE, ref, keep_probs[ref]))
+        plans.append(tuple(plan))
+    return plans
+
+
+def _exact_cost(prog: CircuitProgram, p0: Fraction | float):
+    """One exact pass at p0 and what it fixes: the cost report, each node's
+    plan, and the final state, from which the output probability is read."""
+    p0 = Fraction(p0)
+    if not 0 < p0 < 1:
+        raise ValueError("p0 must lie strictly between 0 and 1")
+    state, probs = _exact_pass(prog, p0)
+    plans = _node_plans(prog, probs)
+    attempts: dict[int, float] = {}
+
+    def walk(nid: int, upstream: float) -> None:
+        own = 1.0
+        for kind, _, prob in plans[nid]:
+            if kind == _MEASURE:
+                own *= prob
+        if own == 0.0:
+            raise PostselectionError(
+                f"node {nid} has success probability 0 at p = {p0}")
+        attempts[nid] = a = upstream / own
+        for kind, ref, _ in plans[nid]:
+            if kind == _CHILD:
+                walk(ref, a)
+
+    walk(prog.root, 1.0)
+    coins = consts = 0.0
+    for nid, plan in enumerate(plans):
+        kinds = [kind for kind, _, _ in plan]
+        coins += attempts[nid] * kinds.count(_COIN)
+        consts += attempts[nid] * kinds.count(_CONST)
+    overall = 1.0
+    for pr in probs.values():
+        overall *= pr
+    report = CostReport(float(p0), coins, consts, overall, attempts, probs,
+                        static_counts(prog))
+    return report, plans, state
+
+
 def expected_cost(prog: CircuitProgram, p0: Fraction | float) -> CostReport:
     """Expected coin and constant-coin consumption under the retry semantics:
     a node's expected cost is its children's total divided by the product of
     its own measurement success probabilities."""
-    p0 = Fraction(p0)
-    if not 0 < p0 < 1:
-        raise ValueError("p0 must lie strictly between 0 and 1")
-    _, probs = _symbolic_pass(prog, p0)
-
-    own_prob = [1.0] * len(prog.nodes)
-    own_coins = [0] * len(prog.nodes)
-    own_consts = [0] * len(prog.nodes)
-    for node in prog.nodes:
-        for tag, ref in node.items:
-            if tag != "instr":
-                continue
-            ins = prog.instructions[ref]
-            if isinstance(ins, Measure):
-                own_prob[node.id] *= probs[ref]
-            elif isinstance(ins, AllocCoin):
-                own_coins[node.id] += 1
-            elif isinstance(ins, AllocConst):
-                own_consts[node.id] += 1
-
-    attempts: dict[int, float] = {}
-
-    def walk(nid: int, upstream: float) -> None:
-        if own_prob[nid] == 0.0:
-            raise PostselectionError(
-                f"node {nid} has success probability 0 at p = {p0}")
-        a = upstream / own_prob[nid]
-        attempts[nid] = a
-        for tag, ref in prog.nodes[nid].items:
-            if tag == "child":
-                walk(ref, a)
-
-    walk(prog.root, 1.0)
-    coins = sum(attempts[n] * own_coins[n] for n in range(len(prog.nodes)))
-    consts = sum(attempts[n] * own_consts[n] for n in range(len(prog.nodes)))
-    overall = 1.0
-    for pr in probs.values():
-        overall *= pr
-    return CostReport(float(p0), coins, consts, overall, attempts, probs,
-                      static_counts(prog))
+    return _exact_cost(prog, p0)[0]
 
 
 # -- Monte Carlo execution -------------------------------------------------
 #
 # A kept measurement always leaves the same pure state, and a miss rebuilds
 # the measuring node's whole subtree from fresh coins, so every attempt of a
-# measurement meets the same keep probability. run_numeric therefore runs
-# the float amplitudes once with every measurement kept, then replays each
-# trial's retries against those fixed probabilities.
+# measurement meets the same keep probability. run_numeric therefore takes
+# those probabilities from the exact pass and replays each trial's retries
+# against them.
 
 @dataclass(frozen=True)
 class RunResult:
@@ -354,13 +372,14 @@ class RunResult:
     max_retries_seen: int
 
     def to_json(self) -> dict:
+        """The fields as JSON values; a NaN (no trial completed) becomes None."""
         return {
             "p0": self.p0,
             "trials": self.trials,
             "successes": self.successes,
-            "empirical_p0_prob": self.empirical_p0_prob,
+            "empirical_p0_prob": _null_nan(self.empirical_p0_prob),
             "expected_coins_analytic": self.expected_coins_analytic,
-            "expected_coins_empirical": self.expected_coins_empirical,
+            "expected_coins_empirical": _null_nan(self.expected_coins_empirical),
             "seed": self.seed,
             "aborted": self.aborted,
             "completed": self.completed,
@@ -368,9 +387,14 @@ class RunResult:
             "consts_total": self.consts_total,
             "max_retries": self.max_retries,
             "workers": self.workers,
-            "node_attempts": {str(k): v for k, v in self.node_attempts.items()},
+            "node_attempts": {str(k): _null_nan(v)
+                              for k, v in self.node_attempts.items()},
             "max_retries_seen": self.max_retries_seen,
         }
+
+
+def _null_nan(x: float) -> float | None:
+    return None if math.isnan(x) else x
 
 
 # Counter-based uniforms (SplitMix64): the draw-th number of a trial is a
@@ -404,138 +428,6 @@ def _trial_key(seed_key: int, trial: int) -> int:
 def _uniform(key: int, draw: int) -> float:
     """The draw-th uniform in [0, 1) of the stream with this key."""
     return (_mix64((key + draw * _GAMMA) & _MASK64) >> 11) * 2.0 ** -53
-
-
-class _NGroup:
-    __slots__ = ("regs", "amps")
-
-    def __init__(self, regs, amps):
-        self.regs = regs
-        self.amps = amps
-
-
-def _compile_steps(prog: CircuitProgram):
-    """Flatten instructions into dispatch tuples for the float pass."""
-    steps = []
-    for idx, ins in enumerate(prog.instructions):
-        if isinstance(ins, AllocCoin):
-            steps.append(("coin", ins.reg))
-        elif isinstance(ins, AllocConst):
-            steps.append(("const", ins.reg, complex(ins.value.to_complex())))
-        elif isinstance(ins, Gate):
-            mat = tuple(tuple(complex(c.to_complex()) for c in row)
-                        for row in _GATES[ins.name])
-            steps.append(("gate", ins.regs, mat))
-        else:
-            steps.append(("measure", ins.reg, ins.keep, idx))
-    return steps
-
-
-def _apply_gate(group_of: dict[int, _NGroup], regs, mat) -> None:
-    """Apply a float gate matrix in place, merging the groups of a
-    two-register gate first."""
-    if len(regs) == 2:
-        g1, g2 = group_of[regs[0]], group_of[regs[1]]
-        if g1 is not g2:
-            grp = _NGroup(g1.regs + g2.regs,
-                          [a * b for a in g1.amps for b in g2.amps])
-            for r in grp.regs:
-                group_of[r] = grp
-        else:
-            grp = g1
-    else:
-        grp = group_of[regs[0]]
-    n = len(grp.regs)
-    amps = grp.amps
-    if len(regs) == 1:
-        s = 1 << (n - 1 - grp.regs.index(regs[0]))
-        for base in range(1 << n):
-            if base & s:
-                continue
-            a0, a1 = amps[base], amps[base | s]
-            amps[base] = mat[0][0] * a0 + mat[0][1] * a1
-            amps[base | s] = mat[1][0] * a0 + mat[1][1] * a1
-    else:
-        s1 = 1 << (n - 1 - grp.regs.index(regs[0]))
-        s2 = 1 << (n - 1 - grp.regs.index(regs[1]))
-        for base in range(1 << n):
-            if base & s1 or base & s2:
-                continue
-            idx = (base, base | s2, base | s1, base | s1 | s2)
-            old = [amps[i] for i in idx]
-            for k in range(4):
-                amps[idx[k]] = (mat[k][0] * old[0] + mat[k][1] * old[1]
-                                + mat[k][2] * old[2] + mat[k][3] * old[3])
-
-
-def _float_pass(prog: CircuitProgram, p0: float
-                ) -> tuple[dict[int, float], float]:
-    """Float amplitudes in program order with every measurement kept.
-    Returns each measurement's keep probability, by instruction index, and
-    the final probability of output outcome 0."""
-    amp0 = complex(math.sqrt(p0))
-    amp1 = complex(math.sqrt(1.0 - p0))
-    group_of: dict[int, _NGroup] = {}
-    keep_probs: dict[int, float] = {}
-    for step in _compile_steps(prog):
-        op = step[0]
-        if op == "coin":
-            group_of[step[1]] = _NGroup((step[1],), [amp0, amp1])
-        elif op == "const":
-            a = step[2]
-            norm = math.sqrt(abs(a) ** 2 + 1.0)
-            group_of[step[1]] = _NGroup((step[1],), [a / norm, 1.0 / norm])
-        elif op == "gate":
-            _apply_gate(group_of, step[1], step[2])
-        else:
-            reg, keep, midx = step[1], step[2], step[3]
-            grp = group_of.pop(reg)
-            n = len(grp.regs)
-            s = 1 << (n - 1 - grp.regs.index(reg))
-            total = 0.0
-            kept_mass = 0.0
-            for i in range(1 << n):
-                m = abs(grp.amps[i]) ** 2
-                total += m
-                if ((i & s) != 0) == (keep == 1):
-                    kept_mass += m
-            keep_probs[midx] = kept_mass / total
-            norm = math.sqrt(kept_mass)
-            amps = [grp.amps[i] / norm for i in range(1 << n)
-                    if ((i & s) != 0) == (keep == 1)]
-            regs = tuple(r for r in grp.regs if r != reg)
-            if regs:
-                grp.regs = regs
-                grp.amps = amps
-    grp = group_of[prog.output]
-    m0 = abs(grp.amps[0]) ** 2
-    m1 = abs(grp.amps[1]) ** 2
-    return keep_probs, m0 / (m0 + m1)
-
-
-_CHILD, _COIN, _CONST, _MEASURE = range(4)
-
-
-def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
-    """What one attempt of each provenance node does, in order: run a
-    child, take a coin or a constant coin, or draw against a measurement's
-    keep probability. Gates cost nothing in the replay."""
-    plans = []
-    for node in prog.nodes:
-        plan = []
-        for tag, ref in node.items:
-            if tag == "child":
-                plan.append((_CHILD, ref, 0.0))
-                continue
-            ins = prog.instructions[ref]
-            if isinstance(ins, AllocCoin):
-                plan.append((_COIN, ref, 0.0))
-            elif isinstance(ins, AllocConst):
-                plan.append((_CONST, ref, 0.0))
-            elif isinstance(ins, Measure):
-                plan.append((_MEASURE, ref, keep_probs[ref]))
-        plans.append(tuple(plan))
-    return plans
 
 
 class _Abort(Exception):
@@ -600,8 +492,11 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
 
 def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
                 max_retries: int = 1000, workers: int = 1) -> RunResult:
-    """Monte Carlo runs of a program at coin bias p0. Each trial draws from
-    a counter-based stream keyed by (seed, trial), so results depend on
+    """Monte Carlo runs of a program at coin bias p0. One exact pass gives
+    the analytic cost and the keep probabilities, both at the same rational
+    p0: the nearest fraction with denominator at most 10^12. Each trial then
+    replays its retries against those probabilities, drawing from a
+    counter-based stream keyed by (seed, trial), so results depend on
     nothing else. workers is checked and echoed for compatibility; the run
     takes place in the calling thread."""
     if not 0.0 < float(p0) < 1.0:
@@ -612,11 +507,11 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         raise ValueError("workers must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    analytic = expected_cost(prog, Fraction(p0).limit_denominator(10 ** 12))
-    keep_probs, out_prob = _float_pass(prog, float(p0))
+    exact_p0 = Fraction(p0).limit_denominator(10 ** 12)
+    analytic, plans, state = _exact_cost(prog, exact_p0)
+    out_prob = state.keep_prob(prog.output, 0, exact_p0)
     successes, coins_total, consts_total, aborted, attempts, worst = _replay(
-        _node_plans(prog, keep_probs), prog.root, out_prob, seed, trials,
-        max_retries)
+        plans, prog.root, out_prob, seed, trials, max_retries)
     completed = trials - aborted
     return RunResult(
         p0=float(p0),

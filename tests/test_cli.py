@@ -246,6 +246,39 @@ def test_deep_expression_exits_one(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "deeper than" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("decide", "(1+p)^3000"),
+    ("decide", "t^-100000"),
+    ("decide", "((1+p)^64)^64"),
+    ("corollary", "(1+p)^3000"),
+    ("compile", "t^-100000"),
+    ("classify", "(1+p)^3000"),
+    ("classify", "p", "--witness", "t^-100000"),
+])
+def test_power_past_degree_limit_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert len(err.strip().splitlines()) == 1 and "exceeds degree" in err
+
+
+def test_run_json_without_completed_trials_is_valid(capsys):
+    from coinfield.synth import program_to_json, worked_example_program
+    prog_json = json.dumps(program_to_json(worked_example_program()))
+    code, out, _ = run_cli(capsys, "run", "--p0", "0.5", "--trials", "1",
+                           "--max-retries", "0", "--seed", "2", "--json", "-",
+                           stdin=prog_json)
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"bare {name} in run --json output")
+
+    data = json.loads(out, parse_constant=refuse)
+    assert data["completed"] == 0 and data["aborted"] == 1
+    assert data["empirical_p0_prob"] is None
+    assert data["expected_coins_empirical"] is None
+    assert list(data["node_attempts"].values()) == [None]
+
+
 def test_import_leaves_numpy_out():
     import os
     import subprocess

@@ -292,5 +292,14 @@ def test_canonical_form_properties():
         x = float(p0)
         want = a.r.eval_complex(x) + a.s.eval_complex(x) * math.sqrt(x / (1 - x))
         assert abs(fe_eval(a, p0) - want) <= 1e-9 * (1 + abs(want))
+        # the operations built on the shared A + B*w product and norm
+        close = lambda got, want: abs(got - want) <= 1e-9 * (1 + abs(want))
+        assert close(fe_eval(a.mod_squared(), p0), abs(want) ** 2)
+        if b.C.eval_exact(p0):
+            assert close(fe_eval(a * b, p0), want * fe_eval(b, p0))
+        if abs(want) > 1e-6:
+            inv = a.inverse()
+            if inv.C.eval_exact(p0):  # A - B*w may still vanish at p0
+                assert close(fe_eval(inv, p0), 1 / want)
 
     check()

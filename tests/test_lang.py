@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from coinfield.field import FE_ONE, FieldElem, TAU, fe_add, fe_eval, fe_mul
-from coinfield.lang import (Add, Div, I, Mul, NotInFieldError, P, ParseError,
-                            Pow, RationalConst, Sqrt, Sqrt2, Sub, T,
-                            eval_expr_numeric, field_sqrt, lower, parse,
-                            print_expr)
+from coinfield.lang import (MAX_DEGREE, Add, DegreeLimitError, Div, I, Mul,
+                            NotInFieldError, P, ParseError, Pow, RationalConst,
+                            Sqrt, Sqrt2, Sub, T, eval_expr_numeric, field_sqrt,
+                            lower, parse, print_expr)
 from coinfield.polys import P as P_POLY
 from coinfield.polys import Poly, RatFn
 from coinfield.scalars import ONE, Scalar
@@ -133,6 +133,16 @@ def test_lower_is_homomorphic():
 def test_lower_negative_power():
     h = lower(parse("p^-2"))
     assert h == FieldElem(RatFn(Poly((ONE,)), P_POLY * P_POLY))
+
+
+def test_lower_power_degree_limit():
+    # the base's degree, at least 1, times |n| may reach MAX_DEGREE, not pass it
+    assert lower(parse(f"p^{MAX_DEGREE}")) == FieldElem(RatFn(P_POLY ** MAX_DEGREE))
+    for text in (f"p^{MAX_DEGREE + 1}", f"t^-{MAX_DEGREE + 1}",
+                 f"(p^2)^{MAX_DEGREE // 2 + 1}", f"2^{MAX_DEGREE + 1}",
+                 "((1+p)^64)^64"):
+        with pytest.raises(DegreeLimitError):
+            lower(parse(text))
 
 
 def test_lower_division_by_zero_raises():

@@ -280,8 +280,88 @@ def test_numeric_rejects_bad_arguments():
 
 # ---------------------------------------------------------------------------
 # Reference engine: the per-trial float amplitude loop, one full simulation
-# per attempt, fed by run_numeric's uniform stream
+# per attempt, fed by run_numeric's uniform stream. It keeps its own float
+# gates and state, so it shares nothing but the stream with run_numeric.
 # ---------------------------------------------------------------------------
+
+_R = math.sqrt(0.5)
+_FLOAT_GATES = {
+    "X": ((0, 1),
+          (1, 0)),
+    "H": ((_R, _R),
+          (_R, -_R)),
+    "CNOT": ((1, 0, 0, 0),
+             (0, 1, 0, 0),
+             (0, 0, 0, 1),
+             (0, 0, 1, 0)),
+    "B": ((0, 0, 0, 1),
+          (0, _R, _R, 0),
+          (0, _R, -_R, 0),
+          (1, 0, 0, 0)),
+}
+
+
+class _Group:
+    __slots__ = ("regs", "amps")
+
+    def __init__(self, regs, amps):
+        self.regs = regs
+        self.amps = amps
+
+
+def _oracle_steps(prog):
+    """Instructions as dispatch tuples with complex gate matrices."""
+    steps = []
+    for idx, ins in enumerate(prog.instructions):
+        if isinstance(ins, AllocCoin):
+            steps.append(("coin", ins.reg))
+        elif isinstance(ins, AllocConst):
+            steps.append(("const", ins.reg, complex(ins.value.to_complex())))
+        elif isinstance(ins, Gate):
+            mat = tuple(tuple(complex(c) for c in row)
+                        for row in _FLOAT_GATES[ins.name])
+            steps.append(("gate", ins.regs, mat))
+        else:
+            steps.append(("measure", ins.reg, ins.keep, idx))
+    return steps
+
+
+def _oracle_gate(group_of, regs, mat):
+    """Apply a gate matrix in place, merging the groups of a two-register
+    gate first."""
+    if len(regs) == 2:
+        g1, g2 = group_of[regs[0]], group_of[regs[1]]
+        if g1 is not g2:
+            grp = _Group(g1.regs + g2.regs,
+                         [a * b for a in g1.amps for b in g2.amps])
+            for r in grp.regs:
+                group_of[r] = grp
+        else:
+            grp = g1
+    else:
+        grp = group_of[regs[0]]
+    n = len(grp.regs)
+    amps = grp.amps
+    if len(regs) == 1:
+        s = 1 << (n - 1 - grp.regs.index(regs[0]))
+        for base in range(1 << n):
+            if base & s:
+                continue
+            a0, a1 = amps[base], amps[base | s]
+            amps[base] = mat[0][0] * a0 + mat[0][1] * a1
+            amps[base | s] = mat[1][0] * a0 + mat[1][1] * a1
+    else:
+        s1 = 1 << (n - 1 - grp.regs.index(regs[0]))
+        s2 = 1 << (n - 1 - grp.regs.index(regs[1]))
+        for base in range(1 << n):
+            if base & s1 or base & s2:
+                continue
+            idx = (base, base | s2, base | s1, base | s1 | s2)
+            old = [amps[i] for i in idx]
+            for k in range(4):
+                amps[idx[k]] = (mat[k][0] * old[0] + mat[k][1] * old[1]
+                                + mat[k][2] * old[2] + mat[k][3] * old[3])
+
 
 class _OracleAbort(Exception):
     pass
@@ -305,16 +385,16 @@ def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries)
                 step = steps[ref]
                 op = step[0]
                 if op == "coin":
-                    group_of[step[1]] = sim._NGroup((step[1],), [amp0, amp1])
+                    group_of[step[1]] = _Group((step[1],), [amp0, amp1])
                     coins += 1
                 elif op == "const":
                     a = step[2]
                     norm = math.sqrt(abs(a) ** 2 + 1.0)
-                    group_of[step[1]] = sim._NGroup((step[1],),
-                                                    [a / norm, 1.0 / norm])
+                    group_of[step[1]] = _Group((step[1],),
+                                               [a / norm, 1.0 / norm])
                     consts += 1
                 elif op == "gate":
-                    sim._apply_gate(group_of, step[1], step[2])
+                    _oracle_gate(group_of, step[1], step[2])
                 else:
                     reg, keep, midx = step[1], step[2], step[3]
                     grp = group_of[reg]
@@ -355,7 +435,7 @@ def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries)
 
 def _oracle_run(prog, p0, trials, seed, max_retries=1000):
     """(successes, completed, aborted, coins_total, consts_total)"""
-    steps = sim._compile_steps(prog)
+    steps = _oracle_steps(prog)
     node_items = [node.items for node in prog.nodes]
     amp0 = complex(math.sqrt(p0))
     amp1 = complex(math.sqrt(1.0 - p0))
