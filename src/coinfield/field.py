@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, _squarefree_part,
-                    poly_gcd, sturm_count)
-from .scalars import ONE, Scalar, sqrt_fraction
+                    canonical, sturm_count)
+from .scalars import Scalar, sqrt_fraction
 
 # t^2 = p/(1-p); w = sqrt(p(1-p)) = t*(1-p) is the polynomial-friendly twin
 TAU = RatFn(Poly((0, 1)), Poly((1, -1)))
@@ -92,18 +92,7 @@ class FieldElem:
         normalisation."""
         if C.is_zero():
             raise ZeroDivisionError("field element with zero denominator")
-        if A.is_zero() and B.is_zero():
-            return FE_ZERO
-        g = C
-        for f in (A, B):
-            if g.degree > 0 and not f.is_zero():
-                g = poly_gcd(g, f)
-        if g.degree > 0:
-            A, B, C = A // g, B // g, C // g
-        lc = C.leading
-        if lc != ONE:
-            linv = lc.inverse()
-            A, B, C = A.scale(linv), B.scale(linv), C.scale(linv)
+        C, A, B = canonical(C, A, B)
         return _raw(A, B, C)
 
     @staticmethod
@@ -279,10 +268,10 @@ def _ord_at(poly: Poly, z: Fraction) -> int | None:
     """Multiplicity of rational z in a possibly complex polynomial; None if zero poly."""
     if poly.is_zero():
         return None
-    return poly.order_at(z)
+    return poly.deflate(z)[0]
 
 
-def _ext_is_zero(a: Scalar, b: Scalar, z: Fraction) -> bool:
+def ext_is_zero(a: Scalar, b: Scalar, z: Fraction) -> bool:
     """Is a + b*sqrt(z(1-z)) zero? Exact, whether or not the root lies in the field."""
     q = z * (1 - z)
     w0 = sqrt_in_scalar_field(q)
@@ -326,17 +315,9 @@ def vanishing_order(h: FieldElem, z: Fraction | int) -> OrderResult:
             why = (f"min of integer order {na} from A and half-integer "
                    f"order {nb} + 1/2 from B; the two kinds cannot cancel")
         return OrderResult(n - ordC, why)
-    divisor = Poly([-z, 1])
-
-    def vanishes(poly: Poly) -> bool:
-        return poly.is_zero() or not poly.eval_exact(z)
-
-    shared = 0
-    while vanishes(A) and vanishes(B):
-        A = A // divisor if not A.is_zero() else A
-        B = B // divisor if not B.is_zero() else B
-        shared += 1
-    if not _ext_is_zero(A.eval_exact(z), B.eval_exact(z), z):
+    shared = min(f.deflate(z)[0] for f in (A, B) if f)
+    A, B = (f // Poly([-z, 1]) ** shared for f in (A, B))
+    if not ext_is_zero(A.eval_exact(z), B.eval_exact(z), z):
         why = (f"after extracting (p - {z})^{shared}, "
                f"A(z) + B(z)*sqrt(z(1-z)) evaluates to a nonzero value")
         return OrderResult(Fraction(shared - ordC), why)
@@ -344,7 +325,7 @@ def vanishing_order(h: FieldElem, z: Fraction | int) -> OrderResult:
     # A - B*w cannot vanish too, so the product A^2 - B^2*p*(1-p) carries
     # exactly the remaining order
     prod = w_norm((A, B))
-    extra = prod.order_at(z)
+    extra = prod.deflate(z)[0]
     why = (f"after extracting (p - {z})^{shared}, the numerator vanishes by "
            f"cancellation against the root; its conjugate does not, and "
            f"A^2 - B^2*p*(1-p) vanishes to order {extra}")
@@ -356,14 +337,7 @@ def vanishing_order_at_point(h: FieldElem, pt: AlgebraicPoint) -> OrderResult:
     if h.is_zero():
         raise ValueError("vanishing order of the zero element")
     A, B, C = h.A, h.B, h.C
-    kA = pt.multiplicity_in_complex(A)
-    kB = pt.multiplicity_in_complex(B)
-    if kA is None:
-        k = kB
-    elif kB is None:
-        k = kA
-    else:
-        k = min(kA, kB)
+    k = min(pt.multiplicity_in_complex(f) for f in (A, B) if f)
     prod = w_norm((A, B))
     p_ord = pt.multiplicity_in_complex(prod)
     ordC = pt.multiplicity_in_complex(C) or 0

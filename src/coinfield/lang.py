@@ -9,11 +9,11 @@ Grammar (precedence high to low: ^, unary -, * /, + -):
     atom   := int | 'p' | 'i' | 'sqrt2' | 't' | 'sqrt' '(' expr ')' | '(' expr ')'
 
 Expressions nest at most MAX_DEPTH levels, counting each operator, sqrt and
-pair of parentheses, and lowering refuses a power past MAX_DEGREE. Rational
-literals like 3/4 come out of the division operator. sqrt(...) is only
-accepted during lowering when its argument is an exact square (possibly
-after dividing by p/(1-p)); everything else is reported as outside the
-field.
+pair of parentheses, and lowering refuses any subexpression whose degree
+passes MAX_DEGREE. Rational literals like 3/4 come out of the division
+operator. sqrt(...) is only accepted during lowering when its argument is
+an exact square (possibly after dividing by p/(1-p)); everything else is
+reported as outside the field.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class NotInFieldError(ValueError):
 
 
 class DegreeLimitError(ValueError):
-    """Lowering refused a power whose result would exceed MAX_DEGREE."""
+    """Lowering refused a subexpression whose degree exceeds MAX_DEGREE."""
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -429,46 +429,58 @@ def field_sqrt(u: RatFn) -> FieldElem:
     return _lower_sqrt(FieldElem(u))
 
 
-MAX_DEGREE = 128  # bounds the polynomial work one power can ask for
+MAX_DEGREE = 128  # bounds the polynomial work one expression can ask for
+
+
+def _degree(h: FieldElem) -> int:
+    """Degree in p of the parts A, B*w and C of h, with w counted as
+    degree 1; at least 1, so constants count too."""
+    return max(h.A.degree, h.B.degree + 1, h.C.degree, 1)
 
 
 def lower(e: Expr) -> FieldElem:
     """Evaluate the tree inside the field; raises NotInFieldError when the
-    expression falls outside it, and DegreeLimitError on a power whose
-    base's degree (at least 1) times |exponent| exceeds MAX_DEGREE."""
+    expression falls outside it, and DegreeLimitError when a subexpression
+    exceeds MAX_DEGREE. A power is refused before it is computed when its
+    base's degree times |exponent| exceeds MAX_DEGREE."""
     if isinstance(e, RationalConst):
-        return FieldElem.const(e.value)
-    if isinstance(e, I):
-        return FieldElem.const(Scalar(0, 0, 1))
-    if isinstance(e, Sqrt2):
-        return FieldElem.const(Scalar(0, 1))
-    if isinstance(e, P):
-        return FieldElem(_P_RF)
-    if isinstance(e, T):
-        return FieldElem.coin()
-    if isinstance(e, Add):
-        return lower(e.left) + lower(e.right)
-    if isinstance(e, Sub):
-        return lower(e.left) - lower(e.right)
-    if isinstance(e, Mul):
-        return lower(e.left) * lower(e.right)
-    if isinstance(e, Div):
+        h = FieldElem.const(e.value)
+    elif isinstance(e, I):
+        h = FieldElem.const(Scalar(0, 0, 1))
+    elif isinstance(e, Sqrt2):
+        h = FieldElem.const(Scalar(0, 1))
+    elif isinstance(e, P):
+        h = FieldElem(_P_RF)
+    elif isinstance(e, T):
+        h = FieldElem.coin()
+    elif isinstance(e, Add):
+        h = lower(e.left) + lower(e.right)
+    elif isinstance(e, Sub):
+        h = lower(e.left) - lower(e.right)
+    elif isinstance(e, Mul):
+        h = lower(e.left) * lower(e.right)
+    elif isinstance(e, Div):
         den = lower(e.right)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero element")
-        return lower(e.left) / den
-    if isinstance(e, Pow):
+        h = lower(e.left) / den
+    elif isinstance(e, Pow):
         base = lower(e.base)
-        # degree in p of A, B*w and C, with w counted as degree 1
-        degree = max(base.A.degree, base.B.degree + 1, base.C.degree, 1)
+        degree = _degree(base)
         if degree * abs(e.exp) > MAX_DEGREE:
             raise DegreeLimitError(
                 f"power ^{e.exp} of a degree-{degree} base exceeds degree "
                 f"{MAX_DEGREE}")
-        return base ** e.exp
-    if isinstance(e, Sqrt):
-        return _lower_sqrt(lower(e.child))
-    raise TypeError(f"not an expression node: {e!r}")
+        h = base ** e.exp
+    elif isinstance(e, Sqrt):
+        h = _lower_sqrt(lower(e.child))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    degree = _degree(h)
+    if degree > MAX_DEGREE:
+        raise DegreeLimitError(
+            f"a subexpression of degree {degree} exceeds degree {MAX_DEGREE}")
+    return h
 
 
 def eval_expr_numeric(e: Expr, p0: float) -> complex:

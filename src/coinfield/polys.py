@@ -7,6 +7,7 @@ counting on intervals, and certified nonnegativity.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,9 +161,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def scale(self, s: Scalar) -> "Poly":
-        return Poly([c * s for c in self.coeffs])
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -190,17 +188,17 @@ class Poly:
             out = out * x + c.to_complex()
         return out
 
-    def order_at(self, z: Fraction | int) -> int:
-        """Multiplicity of z as a root (0 if not a root). Requires nonzero poly."""
+    def deflate(self, z: Fraction | int) -> tuple[int, "Poly"]:
+        """(m, q) with self = (p - z)^m * q and q(z) != 0: the multiplicity
+        of z as a root and the cofactor. Requires a nonzero polynomial."""
         if self.is_zero():
-            raise ValueError("order of the zero polynomial")
+            raise ValueError("deflating the zero polynomial")
         divisor = Poly([-Fraction(z), 1])
-        count = 0
-        poly = self
-        while not poly.eval_exact(z):
-            poly = poly // divisor
-            count += 1
-        return count
+        m, q = 0, self
+        while not q.eval_exact(z):
+            q = q // divisor
+            m += 1
+        return m, q
 
     # -- rendering (ascending degree, like 1 - 2*p + p^2) ------------------
 
@@ -270,6 +268,26 @@ def gcd_many(polys: list[Poly]) -> Poly:
     return out
 
 
+def canonical(den: Poly, *nums: Poly) -> tuple[Poly, ...]:
+    """The parts of the fraction (nums...)/den, nonzero den, in canonical
+    form: all divided by the monic gcd of den and every numerator, then
+    scaled so den is monic. Returns (den, *nums)."""
+    if not any(nums):
+        return (ONE_POLY, *nums)
+    g = den
+    for f in nums:
+        if g.degree > 0 and f:
+            g = poly_gcd(f, g) if f.degree > 0 else ONE_POLY
+    parts = (den, *nums)
+    if g.degree > 0:
+        parts = tuple(f // g for f in parts)
+    lc = parts[0].leading
+    if lc != ONE:
+        linv = lc.inverse()
+        parts = tuple(f * linv for f in parts)
+    return parts
+
+
 class RatFn:
     """Rational function num/den in canonical form: coprime, monic denominator."""
 
@@ -278,22 +296,7 @@ class RatFn:
     def __init__(self, num: Poly, den: Poly = ONE_POLY):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = Poly()
-            self.den = ONE_POLY
-            return
-        if den.degree > 0 and num.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-        lc = den.leading
-        if lc != ONE:
-            linv = lc.inverse()
-            num = Poly([c * linv for c in num.coeffs])
-            den = Poly([c * linv for c in den.coeffs])
-        self.num = num
-        self.den = den
+        self.den, self.num = canonical(den, num)
 
     # -- constructors ------------------------------------------------------
 
@@ -321,9 +324,6 @@ class RatFn:
 
     def is_rational(self) -> bool:
         return self.num.is_rational() and self.den.is_rational()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFn):
@@ -497,34 +497,21 @@ def _squarefree_part(f: Poly) -> Poly:
     return (f // g).monic() if g.degree > 0 else f.monic()
 
 
-def _sturm_chain(f: Poly) -> list[Poly]:
-    chain = [f, f.derivative()]
-    if chain[1].is_zero():
-        return chain[:1]
-    while True:
-        r = -(chain[-2] % chain[-1])
-        if r.is_zero():
-            return chain
+def _root_counter(fs: Poly):
+    """count(x, y): the number of distinct roots of squarefree real fs in
+    (x, y], for x not a root, by Sturm's theorem on a chain built once."""
+    chain = [fs]
+    r = fs.derivative()
+    while r:
         # scale by a positive unit only: sign pattern must survive
-        chain.append(r.scale(r.leading.abs_real().inverse()))
+        chain.append(r * r.leading.abs_real().inverse())
+        r = -(chain[-2] % chain[-1])
 
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (f.eval_exact(x).sign() for f in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for f in chain:
-        s = f.eval_exact(x).sign()
-        if s != 0:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _strip_endpoint_roots(fs: Poly, a: Fraction, b: Fraction) -> Poly:
-    """Squarefree fs with its roots at a and b divided out."""
-    for endpoint in (a, b):
-        divisor = Poly([-endpoint, 1])
-        while not fs.eval_exact(endpoint):
-            fs = fs // divisor
-    return fs
+    return lambda x, y: variations(x) - variations(y)
 
 
 def sturm_count(f: Poly, a: Fraction | int, b: Fraction | int) -> int:
@@ -536,11 +523,8 @@ def sturm_count(f: Poly, a: Fraction | int, b: Fraction | int) -> int:
         raise ValueError("root counting on the zero polynomial")
     if not f.is_real():
         raise ValueError("root counting requires real coefficients")
-    fs = _strip_endpoint_roots(_squarefree_part(f), a, b)
-    if fs.is_constant():
-        return 0
-    chain = _sturm_chain(fs)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
+    fs = _squarefree_part(f).deflate(a)[1].deflate(b)[1]
+    return _root_counter(fs)(a, b)
 
 
 def certify_nonneg(f: Poly, a: Fraction | int, b: Fraction | int) -> bool:
@@ -599,11 +583,7 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 def _find_rational_root(fs: Poly, a: Fraction, b: Fraction) -> Fraction | None:
     """One rational root of squarefree fs in (a, b), or None if none is
     recognized (denominators beyond the bisection budget count as none)."""
-    chain = _sturm_chain(fs)
-
-    def count(x: Fraction, y: Fraction) -> int:
-        return _sign_variations(chain, x) - _sign_variations(chain, y)
-
+    count = _root_counter(fs)
     stack = [(a, b)]
     while stack:
         lo, hi = stack.pop()
@@ -631,6 +611,22 @@ def _find_rational_root(fs: Poly, a: Fraction, b: Fraction) -> Fraction | None:
     return None
 
 
+def _peel_rational_roots(fs: Poly, a: Fraction, b: Fraction
+                         ) -> tuple[list[Fraction], Poly]:
+    """The rational roots of squarefree fs in (a, b) that _find_rational_root
+    recognizes, sorted, and fs with them divided out. Roots are peeled one
+    at a time so later bisection midpoints can be nudged off any root that
+    remains."""
+    roots: list[Fraction] = []
+    while not fs.is_constant():
+        z = _find_rational_root(fs, a, b)
+        if z is None:
+            break
+        roots.append(z)
+        fs = fs.deflate(z)[1]
+    return sorted(roots), fs
+
+
 class AlgebraicPoint:
     """A real algebraic number held exactly: a squarefree real polynomial with
     exactly one root in the open isolating interval (lo, hi)."""
@@ -649,19 +645,12 @@ class AlgebraicPoint:
             raise ValueError("interval must isolate exactly one root")
 
     def approx(self) -> float:
-        lo, hi = self.lo, self.hi
+        pt = copy.copy(self)
         for _ in range(80):
-            if hi - lo < Fraction(1, 10 ** 18):
+            if pt.hi - pt.lo < Fraction(1, 10 ** 18):
                 break
-            mid = (lo + hi) / 2
-            v = self.g.eval_exact(mid)
-            if not v:
-                return float(mid)
-            if v.sign() * self.g.eval_exact(lo).sign() > 0:
-                lo = mid
-            else:
-                hi = mid
-        return float((lo + hi) / 2)
+            pt.refine()
+        return float((pt.lo + pt.hi) / 2)
 
     def refine(self) -> None:
         mid = (self.lo + self.hi) / 2
@@ -715,14 +704,8 @@ class AlgebraicPoint:
         """Multiplicity in a complex-coefficient polynomial (None for q == 0)."""
         if q.is_zero():
             return None
-        re, im = q.real_part(), q.imag_part()
-        if re.is_zero():
-            return self.multiplicity_in(im)
-        if im.is_zero():
-            return self.multiplicity_in(re)
-        mr = self.multiplicity_in(re)
-        mi = self.multiplicity_in(im)
-        return min(mr, mi)
+        return min(self.multiplicity_in(part)
+                   for part in (q.real_part(), q.imag_part()) if part)
 
     def sign_of(self, q: Poly) -> int:
         """Exact sign of real q at this point."""
@@ -750,27 +733,11 @@ def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
     """Distinct real roots of f in (a, b): exact rational roots, plus
     AlgebraicPoint handles for the irrational ones."""
     a, b = Fraction(a), Fraction(b)
-    fs = _strip_endpoint_roots(_squarefree_part(f), a, b)
-    exact: list[Fraction] = []
-    points: list[AlgebraicPoint] = []
+    fs = _squarefree_part(f).deflate(a)[1].deflate(b)[1]
+    exact, fs = _peel_rational_roots(fs, a, b)
     if fs.is_constant():
-        return exact, points
-
-    # peel off rational roots one at a time so bisection midpoints below
-    # can be nudged off any root that remains
-    while True:
-        z = _find_rational_root(fs, a, b)
-        if z is None:
-            break
-        exact.append(z)
-        fs = fs // Poly([-z, 1])
-        if fs.is_constant():
-            return sorted(exact), points
-
-    chain = _sturm_chain(fs)
-
-    def count(x: Fraction, y: Fraction) -> int:
-        return _sign_variations(chain, x) - _sign_variations(chain, y)
+        return exact, []
+    count = _root_counter(fs)
 
     def nonroot_near(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
         step = (hi - lo) / 1024
@@ -794,8 +761,7 @@ def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
         stack.append((mid, hi))
 
     intervals.sort()
-    points = [AlgebraicPoint(fs, lo, hi) for lo, hi in intervals]
-    return sorted(exact), points
+    return exact, [AlgebraicPoint(fs, lo, hi) for lo, hi in intervals]
 
 
 def rational_roots(f: Poly) -> list[Fraction]:
@@ -803,37 +769,19 @@ def rational_roots(f: Poly) -> list[Fraction]:
     if f.is_zero():
         raise ValueError("rational roots of the zero polynomial")
     fs = _squarefree_part(f)
-    roots = []
-    if not fs.eval_exact(0):
-        roots.append(Fraction(0))
-        fs = fs // P
-    if fs.is_constant():
-        return sorted(roots)
-    # overestimated Cauchy bound: only guides the search, every candidate
-    # gets an exact evaluation check before acceptance
-    lead = abs(fs.leading.to_complex())
-    bound = Fraction(int(2 + 2 * max(abs(c.to_complex()) for c in fs.coeffs) / lead))
-    while True:
-        z = _find_rational_root(fs, -bound, bound)
-        if z is None:
-            break
-        roots.append(z)
-        fs = fs // Poly([-z, 1])
-        if fs.is_constant():
-            break
-    return sorted(roots)
+    # overestimated Cauchy bound of monic fs: only guides the search, every
+    # candidate gets an exact evaluation check before acceptance
+    bound = Fraction(int(2 + 2 * max(abs(c.to_complex()) for c in fs.coeffs)))
+    return _peel_rational_roots(fs, -bound, bound)[0]
 
 
 def split_rational_roots(g: Poly) -> list[Poly]:
     """Split monic g into linear factors (p - z) for its rational roots plus
     whatever remains; enough granularity for readable diagnoses."""
     out: list[Poly] = []
-    rest = g
     for z in rational_roots(g):
-        factor = Poly([-z, 1])
-        while not rest.eval_exact(z):
-            out.append(factor)
-            rest = rest // factor
-    if rest.degree > 0:
-        out.append(rest)
+        m, g = g.deflate(z)
+        out += [Poly([-z, 1])] * m
+    if g.degree > 0:
+        out.append(g)
     return out

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import INFINITY, FieldElem, Infinity, ONE_MINUS_P, w_mul, w_norm
+from .field import (INFINITY, FieldElem, Infinity, ONE_MINUS_P, ext_is_zero,
+                    w_mul, w_norm)
 from .polys import Poly, gcd_many
 from .scalars import HALF_SQRT2, Scalar
 from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
@@ -109,32 +110,24 @@ class _SymState:
         else:
             grp = self.group_of[regs[0]]
         n = len(grp.regs)
-        pos = [grp.regs.index(r) for r in regs]
-        strides = [1 << (n - 1 - j) for j in pos]
+        # offsets of the basis states the gate mixes, in the gate's order:
+        # its first register is the high bit
+        offsets = [0]
+        for r in regs:
+            stride = 1 << (n - 1 - grp.regs.index(r))
+            offsets = [o + b for o in offsets for b in (0, stride)]
+        mask = offsets[-1]
         amps = grp.amps
-        if len(regs) == 1:
-            s = strides[0]
-            for base in range(1 << n):
-                if base & s:
-                    continue
-                a0, a1 = amps[base], amps[base | s]
-                amps[base] = _pair_add(_pair_scale(mat[0][0], a0),
-                                       _pair_scale(mat[0][1], a1))
-                amps[base | s] = _pair_add(_pair_scale(mat[1][0], a0),
-                                           _pair_scale(mat[1][1], a1))
-        else:
-            s1, s2 = strides
-            for base in range(1 << n):
-                if base & s1 or base & s2:
-                    continue
-                idx = (base, base | s2, base | s1, base | s1 | s2)
-                old = [amps[i] for i in idx]
-                for k in range(4):
-                    acc = (_PZERO, _PZERO)
-                    for j in range(4):
-                        if mat[k][j]:
-                            acc = _pair_add(acc, _pair_scale(mat[k][j], old[j]))
-                    amps[idx[k]] = acc
+        for base in range(1 << n):
+            if base & mask:
+                continue
+            old = [amps[base + o] for o in offsets]
+            for o, row in zip(offsets, mat):
+                acc = (_PZERO, _PZERO)
+                for m, a in zip(row, old):
+                    if m:
+                        acc = _pair_add(acc, _pair_scale(m, a))
+                amps[base + o] = acc
 
     def measure(self, reg: int, keep: int) -> None:
         grp = self.group_of[reg]
@@ -188,20 +181,12 @@ class _SymState:
         """Probability at p0 that measuring reg gives keep, as a float;
         exactly 0.0 when the kept mass is exactly zero."""
         xk, yk, xt, yt = self.measure_mass(reg, keep, p0)
-        if _mass_is_zero(xk, yk, p0):
+        if ext_is_zero(xk, yk, p0):
             return 0.0
         w0 = math.sqrt(float(p0) * (1 - float(p0)))
         kept, total = (x.to_complex().real + y.to_complex().real * w0
                        for x, y in ((xk, yk), (xt, yt)))
         return min(1.0, max(0.0, kept / total))
-
-
-def _mass_is_zero(x: Scalar, y: Scalar, p0: Fraction) -> bool:
-    # x + y*w0 = 0 with w0 = sqrt(p0(1-p0)) > 0
-    if not y:
-        return not x
-    q = (-x) * y.inverse()
-    return q * q == Scalar(p0 * (1 - p0))
 
 
 def _exact_pass(prog: CircuitProgram, p0: Fraction | None

@@ -89,7 +89,7 @@ def _shift_instr(ins: Instr, reg_off: int, node_off: int) -> Instr:
     return Measure(ins.reg + reg_off, ins.keep, ins.node + node_off)
 
 
-def _merge(kind: str, operands: list[CircuitProgram]
+def _merge(operands: list[CircuitProgram]
            ) -> tuple[list[Instr], list[ProvNode], list[tuple[str, int]], list[int], int]:
     """Concatenate operand programs; returns (instrs, nodes, root items so far,
     shifted operand outputs, next register index)."""
@@ -134,7 +134,7 @@ def const_program(a: Scalar | int | Fraction) -> CircuitProgram:
 
 def emit_inv(x: CircuitProgram) -> CircuitProgram:
     """X on the output register: ratio h -> 1/h."""
-    instrs, nodes, items, (out,), regs = _merge("inv", [x])
+    instrs, nodes, items, (out,), regs = _merge([x])
     items.append(("instr", len(instrs)))
     instrs.append(Gate("X", (out,)))
     return _finish("inv", instrs, nodes, items, out, regs)
@@ -142,7 +142,7 @@ def emit_inv(x: CircuitProgram) -> CircuitProgram:
 
 def emit_mul(x: CircuitProgram, y: CircuitProgram) -> CircuitProgram:
     """CNOT then postselect the second register on |0>: ratio h1*h2."""
-    instrs, nodes, items, (xo, yo), regs = _merge("mul", [x, y])
+    instrs, nodes, items, (xo, yo), regs = _merge([x, y])
     node_id = len(nodes)
     items.append(("instr", len(instrs)))
     instrs.append(Gate("CNOT", (xo, yo)))
@@ -155,7 +155,7 @@ def emit_add(x: CircuitProgram, y: CircuitProgram) -> CircuitProgram:
     """B then postselect the first register on |0>, leaving sqrt2/(h1+h2);
     an X and a sqrt2 constant-multiplication land exactly on h1+h2."""
     aux = const_program(SQRT2)
-    instrs, nodes, items, (xo, yo, co), regs = _merge("add", [x, y, aux])
+    instrs, nodes, items, (xo, yo, co), regs = _merge([x, y, aux])
     node_id = len(nodes)
     items.append(("instr", len(instrs)))
     instrs.append(Gate("B", (xo, yo)))
@@ -297,11 +297,6 @@ def validate_program(prog: CircuitProgram) -> None:
         return out
 
     collect(prog.root)
-    owner: dict[int, int] = {}
-    for node in prog.nodes:
-        for tag, ref in node.items:
-            if tag == "instr":
-                owner[ref] = node.id
 
     alloc_at: dict[int, int] = {}
     live: set[int] = set()

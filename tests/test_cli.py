@@ -254,6 +254,8 @@ def test_deep_expression_exits_one(capsys, argv):
     ("compile", "t^-100000"),
     ("classify", "(1+p)^3000"),
     ("classify", "p", "--witness", "t^-100000"),
+    ("decide", "*".join(["(1+p)^128"] * 8)),
+    ("decide", "1/(p+1)^100 + 1/(p+2)^100"),
 ])
 def test_power_past_degree_limit_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

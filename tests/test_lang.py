@@ -136,11 +136,14 @@ def test_lower_negative_power():
 
 
 def test_lower_power_degree_limit():
-    # the base's degree, at least 1, times |n| may reach MAX_DEGREE, not pass it
-    assert lower(parse(f"p^{MAX_DEGREE}")) == FieldElem(RatFn(P_POLY ** MAX_DEGREE))
+    # the base's degree, at least 1, times |n| may reach MAX_DEGREE, not pass
+    # it, and so may every other subexpression, such as products and sums
+    for text in (f"p^{MAX_DEGREE}", "p^64*p^64"):
+        assert lower(parse(text)) == FieldElem(RatFn(P_POLY ** MAX_DEGREE))
     for text in (f"p^{MAX_DEGREE + 1}", f"t^-{MAX_DEGREE + 1}",
                  f"(p^2)^{MAX_DEGREE // 2 + 1}", f"2^{MAX_DEGREE + 1}",
-                 "((1+p)^64)^64"):
+                 "((1+p)^64)^64", "*".join(["(1+p)^128"] * 8),
+                 "1/(p+1)^100 + 1/(p+2)^100"):
         with pytest.raises(DegreeLimitError):
             lower(parse(text))
 

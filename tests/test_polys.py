@@ -242,3 +242,84 @@ def test_poly_json_round_trip():
     assert Poly.from_json(f.to_json()) == f
     q = RatFn(f, P + Poly.const(ONE))
     assert RatFn.from_json(q.to_json()) == q
+
+
+# ---------------------------------------------------------------------------
+# Root layer against an independent oracle
+# ---------------------------------------------------------------------------
+
+def test_root_layer_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    frac = st.builds(Fraction, st.integers(-6, 9), st.integers(1, 6))
+
+    @st.composite
+    def case(draw):
+        a = draw(st.builds(Fraction, st.integers(-4, 2), st.integers(1, 4)))
+        b = a + draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
+        # roots at 0, at 1 and at the interval ends come up often
+        root = st.one_of(st.sampled_from([Fraction(0), Fraction(1), a, b]), frac)
+        f = Poly.const(Scalar(draw(frac.filter(bool))))
+        for _ in range(draw(st.integers(0, 3))):
+            f = f * Poly((Scalar(-draw(root)), ONE)) ** draw(st.integers(1, 2))
+        for _ in range(draw(st.integers(0, 2))):
+            f = f * Poly(tuple(Scalar(draw(frac)) for _ in range(2)) + (ONE,))
+        return f, a, b
+
+    def oracle(f):
+        return sympy.Poly([sympy.Rational(c.as_fraction().numerator,
+                                          c.as_fraction().denominator)
+                           for c in reversed(f.coeffs)], x)
+
+    def distinct_inside(g, lo, hi):
+        # distinct real roots of g in the open interval (lo, hi)
+        sf = g.sqf_part()
+        lo, hi = sympy.Rational(lo), sympy.Rational(hi)
+        return sf.count_roots(lo, hi) - (sf.eval(lo) == 0) - (sf.eval(hi) == 0)
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(case())
+    def check(fab):
+        f, a, b = fab
+        g = oracle(f)
+        assert sturm_count(f, a, b) == distinct_inside(g, a, b)
+        rationals = sorted(Fraction(int(r.p), int(r.q)) for r in g.ground_roots())
+        assert rational_roots(f) == rationals
+        rat, alg = isolate_roots(f, 0, 1)
+        inner = [r for r in rationals if 0 < r < 1]
+        assert rat == inner
+        assert len(alg) == distinct_inside(g, 0, 1) - len(inner)
+        for pt, nxt in zip(alg, alg[1:] + [None]):
+            assert 0 <= pt.lo < pt.hi <= 1 and (nxt is None or pt.hi <= nxt.lo)
+            assert distinct_inside(g, pt.lo, pt.hi) == 1 + sum(
+                pt.lo < r < pt.hi for r in inner)
+            near = Fraction(pt.approx())
+            assert distinct_inside(g, near - Fraction(1, 10 ** 9),
+                                   near + Fraction(1, 10 ** 9)) >= 1
+        prod = Poly.const(ONE)
+        for piece in split_rational_roots(f.monic()):
+            prod = prod * piece
+        assert prod == f.monic()
+
+    check()
+
+
+def test_isolate_roots_pinned_intervals():
+    # intervals the bisection gives, recorded so a rewrite cannot move them
+    half = Poly.const(Scalar(Fraction(1, 2)))
+    f = (P * P - half) * (P - half) * (P * P * P - P + Poly.const(Scalar(Fraction(1, 5))))
+    rat, alg = isolate_roots(f, 0, 1)
+    assert rat == [Fraction(1, 2)]
+    assert [(pt.lo, pt.hi) for pt in alg] == [
+        (Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 4)),
+        (Fraction(3, 4), Fraction(1))]
+    g = from_roots([Fraction(0), Fraction(1), Fraction(1, 3)]) * (
+        P * P - Poly.const(Scalar(Fraction(1, 10)))) * (
+        P * P - P + Poly.const(Scalar(Fraction(1, 5))))
+    rat, alg = isolate_roots(g, 0, 1)
+    assert rat == [Fraction(1, 3)]
+    assert [(pt.lo, pt.hi) for pt in alg] == [
+        (Fraction(1, 4), Fraction(5, 16)), (Fraction(5, 16), Fraction(3, 8)),
+        (Fraction(1, 2), Fraction(1))]

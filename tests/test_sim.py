@@ -1,6 +1,7 @@
 """Program execution: exact symbolic pass, cost accounting, Monte Carlo."""
 
 import itertools
+import json
 import math
 import random
 import threading
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from coinfield import sim
+from coinfield.cli import main
 from coinfield.field import (FE_ONE, FieldElem, INFINITY, TAU, fe_eval, fe_inv,
                              fe_mod_squared, fe_mul)
 from coinfield.lang import lower, parse
@@ -20,7 +22,8 @@ from coinfield.sim import (CostReport, PostselectionError, expected_cost,
 from coinfield.synth import (AllocCoin, AllocConst, CircuitProgram, Gate,
                              Measure, ProvNode, coin_program, compile,
                              const_program, construct_p, emit_add, emit_inv,
-                             emit_mul, worked_example_program)
+                             emit_mul, program_to_json,
+                             worked_example_program)
 
 
 def random_target(rnd):
@@ -127,6 +130,20 @@ def test_postselecting_impossible_branch_raises():
 # ---------------------------------------------------------------------------
 # Expected cost
 # ---------------------------------------------------------------------------
+
+def test_keep_probability_one_with_vanishing_conjugate(tmp_path):
+    # coins on registers 0 and 1, H on 1, keep outcome 0 of register 1: at
+    # p0 = 1/2 the kept mass x + y*w0 is 1 while its conjugate twin x - y*w0
+    # is 0; only the latter may read as a zero mass
+    instrs = (AllocCoin(0), AllocCoin(1), Gate("H", (1,)), Measure(1, 0, 0))
+    prog = CircuitProgram(instrs, 2, 0, (ProvNode(0, "leaf", tuple(
+        ("instr", k) for k in range(len(instrs)))),), 0)
+    assert expected_cost(prog, Fraction(1, 2)).measure_probs == {3: 1.0}
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program_to_json(prog)))
+    assert main(["cost", "--p0", "1/2", str(path)]) == 0
+    assert main(["run", "--p0", "0.5", "--trials", "10", str(path)]) == 0
+
 
 def test_worked_example_cost():
     rep = expected_cost(worked_example_program(), Fraction(3, 10))
