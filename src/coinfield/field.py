@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, _squarefree_part,
-                    canonical, sturm_count)
+from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, canonical,
+                    sturm_count)
 from .scalars import Scalar, sqrt_fraction
 
 # t^2 = p/(1-p); w = sqrt(p(1-p)) = t*(1-p) is the polynomial-friendly twin
@@ -351,9 +351,8 @@ def vanishing_order_at_point(h: FieldElem, pt: AlgebraicPoint) -> OrderResult:
         # moduli near the point via the sign of V = 2*Re(A*conj(B))
         V = (A * B.conj() + A.conj() * B).real_part()
         assert not V.is_zero(), "equal moduli would force p_ord == 2k"
-        Vs = _squarefree_part(V)
-        allowed = 1 if pt.is_root_of(Vs) else 0
-        while sturm_count(Vs, pt.lo, pt.hi) > allowed:
+        allowed = 1 if pt.is_root_of(V) else 0
+        while sturm_count(V, pt.lo, pt.hi) > allowed:
             pt.refine()
         below, above = (V.eval_exact(pt.point_beside(side)).sign()
                         for side in (-1, 1))

@@ -2,12 +2,15 @@
 
 Provides the canonical-form arithmetic every decision procedure builds on:
 gcd, squarefree decomposition, exact square detection, Sturm-sequence root
-counting on intervals, and certified nonnegativity.
+counting on intervals, and certified nonnegativity. The real-root layer runs
+on a private integer core: a real polynomial becomes a primitive polynomial
+over Z, or over Z[sqrt2] when it has a sqrt2 part, once at entry.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -418,33 +421,291 @@ ZERO_RF = RatFn(Poly())
 ONE_RF = RatFn(ONE_POLY)
 
 
+# -- integer core of the real-root layer ------------------------------------
+#
+# The real-root layer works on dense coefficient lists, ascending degree, no
+# trailing zeros, over Z, or over Z[sqrt2] (_Z2 entries) for a polynomial
+# with a sqrt2 part. A real Poly enters once, through _to_int, as a primitive
+# positive multiple of itself, so signs and roots are those of the Poly, and
+# leaves through _from_int as a monic Poly. Every gcd is primitive, so by
+# Gauss's lemma every exact quotient stays integral.
+
+
+class _Z2:
+    """a + b*sqrt2 with int a and b."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int = 0):
+        self.a = a
+        self.b = b
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __add__(self, o):
+        if type(o) is int:
+            return _Z2(self.a + o, self.b)
+        return _Z2(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Z2(-self.a, -self.b)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return _Z2(self.a * o, self.b * o)
+        return _Z2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, o):
+        """The exact quotient by an int or _Z2 that divides self."""
+        if type(o) is int:
+            return _Z2(self.a // o, self.b // o)
+        n = o.norm()
+        return _Z2((self.a * o.a - 2 * self.b * o.b) // n,
+                   (self.b * o.a - self.a * o.b) // n)
+
+    def __rfloordiv__(self, o):
+        return _Z2(o) // self
+
+    def norm(self) -> int:
+        return self.a * self.a - 2 * self.b * self.b
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if a >= 0 and b >= 0:
+            return 1 if a or b else 0
+        if a <= 0 and b <= 0:
+            return -1
+        # mixed signs: a^2 = 2 b^2 only for a = b = 0
+        return 1 if (a * a > 2 * b * b) == (a > 0) else -1
+
+
+def _sgn(x) -> int:
+    return x.sign() if type(x) is _Z2 else (x > 0) - (x < 0)
+
+
+def _z2_gcd(x: _Z2, y: _Z2) -> _Z2:
+    """A gcd in Z[sqrt2] by Euclid: Q(sqrt2) is norm-Euclidean, so the
+    rounded quotient leaves a remainder of smaller absolute norm."""
+    while y:
+        n = y.norm()
+        u, v = x.a * y.a - 2 * x.b * y.b, x.b * y.a - x.a * y.b
+        if n < 0:
+            n, u, v = -n, -u, -v
+        q = _Z2((2 * u + n) // (2 * n), (2 * v + n) // (2 * n))
+        x, y = y, x - q * y
+    return x
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _primitive(f: list) -> list:
+    """f divided by a positive content, so it keeps the signs of f."""
+    if not any(type(c) is _Z2 for c in f):
+        g = math.gcd(*f)
+        return f if g <= 1 else [c // g for c in f]
+    g = _Z2(0)
+    for c in f:
+        g = _z2_gcd(g, c if type(c) is _Z2 else _Z2(c))
+        if abs(g.norm()) == 1:
+            return f
+    return [c // (g if g.sign() > 0 else -g) for c in f]
+
+
+def _to_int(f: Poly, not_real: str) -> list:
+    """The primitive integer form of real f, a positive multiple of it;
+    raises ValueError(not_real) for a non-real f."""
+    if not f.is_real():
+        raise ValueError(not_real)
+    cs = f.coeffs
+    if any(c.b for c in cs):
+        den = math.lcm(*(x.denominator for c in cs for x in (c.a, c.b)))
+        out = [_Z2(c.a.numerator * (den // c.a.denominator),
+                   c.b.numerator * (den // c.b.denominator)) for c in cs]
+    else:
+        den = math.lcm(*(c.a.denominator for c in cs))
+        out = [c.a.numerator * (den // c.a.denominator) for c in cs]
+    return _primitive(out)
+
+
+def _from_int(f: list) -> Poly:
+    """The monic Poly of nonzero f."""
+    lc = f[-1]
+    if not any(type(c) is _Z2 for c in f):
+        return Poly([Fraction(c, lc) for c in f])
+    lc = lc if type(lc) is _Z2 else _Z2(lc)
+    n, conj = lc.norm(), _Z2(lc.a, -lc.b)
+    return Poly([Scalar(Fraction(x.a, n), Fraction(x.b, n))
+                 for x in (conj * c for c in f)])
+
+
+def _deriv(f: list) -> list:
+    return [k * c for k, c in enumerate(f) if k]
+
+
+def _sub(f: list, g: list) -> list:
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return _trim([x - y for x, y in zip(f, g)])
+
+
+def _prem(f: list, g: list) -> list:
+    """The remainder of f by nonzero g times a positive constant: each step
+    scales by |lc(g)|, so the signs a Sturm chain needs survive."""
+    lc = g[-1]
+    s = _sgn(lc)
+    scale = lc * s
+    r = list(f)
+    dg = len(g) - 1
+    while len(r) > dg:
+        c = r[-1] * s
+        k = len(r) - 1 - dg
+        r = [x * scale for x in r]
+        for j, y in enumerate(g):
+            r[k + j] -= c * y
+        r.pop()
+        _trim(r)
+    return r
+
+
+def _gcd(f: list, g: list) -> list:
+    """A primitive gcd over Q (or Q(sqrt2)), by the primitive PRS."""
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        f, g = g, _primitive(_prem(f, g))
+    return f
+
+
+def _exquo(f: list, g: list) -> list:
+    """f / g for g dividing f; integral for primitive g (Gauss's lemma)."""
+    r = list(f)
+    dg = len(g) - 1
+    q = [0] * max(0, len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dg] // g[-1]
+        if c:
+            for j, y in enumerate(g):
+                r[k + j] -= c * y
+    return q
+
+
+def _sqf(f: list) -> list:
+    """The squarefree part of f."""
+    g = _gcd(f, _deriv(f))
+    return _exquo(f, g) if len(g) > 1 else f
+
+
+def _sign_at(f: list, x: Fraction) -> int:
+    """Sign of f(x), by Horner on the homogenised d^deg * f(n/d)."""
+    n, d = x.numerator, x.denominator
+    v, dk = 0, 1
+    for c in reversed(f):
+        v = v * n + c * dk
+        dk *= d
+    return _sgn(v)
+
+
+def _deflate(f: list, x: Fraction) -> tuple[int, list]:
+    """(m, q) with f = (d*p - n)^m * q, x = n/d and q(x) != 0, for nonzero f,
+    by synthetic division."""
+    n, d = x.numerator, x.denominator
+    m = 0
+    while not _sign_at(f, x):
+        q = [0] * (len(f) - 1)
+        r = f[-1]
+        for k in range(len(f) - 2, -1, -1):
+            q[k] = r // d
+            r = f[k] + n * q[k]
+        f, m = q, m + 1
+    return m, f
+
+
+def _yun(f: list) -> list[tuple[list, int]]:
+    """Yun's squarefree factors (a_i, i) of f = c * prod a_i^i, nonconstant
+    a_i only. b and d share one scale, which the identities need, so they
+    are divided only by primitive gcds."""
+    df = _deriv(f)
+    g = _gcd(f, df)
+    b = _exquo(f, g)
+    d = _sub(_exquo(df, g), _deriv(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b = _exquo(b, a)
+        d = _sub(_exquo(d, a), _deriv(b))
+        i += 1
+    return out
+
+
+def _root_counter(f: list):
+    """count(x, y): the number of distinct real roots of nonzero f in
+    (x, y], for x and y not roots of f, by Sturm's theorem on the chain f,
+    f', -rem, ... built once. f need not be squarefree: every member of the
+    chain carries gcd(f, f') as a factor, which does not change the sign
+    variations away from the roots of f."""
+    chain = [f]
+    r = _primitive(_deriv(f))
+    while r:
+        chain.append(r)
+        r = [-c for c in _primitive(_prem(chain[-2], r))]
+
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (_sign_at(g, x) for g in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return lambda x, y: variations(x) - variations(y)
+
+
+def _count_open(f: list, a: Fraction, b: Fraction) -> int:
+    """Distinct roots of nonzero f in the open interval (a, b)."""
+    f = _deflate(_deflate(f, a)[1], b)[1]
+    return _root_counter(f)(a, b) if len(f) > 1 else 0
+
+
+def _grid(f: list) -> int:
+    """k with every rational root of f in (1/k)Z. A root n/d in lowest terms
+    has d | lc in Z[sqrt2] (rational root theorem), so d divides both parts
+    of lc."""
+    lc = f[-1]
+    return abs(lc) if type(lc) is int else math.gcd(lc.a, lc.b)
+
+
+def _root_bound(f: list) -> int:
+    """An int B > |z| for every complex root z of f: the Cauchy bound
+    1 + max |c/lc|, with |a + b*sqrt2| <= |a| + 2|b| and
+    1/|lc| = |conj(lc)|/|norm(lc)|."""
+    def up(c):
+        return abs(c) if type(c) is int else abs(c.a) + 2 * abs(c.b)
+    lc = f[-1]
+    norm = lc * lc if type(lc) is int else lc.norm()
+    return 2 + max(up(c) for c in f) * up(lc) // abs(norm)
+
+
 # -- squarefree decomposition (Yun's algorithm) ----------------------------
 
 def squarefree_decompose(f: Poly) -> tuple[Scalar, list[tuple[Poly, int]]]:
     """f = lc * prod(factor^mult) with monic, squarefree, pairwise coprime factors."""
-    if not f.is_real():
-        raise ValueError("squarefree decomposition requires real coefficients")
+    fi = _to_int(f, "squarefree decomposition requires real coefficients")
     if f.is_zero():
         return ZERO, []
-    lc = f.leading
-    if f.is_constant():
-        return lc, []
-    F = f.monic()
-    d0 = poly_gcd(F, F.derivative())
-    b = F // d0
-    c = F.derivative() // d0
-    d = c - b.derivative()
-    i = 1
-    out: list[tuple[Poly, int]] = []
-    while b.degree > 0:
-        a_i = poly_gcd(b, d)
-        if a_i.degree > 0:
-            out.append((a_i, i))
-        b = b // a_i
-        c = d // a_i
-        d = c - b.derivative()
-        i += 1
-    return lc, out
+    return f.leading, [(_from_int(g), m) for g, m in _yun(fi)]
 
 
 @dataclass(frozen=True)
@@ -492,39 +753,17 @@ def is_square(f: RatFn) -> RatFn | None:
 
 # -- Sturm sequences and certified sign conditions -------------------------
 
-def _squarefree_part(f: Poly) -> Poly:
-    g = poly_gcd(f, f.derivative())
-    return (f // g).monic() if g.degree > 0 else f.monic()
-
-
-def _root_counter(fs: Poly):
-    """count(x, y): the number of distinct roots of squarefree real fs in
-    (x, y], for x not a root, by Sturm's theorem on a chain built once."""
-    chain = [fs]
-    r = fs.derivative()
-    while r:
-        # scale by a positive unit only: sign pattern must survive
-        chain.append(r * r.leading.abs_real().inverse())
-        r = -(chain[-2] % chain[-1])
-
-    def variations(x: Fraction) -> int:
-        signs = [s for s in (f.eval_exact(x).sign() for f in chain) if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return lambda x, y: variations(x) - variations(y)
-
-
 def sturm_count(f: Poly, a: Fraction | int, b: Fraction | int) -> int:
-    """Number of distinct real roots of f in the open interval (a, b)."""
+    """Number of distinct real roots of f in the open interval (a, b). The
+    Sturm chain counts distinct roots of any f, so f is not made
+    squarefree first."""
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError("need a < b")
     if f.is_zero():
         raise ValueError("root counting on the zero polynomial")
-    if not f.is_real():
-        raise ValueError("root counting requires real coefficients")
-    fs = _squarefree_part(f).deflate(a)[1].deflate(b)[1]
-    return _root_counter(fs)(a, b)
+    return _count_open(_to_int(f, "root counting requires real coefficients"),
+                       a, b)
 
 
 def certify_nonneg(f: Poly, a: Fraction | int, b: Fraction | int) -> bool:
@@ -535,114 +774,76 @@ def certify_nonneg(f: Poly, a: Fraction | int, b: Fraction | int) -> bool:
         raise ValueError("need a < b")
     if f.is_zero():
         return True
-    if not f.is_real():
-        raise ValueError("nonnegativity certification requires real coefficients")
-    _, factors = squarefree_decompose(f)
-    odd = ONE_POLY
-    for g, m in factors:
-        if m % 2 == 1:
-            odd = odd * g
-    if odd.degree > 0 and sturm_count(odd, a, b) > 0:
+    fi = _to_int(f, "nonnegativity certification requires real coefficients")
+    # the squarefree factors are coprime: count each odd one on its own
+    if any(_count_open(g, a, b) for g, m in _yun(fi) if m % 2 == 1):
         return False
-    if f.eval_exact(a).sign() < 0 or f.eval_exact(b).sign() < 0:
+    if _sign_at(fi, a) < 0 or _sign_at(fi, b) < 0:
         return False
     denom = 16
     while True:
         for k in range(1, denom):
-            s = a + (b - a) * Fraction(k, denom)
-            v = f.eval_exact(s)
-            if v:
-                return v.sign() > 0
+            s = _sign_at(fi, a + (b - a) * Fraction(k, denom))
+            if s:
+                return s > 0
         denom *= 4
         assert denom <= 4 ** 12, "sample scan failed to find a non-root point"
 
 
 # -- root isolation and rational-point recognition -------------------------
 
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction with smallest denominator strictly inside (lo, hi)."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -simplest_between(-hi, -lo)
-    fl = lo.numerator // lo.denominator
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    frac_lo = lo - fl
-    frac_hi = hi - fl
-    if frac_lo == 0:
-        # smallest q with 1/q < frac_hi
-        q = (Fraction(1) / frac_hi).__floor__() + 1
-        return fl + Fraction(1, q)
-    inner = simplest_between(1 / frac_hi, 1 / frac_lo)
-    return fl + 1 / inner
-
-
-def _find_rational_root(fs: Poly, a: Fraction, b: Fraction) -> Fraction | None:
-    """One rational root of squarefree fs in (a, b), or None if none is
-    recognized (denominators beyond the bisection budget count as none)."""
-    count = _root_counter(fs)
+def _peel_rational_roots(f: list, a: Fraction, b: Fraction
+                         ) -> tuple[list[Fraction], list]:
+    """The rational roots of squarefree f in (a, b), f(a)f(b) != 0, sorted,
+    and f with them divided out. Each interval holding roots is bisected,
+    testing every midpoint, until it holds one root and is narrower than
+    the spacing 1/k of the grid every rational root lies on; then its one
+    grid point, if any, is the only candidate left."""
+    k = _grid(f)
+    count = _root_counter(f)
+    roots: list[Fraction] = []
     stack = [(a, b)]
     while stack:
         lo, hi = stack.pop()
         n = count(lo, hi)
         if n == 0:
             continue
-        if n > 1:
-            mid = (lo + hi) / 2
-            if not fs.eval_exact(mid):
-                return mid
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-            continue
-        for _ in range(96):
-            cand = simplest_between(lo, hi)
-            if not fs.eval_exact(cand):
-                return cand
-            mid = (lo + hi) / 2
-            if not fs.eval_exact(mid):
-                return mid
-            if count(lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-    return None
-
-
-def _peel_rational_roots(fs: Poly, a: Fraction, b: Fraction
-                         ) -> tuple[list[Fraction], Poly]:
-    """The rational roots of squarefree fs in (a, b) that _find_rational_root
-    recognizes, sorted, and fs with them divided out. Roots are peeled one
-    at a time so later bisection midpoints can be nudged off any root that
-    remains."""
-    roots: list[Fraction] = []
-    while not fs.is_constant():
-        z = _find_rational_root(fs, a, b)
-        if z is None:
-            break
-        roots.append(z)
-        fs = fs.deflate(z)[1]
-    return sorted(roots), fs
+        if n == 1 and (hi - lo) * k < 1:
+            z = Fraction(math.floor(lo * k) + 1, k)
+            if z >= hi:
+                continue
+        else:
+            z = (lo + hi) / 2
+            stack += [(lo, z), (z, hi)]
+        if not _sign_at(f, z):
+            roots.append(z)
+            f = _deflate(f, z)[1]
+            count = _root_counter(f)
+    return sorted(roots), f
 
 
 class AlgebraicPoint:
     """A real algebraic number held exactly: a squarefree real polynomial with
-    exactly one root in the open isolating interval (lo, hi)."""
+    exactly one root in the open isolating interval (lo, hi), which never
+    has a root of it at an end."""
 
-    __slots__ = ("g", "lo", "hi")
+    __slots__ = ("g", "lo", "hi", "_f")
 
     def __init__(self, g: Poly, lo: Fraction, hi: Fraction):
-        if not g.is_real():
-            raise ValueError("defining polynomial must be real")
-        self.g = _squarefree_part(g)
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        if self.g.eval_exact(self.lo).sign() * self.g.eval_exact(self.hi).sign() >= 0:
+        f = _sqf(_to_int(g, "defining polynomial must be real"))
+        self._f, self.lo, self.hi = f, Fraction(lo), Fraction(hi)
+        if _sign_at(f, self.lo) * _sign_at(f, self.hi) >= 0:
             raise ValueError("interval endpoints must straddle a sign change")
-        if sturm_count(self.g, self.lo, self.hi) != 1:
+        if _root_counter(f)(self.lo, self.hi) != 1:
             raise ValueError("interval must isolate exactly one root")
+        self.g = _from_int(f)
+
+    @staticmethod
+    def _of(f: list, lo: Fraction, hi: Fraction) -> "AlgebraicPoint":
+        """The point of squarefree f that (lo, hi) isolates, unchecked."""
+        pt = AlgebraicPoint.__new__(AlgebraicPoint)
+        pt._f, pt.lo, pt.hi, pt.g = f, lo, hi, _from_int(f)
+        return pt
 
     def approx(self) -> float:
         pt = copy.copy(self)
@@ -654,13 +855,13 @@ class AlgebraicPoint:
 
     def refine(self) -> None:
         mid = (self.lo + self.hi) / 2
-        v = self.g.eval_exact(mid)
-        if not v:
+        s = _sign_at(self._f, mid)
+        if not s:
             # the isolated root turned out to be mid itself; keep it interior
             width = (self.hi - self.lo) / 4
             self.lo, self.hi = mid - width, mid + width
             return
-        if v.sign() * self.g.eval_exact(self.lo).sign() > 0:
+        if s * _sign_at(self._f, self.lo) > 0:
             self.lo = mid
         else:
             self.hi = mid
@@ -668,36 +869,32 @@ class AlgebraicPoint:
     def point_beside(self, side: int) -> Fraction:
         """A rational point strictly between the root and lo (side < 0) or
         hi (side > 0)."""
-        end = self.lo if side < 0 else self.hi
-        end_sign = self.g.eval_exact(end).sign()
+        end_sign = _sign_at(self._f, self.lo if side < 0 else self.hi)
         for denom in (16, 256, 4096, 65536):
             ks = range(1, denom) if side < 0 else range(denom - 1, 0, -1)
             for k in ks:
                 u = self.lo + (self.hi - self.lo) * Fraction(k, denom)
-                if self.g.eval_exact(u).sign() == end_sign:
+                if _sign_at(self._f, u) == end_sign:
                     return u
         raise AssertionError("no rational point found beside the root")
 
+    def _is_root(self, q: list) -> bool:
+        shared = _gcd(self._f, q)
+        return len(shared) > 1 and _root_counter(shared)(self.lo, self.hi) >= 1
+
     def is_root_of(self, q: Poly) -> bool:
         """Does q (real coefficients) vanish at this point?"""
-        if q.is_zero():
-            return True
-        if not q.is_real():
-            raise ValueError("root test requires real coefficients")
-        shared = poly_gcd(self.g, _squarefree_part(q))
-        if shared.is_constant():
-            return False
-        return sturm_count(shared, self.lo, self.hi) >= 1
+        return self._is_root(_to_int(q, "root test requires real coefficients"))
 
     def multiplicity_in(self, q: Poly) -> int | None:
         """Multiplicity of this point as a root of real q; None means q == 0."""
         if q.is_zero():
             return None
+        qi = _to_int(q, "root test requires real coefficients")
         m = 0
-        deriv = q
-        while not deriv.is_constant() and self.is_root_of(deriv):
+        while len(qi) > 1 and self._is_root(qi):
             m += 1
-            deriv = deriv.derivative()
+            qi = _deriv(qi)
         return m
 
     def multiplicity_in_complex(self, q: Poly) -> int | None:
@@ -709,20 +906,18 @@ class AlgebraicPoint:
 
     def sign_of(self, q: Poly) -> int:
         """Exact sign of real q at this point."""
-        if self.is_root_of(q):
+        qi = _to_int(q, "root test requires real coefficients")
+        if self._is_root(qi):
             return 0
-        if q.is_constant():
-            return q.eval_exact(0).sign()
-        qs = _squarefree_part(q)
-        while sturm_count(qs, self.lo, self.hi) > 0:
+        if len(qi) == 1:
+            return _sgn(qi[0])
+        while _count_open(qi, self.lo, self.hi) > 0:
             self.refine()
-        mid = (self.lo + self.hi) / 2
-        v = q.eval_exact(mid)
-        while not v:
+        s = _sign_at(qi, (self.lo + self.hi) / 2)
+        while not s:
             self.refine()
-            mid = (self.lo + self.hi) / 2
-            v = q.eval_exact(mid)
-        return v.sign()
+            s = _sign_at(qi, (self.lo + self.hi) / 2)
+        return s
 
     def __repr__(self) -> str:
         return f"AlgebraicPoint({self.g}, ({self.lo}, {self.hi}))"
@@ -733,15 +928,20 @@ def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
     """Distinct real roots of f in (a, b): exact rational roots, plus
     AlgebraicPoint handles for the irrational ones."""
     a, b = Fraction(a), Fraction(b)
-    fs = _squarefree_part(f).deflate(a)[1].deflate(b)[1]
+    if a > b:
+        raise ValueError("need a <= b")
+    if f.is_zero():
+        raise ValueError("root isolation on the zero polynomial")
+    fs = _sqf(_to_int(f, "root isolation requires real coefficients"))
+    fs = _deflate(_deflate(fs, a)[1], b)[1]
     exact, fs = _peel_rational_roots(fs, a, b)
-    if fs.is_constant():
+    if len(fs) <= 1:
         return exact, []
     count = _root_counter(fs)
 
     def nonroot_near(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
         step = (hi - lo) / 1024
-        while not fs.eval_exact(x):
+        while not _sign_at(fs, x):
             x = x + step
             step = step / 2
         return x
@@ -761,27 +961,29 @@ def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
         stack.append((mid, hi))
 
     intervals.sort()
-    return exact, [AlgebraicPoint(fs, lo, hi) for lo, hi in intervals]
+    return exact, [AlgebraicPoint._of(fs, lo, hi) for lo, hi in intervals]
+
+
+def _rational_roots(f: list) -> list[Fraction]:
+    bound = Fraction(_root_bound(f))
+    return _peel_rational_roots(_sqf(f), -bound, bound)[0]
 
 
 def rational_roots(f: Poly) -> list[Fraction]:
     """All rational roots of a nonzero real polynomial."""
     if f.is_zero():
         raise ValueError("rational roots of the zero polynomial")
-    fs = _squarefree_part(f)
-    # overestimated Cauchy bound of monic fs: only guides the search, every
-    # candidate gets an exact evaluation check before acceptance
-    bound = Fraction(int(2 + 2 * max(abs(c.to_complex()) for c in fs.coeffs)))
-    return _peel_rational_roots(fs, -bound, bound)[0]
+    return _rational_roots(_to_int(f, "rational roots require real coefficients"))
 
 
 def split_rational_roots(g: Poly) -> list[Poly]:
-    """Split monic g into linear factors (p - z) for its rational roots plus
-    whatever remains; enough granularity for readable diagnoses."""
+    """Split monic real g into linear factors (p - z) for its rational roots
+    plus whatever remains; enough granularity for readable diagnoses."""
+    f = _to_int(g, "rational roots require real coefficients")
     out: list[Poly] = []
-    for z in rational_roots(g):
-        m, g = g.deflate(z)
+    for z in _rational_roots(f):
+        m, f = _deflate(f, z)
         out += [Poly([-z, 1])] * m
-    if g.degree > 0:
-        out.append(g)
+    if len(f) > 1:
+        out.append(_from_int(f))
     return out

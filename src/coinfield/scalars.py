@@ -186,9 +186,6 @@ class Scalar:
     def __ge__(self, other: "Scalar | int | Fraction") -> bool:
         return not self.__lt__(other)
 
-    def abs_real(self) -> "Scalar":
-        return -self if self.sign() < 0 else self
-
     # -- evaluation and rendering ------------------------------------------
 
     def to_complex(self) -> complex:

@@ -263,6 +263,21 @@ def test_power_past_degree_limit_exits_one(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "exceeds degree" in err
 
 
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", f"sqrt(p+{BIG})"),
+    ("classify", f"(p+{BIG})/(2*p+2*{BIG}+1)"),
+    ("corollary", f"(p+{BIG})/(2*p+2*{BIG}+1)"),
+])
+def test_long_literal_gets_a_verdict(capsys, argv):
+    # root bounds of such coefficients overflow a float
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2) and "Traceback" not in err
+    assert out.startswith("CC: yes" if argv[0] == "classify" else "simulable: no")
+
+
 def test_run_json_without_completed_trials_is_valid(capsys):
     from coinfield.synth import program_to_json, worked_example_program
     prog_json = json.dumps(program_to_json(worked_example_program()))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, certify_nonneg,
                              isolate_roots, is_square, poly_gcd, rational_roots,
-                             simplest_between, split_rational_roots, square_test,
+                             split_rational_roots, square_test,
                              squarefree_decompose, sturm_count)
 from coinfield.scalars import ONE, SQRT2, Scalar
 
@@ -172,12 +173,34 @@ def test_isolate_roots_mixed():
     pt = alg[0]
     assert abs(pt.approx() - 0.5 ** 0.5) < 1e-9
     assert pt.is_root_of(f)
+    with pytest.raises(ValueError):
+        isolate_roots(f, 1, 0)
 
 
 def test_rational_roots():
     f = from_roots([Fraction(1, 2), Fraction(-3), Fraction(7, 5)])
     assert sorted(rational_roots(f)) == [Fraction(-3), Fraction(1, 2), Fraction(7, 5)]
     assert rational_roots(P * P - Poly.const(Scalar(2))) == []
+
+
+def test_rational_root_with_large_denominator():
+    # 1/3^70 lies between irrational roots; only the grid 3^-70 * Z of the
+    # rational root theorem tells where to look
+    f = Poly([-1, 3 ** 70]) * Poly([-2, 0, 1])
+    assert rational_roots(f) == [Fraction(1, 3 ** 70)]
+    assert isolate_roots(f, 0, 1) == ([Fraction(1, 3 ** 70)], [])
+
+
+def test_isolate_roots_without_rational_roots_is_fast():
+    f = Poly([Fraction(-3, 5), Fraction(57, 10), Fraction(-11, 2),
+              Fraction(-3, 10), 1])
+    took = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        rat, alg = isolate_roots(f, -5, 5)
+        took.append(time.perf_counter() - t0)
+    assert rat == [] and len(alg) == 4
+    assert min(took) < 0.05
 
 
 def test_split_rational_roots():
@@ -219,12 +242,6 @@ def test_certify_nonneg_matches_sampling():
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-def test_simplest_between():
-    assert simplest_between(Fraction(1, 3), Fraction(1, 2)) == Fraction(2, 5)
-    assert simplest_between(Fraction(0), Fraction(1)) == Fraction(1, 2)
-    assert simplest_between(Fraction(314, 100), Fraction(315, 100)) == Fraction(22, 7)
-
 
 def test_algebraic_point_queries():
     g = P * P - Poly.const(Scalar(2))
@@ -323,3 +340,125 @@ def test_isolate_roots_pinned_intervals():
     assert [(pt.lo, pt.hi) for pt in alg] == [
         (Fraction(1, 4), Fraction(5, 16)), (Fraction(5, 16), Fraction(3, 8)),
         (Fraction(1, 2), Fraction(1))]
+
+
+
+def _sympy_oracle(sqrt2):
+    """hypothesis strategies for rational or Q(sqrt2) polynomials, and their
+    conversion to sympy, the independent oracle, over QQ or QQ<sqrt(2)>."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    QQ = sympy.QQ
+    K = QQ.algebraic_field(sympy.sqrt(2))
+    assert K.to_sympy(K([QQ(1), QQ(0)])) == sympy.sqrt(2)
+    frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+    def scalar(sqrt2):
+        return st.builds(Scalar, frac, frac if sqrt2 else st.just(0))
+
+    @st.composite
+    def poly(draw, linear=3):
+        # products of linear and quadratic factors, some of them repeated
+        f = Poly.const(draw(scalar(sqrt2).filter(bool)))
+        for _ in range(draw(st.integers(0, linear))):
+            f = f * Poly((-draw(scalar(sqrt2)), ONE)) ** draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(0, 2))):
+            quad = Poly((draw(scalar(sqrt2)), draw(scalar(sqrt2)), ONE))
+            f = f * quad ** draw(st.integers(1, 2))
+        return f
+
+    def to_sympy(f):
+        # K([b, a]) is b*sqrt2 + a
+        def q(x):
+            return QQ(x.numerator, x.denominator)
+        if not sqrt2:
+            return sympy.Poly.from_list([q(c.a) for c in reversed(f.coeffs)],
+                                        x, domain=QQ)
+        return sympy.Poly.from_list([K([q(c.b), q(c.a)])
+                                     for c in reversed(f.coeffs)], x, domain=K)
+
+    settings = hypothesis.settings(max_examples=30, deadline=None,
+                                   database=None)
+    return hypothesis, st, sympy, poly, to_sympy, settings
+
+
+def _factor_set(parts):
+    return sorted((str(g.monic().all_coeffs()), m) for g, m in parts)
+
+
+@pytest.mark.parametrize("sqrt2", [False, True])
+def test_gcd_and_squarefree_match_sympy(sqrt2):
+    hypothesis, st, sympy, poly, to_sympy, settings = _sympy_oracle(sqrt2)
+
+    @settings
+    @hypothesis.given(poly(2), poly(2), poly(2))
+    def check(f, g, h):
+        # a shared factor h makes the gcd nontrivial
+        f, g = f * h, g * h
+        F, G = to_sympy(f), to_sympy(g)
+        assert to_sympy(poly_gcd(f, g)) == F.gcd(G).monic()
+        lead, parts = squarefree_decompose(f)
+        assert lead == f.leading
+        assert _factor_set((to_sympy(g), m) for g, m in parts) \
+            == _factor_set(F.sqf_list()[1])
+        u = RatFn(f, g)
+        if not u.is_rational():
+            with pytest.raises(ValueError):
+                square_test(u)
+            return
+        res = square_test(u)
+        (ln, num), (ld, den) = (to_sympy(part).sqf_list()
+                                for part in (u.num, u.den))
+        even = all(m % 2 == 0 for _, m in num + den)
+        assert res.is_square == (even and sympy.sqrt(ln / ld).is_rational)
+        odd = to_sympy(Poly.const(ONE))
+        for piece in res.odd_factors:
+            odd = odd * to_sympy(piece)
+        want = to_sympy(Poly.const(ONE))
+        for w, m in num + den:
+            want = want * w.monic() ** (m % 2)
+        assert odd == want
+        if res.is_square:
+            assert res.root * res.root == u
+        assert square_test(u * u).root ** 2 == u * u
+
+    check()
+
+
+@pytest.mark.parametrize("sqrt2", [False, True])
+def test_sturm_and_nonneg_match_sympy(sqrt2):
+    hypothesis, st, sympy, poly, to_sympy, settings = _sympy_oracle(sqrt2)
+    ends = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+
+    def distinct_inside(g, lo, hi):
+        # distinct real roots of g in the open interval (lo, hi)
+        sf = g.sqf_part()
+        lo, hi = sympy.Rational(lo), sympy.Rational(hi)
+        return sf.count_roots(lo, hi) - (sf.eval(lo) == 0) - (sf.eval(hi) == 0)
+
+    def nonneg(g, lo, hi):
+        # g >= 0 on [lo, hi]: no odd-multiplicity root inside, g >= 0 at
+        # both ends and g > 0 at the first point inside where it is not 0
+        odd = [w for w, m in g.sqf_list()[1] if m % 2]
+        if any(distinct_inside(w, lo, hi) for w in odd):
+            return False
+        lo, hi = sympy.Rational(lo), sympy.Rational(hi)
+        if g.eval(lo) < 0 or g.eval(hi) < 0:
+            return False
+        inside = (g.eval(lo + (hi - lo) * sympy.Rational(k, 97))
+                  for k in range(1, 97))
+        return next(v for v in inside if v != 0) > 0
+
+    @settings
+    @hypothesis.given(poly(), ends, ends)
+    def check(f, a, b):
+        hypothesis.assume(a != b)
+        a, b = min(a, b), max(a, b)
+        g = to_sympy(f)
+        assert sturm_count(f, a, b) == distinct_inside(g, a, b)
+        assert certify_nonneg(f, a, b) == nonneg(g, a, b)
+        assert certify_nonneg(f * f, a, b)
+
+    check()
