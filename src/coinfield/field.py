@@ -21,11 +21,11 @@ W_SQUARED = Poly((0, 1, -1))
 ONE_MINUS_P = Poly((1, -1))
 
 
-def w_mul(a, b, wsq=W_SQUARED):
-    """(a0 + a1*w)(b0 + b1*w) as a pair (x, y) meaning x + y*w. The parts are
-    Polys with w^2 = p(1-p), or Scalars with wsq the value of w^2 at a point."""
+def w_mul(a, b):
+    """(a0 + a1*w)(b0 + b1*w) as a pair (x, y) of Polys meaning x + y*w,
+    with w^2 = p(1-p)."""
     (a0, a1), (b0, b1) = a, b
-    return a0 * b0 + a1 * b1 * wsq, a0 * b1 + a1 * b0
+    return a0 * b0 + a1 * b1 * W_SQUARED, a0 * b1 + a1 * b0
 
 
 def w_norm(a):

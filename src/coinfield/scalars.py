@@ -4,6 +4,10 @@ A Scalar is a + b*sqrt2 + c*i + d*i*sqrt2 with Fraction components, kept in
 lowest terms by Fraction itself.  This is the smallest field that contains
 the rationals, the 1/sqrt2 appearing in gate entries, and the imaginary
 unit needed for complex constant coins.
+
+The same field is Q(z) for z = exp(i*pi/4), z^4 = -1, with sqrt2 = z - z^3,
+i = z^2 and i*sqrt2 = z + z^3; to_zeta and from_zeta convert a Scalar to and
+from an integer tuple (c0, c1, c2, c3) over one denominator in that basis.
 """
 
 from __future__ import annotations
@@ -224,6 +228,21 @@ class Scalar:
     @staticmethod
     def from_json(data: list[str]) -> "Scalar":
         return Scalar(*(Fraction(part) for part in data))
+
+
+def to_zeta(s: Scalar) -> tuple[tuple[int, int, int, int], int]:
+    """(c, den) with s = (c0 + c1*z + c2*z^2 + c3*z^3)/den, z = exp(i*pi/4),
+    and den > 0 the least denominator that makes every c_k an integer."""
+    parts = (s.a, s.b + s.d, s.c, s.d - s.b)
+    den = math.lcm(*(x.denominator for x in parts))
+    return tuple(x.numerator * (den // x.denominator) for x in parts), den
+
+
+def from_zeta(c: tuple[int, int, int, int], den: int = 1) -> Scalar:
+    """The Scalar (c0 + c1*z + c2*z^2 + c3*z^3)/den, z = exp(i*pi/4)."""
+    c0, c1, c2, c3 = c
+    return Scalar(Fraction(c0, den), Fraction(c1 - c3, 2 * den),
+                  Fraction(c2, den), Fraction(c1 + c3, 2 * den))
 
 
 ZERO = Scalar(0)

@@ -2,11 +2,21 @@
 cost, and seeded Monte Carlo runs.
 
 One exact pass serves all three. It tracks each entangled register group as
-a vector of amplitude pairs (A, B), meaning the polynomial A(p) + B(p)*w
-with w = sqrt(p(1-p)). Global factors cancel in the final ratio, so states
-are kept unnormalized with denominators cleared. At a rational bias p0 the
-pass also reads each measurement's keep probability, which fixes the
-analytic cost and drives the Monte Carlo replay of every trial's retries.
+a vector of amplitude pairs (A, B), meaning A + B*w with w = sqrt(p(1-p)).
+A and B are dense polynomials over Z[z], z = exp(i*pi/4), each coefficient
+an int 4-tuple (c0, c1, c2, c3) for c0 + c1*z + c2*z^2 + c3*z^3, z^4 = -1.
+Global factors cancel in the final ratio and in every keep probability, so
+states are kept unnormalised and integral: H and B act as sqrt2 times the
+gate, a constant coin is prepared times its denominator, and each
+measurement divides the group by its integer content.
+
+The pass runs in one of two modes on the same code. run_symbolic works on
+polynomials in p with w^2 = p - p^2. At a rational bias p0 = n/d, the pass
+behind expected_cost and run_numeric works on values: the coin is scaled by
+d, so 1 - p becomes d - n and w becomes W = sqrt(n(d - n)) with the integer
+W^2 = n(d - n), and every polynomial has degree 0. There the pass reads
+each measurement's keep probability, which fixes the analytic cost and
+drives the Monte Carlo replay of every trial's retries.
 """
 
 from __future__ import annotations
@@ -15,10 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import (INFINITY, FieldElem, Infinity, ONE_MINUS_P, ext_is_zero,
-                    w_mul, w_norm)
+from .field import INFINITY, FieldElem, Infinity, ext_is_zero
 from .polys import Poly, gcd_many
-from .scalars import HALF_SQRT2, Scalar
+from .scalars import HALF_SQRT2, SQRT2, Scalar, from_zeta, to_zeta
 from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
                     static_counts, validate_program)
 
@@ -56,54 +65,162 @@ class PostselectionError(ValueError):
     """The kept measurement branch has amplitude identically zero."""
 
 
-# -- symbolic execution ----------------------------------------------------
+# -- Z[z] polynomials --------------------------------------------------------
+#
+# A polynomial is a list of 4-tuples, ascending degree, no trailing zero
+# tuple; [] is zero. Lists are never changed once built, so they are shared.
 
-_PZERO = Poly.zero()
-_PONE = Poly.const(1)
+_Z0 = (0, 0, 0, 0)
+_Z1 = (1, 0, 0, 0)
+_ZNEG1 = (-1, 0, 0, 0)
 
 
-def _pair_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def _zmul(x, y):
+    """Product in Z[z], a negacyclic convolution since z^4 = -1."""
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
+    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
 
 
-def _pair_scale(c: Scalar, a):
-    return (a[0] * c, a[1] * c)
+def _zconj(x):
+    """Complex conjugate: z -> z^-1 = -z^3."""
+    c0, c1, c2, c3 = x
+    return (c0, -c3, -c2, -c1)
 
+
+def _padd(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    if not g:
+        return f
+    out = list(f)
+    for k, (b0, b1, b2, b3) in enumerate(g):
+        a0, a1, a2, a3 = out[k]
+        out[k] = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+    if len(f) == len(g):
+        while out and out[-1] == _Z0:
+            out.pop()
+    return out
+
+
+def _pscale(m, f):
+    """m*f for a nonzero tuple m."""
+    return [_zmul(m, c) for c in f]
+
+
+def _pmul(f, g):
+    if not f or not g:
+        return []
+    n = len(f) + len(g) - 1
+    r0, r1, r2, r3 = [0] * n, [0] * n, [0] * n, [0] * n
+    for j, (a0, a1, a2, a3) in enumerate(f):
+        for k, (b0, b1, b2, b3) in enumerate(g, j):
+            r0[k] += a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
+            r1[k] += a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
+            r2[k] += a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
+            r3[k] += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+    # Z[z] has no zero divisors, so the top coefficient is nonzero
+    return list(zip(r0, r1, r2, r3))
+
+
+def _pair_mul(x, y, wsq):
+    """(a0 + a1*w)(b0 + b1*w) as a pair, with w^2 the polynomial wsq."""
+    (a0, a1), (b0, b1) = x, y
+    return (_padd(_pmul(a0, b0), _pmul(_pmul(a1, b1), wsq)),
+            _padd(_pmul(a0, b1), _pmul(a1, b0)))
+
+
+def _content(amps) -> int:
+    """The gcd of every integer in a group's amplitudes."""
+    g = 0
+    for pair in amps:
+        for f in pair:
+            for c in f:
+                g = math.gcd(g, *c)
+                if g == 1:
+                    return 1
+    return g
+
+
+def _to_poly(f) -> Poly:
+    return Poly([from_zeta(c) for c in f])
+
+
+def _int_gate(mat):
+    """A gate as rows of (column, entry) over its nonzero entries, each a
+    Z[z] tuple: the gate times sqrt2 when an entry has a sqrt2 part."""
+    scale = SQRT2 if any(m.b or m.d for row in mat for m in row) else _S1
+    rows = []
+    for row in mat:
+        out = []
+        for j, m in enumerate(row):
+            c, den = to_zeta(m * scale)
+            assert den == 1, "gate entries must scale into Z[z]"
+            if c != _Z0:
+                out.append((j, c))
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+_INT_GATES = {name: _int_gate(mat) for name, mat in _GATES.items()}
+
+# fixed-point bits for the float keep probability, and sqrt2 to that many
+_FIX = 128
+_SQRT2_FIX = math.isqrt(2 << (2 * _FIX))
+
+
+# -- the exact pass ----------------------------------------------------------
 
 class _SymGroup:
     __slots__ = ("regs", "amps")
 
     def __init__(self, regs, amps):
         self.regs = regs      # tuple of register ids, leftmost = high bit
-        self.amps = amps      # list of (Poly, Poly), length 2**len(regs)
+        self.amps = amps      # list of (A, B) polynomial pairs, 2**len(regs)
 
 
 class _SymState:
-    """Register groups with exact amplitude pairs; measurements postselect."""
+    """Register groups with exact amplitude pairs; measurements postselect.
+    With p0 = None the amplitudes are polynomials in p; at a rational p0 they
+    are their values there, each group's up to one factor that cancels."""
 
-    __slots__ = ("group_of",)
+    __slots__ = ("group_of", "p0", "wsq", "coin", "w_fix")
 
-    def __init__(self):
+    def __init__(self, p0: Fraction | None):
         self.group_of: dict[int, _SymGroup] = {}
+        self.p0 = p0
+        if p0 is None:
+            # coin sqrt(p)|0> + sqrt(1-p)|1>, cleared to w|0> + (1-p)|1>
+            self.wsq = [_Z0, _Z1, _ZNEG1]
+            self.coin = (([], [_Z1]), ([_Z1, _ZNEG1], []))
+        else:
+            n, d = p0.numerator, p0.denominator
+            self.wsq = [(n * (d - n), 0, 0, 0)]
+            self.coin = (([], [_Z1]), ([(d - n, 0, 0, 0)], []))
+            self.w_fix = math.isqrt((n * (d - n)) << (2 * _FIX))
 
     def alloc_coin(self, reg: int) -> None:
-        # coin sqrt(p)|0> + sqrt(1-p)|1>, cleared to w|0> + (1-p)|1>
-        amps = [(_PZERO, _PONE), (ONE_MINUS_P, _PZERO)]
-        self.group_of[reg] = _SymGroup((reg,), amps)
+        self.group_of[reg] = _SymGroup((reg,), list(self.coin))
 
     def alloc_const(self, reg: int, value: Scalar) -> None:
-        amps = [(Poly.const(value), _PZERO), (_PONE, _PZERO)]
+        # (value|0> + |1>) times the denominator of value
+        c, den = to_zeta(value)
+        amps = [([c] if c != _Z0 else [], []), ([(den, 0, 0, 0)], [])]
         self.group_of[reg] = _SymGroup((reg,), amps)
 
     def _merge(self, g1: _SymGroup, g2: _SymGroup) -> _SymGroup:
-        amps = [w_mul(a, b) for a in g1.amps for b in g2.amps]
+        wsq = self.wsq
+        amps = [_pair_mul(a, b, wsq) for a in g1.amps for b in g2.amps]
         merged = _SymGroup(g1.regs + g2.regs, amps)
         for r in merged.regs:
             self.group_of[r] = merged
         return merged
 
     def apply_gate(self, name: str, regs: tuple[int, ...]) -> None:
-        mat = _GATES[name]
+        mat = _INT_GATES[name]
         if len(regs) == 2:
             g1, g2 = self.group_of[regs[0]], self.group_of[regs[1]]
             grp = g1 if g1 is g2 else self._merge(g1, g2)
@@ -123,20 +240,21 @@ class _SymState:
                 continue
             old = [amps[base + o] for o in offsets]
             for o, row in zip(offsets, mat):
-                acc = (_PZERO, _PZERO)
-                for m, a in zip(row, old):
-                    if m:
-                        acc = _pair_add(acc, _pair_scale(m, a))
-                amps[base + o] = acc
+                acc_a = acc_b = []
+                for j, m in row:
+                    a, b = old[j]
+                    acc_a = _padd(acc_a, _pscale(m, a))
+                    acc_b = _padd(acc_b, _pscale(m, b))
+                amps[base + o] = (acc_a, acc_b)
+
+    def _kept(self, grp: _SymGroup, reg: int, keep: int) -> list[bool]:
+        s = 1 << (len(grp.regs) - 1 - grp.regs.index(reg))
+        return [((i & s) != 0) == (keep == 1) for i in range(len(grp.amps))]
 
     def measure(self, reg: int, keep: int) -> None:
         grp = self.group_of[reg]
-        n = len(grp.regs)
-        pos = grp.regs.index(reg)
-        s = 1 << (n - 1 - pos)
-        kept = [grp.amps[i] for i in range(1 << n)
-                if ((i & s) != 0) == (keep == 1)]
-        if all(a.is_zero() and b.is_zero() for a, b in kept):
+        kept = [a for a, k in zip(grp.amps, self._kept(grp, reg, keep)) if k]
+        if not any(a or b for a, b in kept):
             raise PostselectionError(
                 f"kept branch of register {reg} has amplitude identically zero")
         del self.group_of[reg]
@@ -148,53 +266,64 @@ class _SymState:
         self._reduce(grp)
 
     def _reduce(self, grp: _SymGroup) -> None:
-        # divide out a shared polynomial factor once degrees get large
-        degs = [p.degree for a in grp.amps for p in a if not p.is_zero()]
-        if not degs or max(degs) <= 24:
-            return
-        polys = [p for a in grp.amps for p in a if not p.is_zero()]
-        g = gcd_many(polys)
-        if g.degree > 0:
-            grp.amps = [(a[0] // g if not a[0].is_zero() else a[0],
-                         a[1] // g if not a[1].is_zero() else a[1])
-                        for a in grp.amps]
+        amps = grp.amps
+        # divide out a shared polynomial factor once degrees get large; at a
+        # point every polynomial is a constant and this never runs
+        if max(len(f) for pair in amps for f in pair) > 25:
+            polys = [_to_poly(f) for pair in amps for f in pair]
+            g = gcd_many([f for f in polys if f])
+            if g.degree > 0:
+                quots = [[to_zeta(c) for c in (f // g).coeffs] for f in polys]
+                den = math.lcm(*(d for q in quots for _, d in q))
+                flat = [[tuple(x * (den // d) for x in c) for c, d in q]
+                        for q in quots]
+                amps = list(zip(flat[0::2], flat[1::2]))
+        g = _content(amps)
+        if g > 1:
+            amps = [tuple([tuple(x // g for x in c) for c in f] for f in pair)
+                    for pair in amps]
+        grp.amps = amps
 
-    def measure_mass(self, reg: int, keep: int, p0: Fraction
-                     ) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        """Exact kept and total masses at p0 as (xk, yk, xt, yt), each mass
-        meaning x + y*sqrt(p0(1-p0))."""
-        grp = self.group_of[reg]
-        n = len(grp.regs)
-        s = 1 << (n - 1 - grp.regs.index(reg))
-        wsq = Scalar(p0 * (1 - p0))
-        xk = yk = xt = yt = Scalar(0)
-        for i in range(1 << n):
-            a, b = grp.amps[i]
-            av, bv = a.eval_exact(p0), b.eval_exact(p0)
-            x, y = w_mul((av, bv), (av.conj(), bv.conj()), wsq)
-            xt, yt = xt + x, yt + y
-            if ((i & s) != 0) == (keep == 1):
-                xk, yk = xk + x, yk + y
-        return xk, yk, xt, yt
+    def _mass(self, a, b):
+        """|a + b*W|^2 = (a*conj(a) + b*conj(b)*W^2) + (a*conj(b) + conj(a)*b)*W
+        for constants a and b, as (x0, x1, y0, y1): both parts are real,
+        x0 + x1*sqrt2 and y0 + y1*sqrt2."""
+        a = a[0] if a else _Z0
+        b = b[0] if b else _Z0
+        ca, cb = _zconj(a), _zconj(b)
+        x, y = _zmul(a, ca), _zmul(b, cb)
+        u, v = _zmul(a, cb), _zmul(ca, b)
+        wsq = self.wsq[0][0]
+        return x[0] + y[0] * wsq, x[1] + y[1] * wsq, u[0] + v[0], u[1] + v[1]
 
-    def keep_prob(self, reg: int, keep: int, p0: Fraction) -> float:
+    def keep_prob(self, reg: int, keep: int) -> float:
         """Probability at p0 that measuring reg gives keep, as a float;
         exactly 0.0 when the kept mass is exactly zero."""
-        xk, yk, xt, yt = self.measure_mass(reg, keep, p0)
-        if ext_is_zero(xk, yk, p0):
+        grp = self.group_of[reg]
+        masses = [self._mass(a, b) for a, b in grp.amps]
+        kept = [sum(col) for col in zip(*(m for m, k in zip(
+            masses, self._kept(grp, reg, keep)) if k))]
+        total = [sum(col) for col in zip(*masses)]
+        x0, x1, y0, y1 = kept
+        d = self.p0.denominator
+        # the kept mass is x + y*W with W = d*sqrt(p0(1 - p0))
+        if ext_is_zero(Scalar(x0, x1), Scalar(d * y0, d * y1), self.p0):
             return 0.0
-        w0 = math.sqrt(float(p0) * (1 - float(p0)))
-        kept, total = (x.to_complex().real + y.to_complex().real * w0
-                       for x, y in ((xk, yk), (xt, yt)))
+        # each mass times 2^_FIX, as an integer within a few units of it;
+        # an int quotient is a float at any size, so no depth overflows
+        kept, total = ((x0 << _FIX) + x1 * _SQRT2_FIX + y0 * self.w_fix
+                       + ((y1 * _SQRT2_FIX * self.w_fix) >> _FIX)
+                       for x0, x1, y0, y1 in (kept, total))
         return min(1.0, max(0.0, kept / total))
 
 
 def _exact_pass(prog: CircuitProgram, p0: Fraction | None
                 ) -> tuple[_SymState, dict[int, float]]:
-    """Run a program exactly with every postselection kept. At a rational
-    p0 also read each measurement's keep probability, by instruction index."""
+    """Run a program exactly with every postselection kept: on polynomials
+    in p, or at a rational p0 on values, reading each measurement's keep
+    probability, by instruction index."""
     validate_program(prog)
-    state = _SymState()
+    state = _SymState(p0)
     probs: dict[int, float] = {}
     for idx, ins in enumerate(prog.instructions):
         if isinstance(ins, AllocCoin):
@@ -205,7 +334,7 @@ def _exact_pass(prog: CircuitProgram, p0: Fraction | None
             state.apply_gate(ins.name, ins.regs)
         else:
             if p0 is not None:
-                probs[idx] = state.keep_prob(ins.reg, ins.keep, p0)
+                probs[idx] = state.keep_prob(ins.reg, ins.keep)
                 if not probs[idx]:
                     raise PostselectionError(
                         f"measurement of register {ins.reg} succeeds with "
@@ -220,10 +349,13 @@ def run_symbolic(prog: CircuitProgram) -> FieldElem | Infinity:
     is identically zero."""
     state, _ = _exact_pass(prog, None)
     (a0, b0), (a1, b1) = state.group_of[prog.output].amps
-    if a1.is_zero() and b1.is_zero():
+    if not (a1 or b1):
         return INFINITY
     # (a0 + b0*w)/(a1 + b1*w), rationalised by the conjugate a1 - b1*w
-    return FieldElem.from_abc(*w_mul((a0, b0), (a1, -b1)), w_norm((a1, b1)))
+    conj = (a1, _pscale(_ZNEG1, b1))
+    num = _pair_mul((a0, b0), conj, state.wsq)
+    den = _pair_mul((a1, b1), conj, state.wsq)[0]
+    return FieldElem.from_abc(*(_to_poly(f) for f in (*num, den)))
 
 
 # -- expected cost ---------------------------------------------------------
@@ -339,7 +471,11 @@ class RunResult:
 
     node_attempts maps each provenance node to its observed attempts per
     completed trial, keyed like CostReport.expected_attempts.
-    max_retries_seen is the most retries one measurement took in one trial."""
+    max_retries_seen is the most retries one measurement took within one
+    entry of its node. coins_total and consts_total count completed trials;
+    aborted_coins counts the coins the aborted trials spent, and
+    aborts_per_measure maps each measurement at which trials aborted, keyed
+    like CostReport.measure_probs, to their number."""
     p0: float
     trials: int
     successes: int
@@ -355,6 +491,8 @@ class RunResult:
     workers: int
     node_attempts: dict[int, float]
     max_retries_seen: int
+    aborted_coins: int
+    aborts_per_measure: dict[int, int]
 
     def to_json(self) -> dict:
         """The fields as JSON values; a NaN (no trial completed) becomes None."""
@@ -375,6 +513,9 @@ class RunResult:
             "node_attempts": {str(k): _null_nan(v)
                               for k, v in self.node_attempts.items()},
             "max_retries_seen": self.max_retries_seen,
+            "aborted_coins": self.aborted_coins,
+            "aborts_per_measure": {str(k): v for k, v
+                                   in self.aborts_per_measure.items()},
         }
 
 
@@ -416,25 +557,30 @@ def _uniform(key: int, draw: int) -> float:
 
 
 class _Abort(Exception):
-    pass
+    """A trial gave up at the measurement with this instruction index."""
 
 
 def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
             max_retries: int):
     """Replay every trial: each measurement attempt draws one uniform and a
     miss restarts the node that holds the measurement; a trial aborts once
-    one measurement's retries exceed max_retries, and a completed trial
-    draws once more for its outcome. Returns (successes, coins, consts,
-    aborted, attempts per node over completed trials, most retries)."""
+    one measurement misses more than max_retries times since its node was
+    last entered, and a completed trial draws once more for its outcome.
+    Returns (successes, coins and consts of completed trials, aborted,
+    coins of aborted trials, aborts at each measurement where some trial
+    aborted, attempts per node over completed trials, most misses)."""
     seed_key = _seed_key(seed)
     totals = [0] * len(plans)
-    successes = coins_total = consts_total = aborted = worst = 0
-    key = draw = coins = consts = 0
+    successes = coins_total = consts_total = aborted = aborted_coins = 0
+    worst = key = draw = coins = consts = 0
+    aborts_at: dict[int, int] = {}
     attempts: list[int] = []
-    retries: dict[int, int] = {}
 
     def run_node(nid):
         nonlocal draw, coins, consts, worst
+        # misses since this entry: a restart of an enclosing node enters
+        # the node afresh, a miss of its own repeats it
+        misses: dict[int, int] = {}
         while True:
             attempts[nid] += 1
             for kind, ref, prob in plans[nid]:
@@ -448,10 +594,10 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
                     draw += 1
                     if _uniform(key, draw) < prob:
                         continue
-                    tries = retries.get(ref, 0) + 1
+                    tries = misses.get(ref, 0) + 1
                     if tries > max_retries:
-                        raise _Abort()
-                    retries[ref] = tries
+                        raise _Abort(ref)
+                    misses[ref] = tries
                     worst = max(worst, tries)
                     break
             else:
@@ -461,18 +607,20 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
         key = _trial_key(seed_key, trial)
         draw = coins = consts = 0
         attempts = [0] * len(plans)
-        retries = {}
         try:
             run_node(root)
-        except _Abort:
+        except _Abort as stop:
             aborted += 1
+            aborted_coins += coins
+            aborts_at[stop.args[0]] = aborts_at.get(stop.args[0], 0) + 1
             continue
         draw += 1
         successes += _uniform(key, draw) < out_prob
         coins_total += coins
         consts_total += consts
         totals = [t + a for t, a in zip(totals, attempts)]
-    return successes, coins_total, consts_total, aborted, totals, worst
+    return (successes, coins_total, consts_total, aborted, aborted_coins,
+            dict(sorted(aborts_at.items())), totals, worst)
 
 
 def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
@@ -494,9 +642,10 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         raise ValueError("seed must be non-negative")
     exact_p0 = Fraction(p0).limit_denominator(10 ** 12)
     analytic, plans, state = _exact_cost(prog, exact_p0)
-    out_prob = state.keep_prob(prog.output, 0, exact_p0)
-    successes, coins_total, consts_total, aborted, attempts, worst = _replay(
-        plans, prog.root, out_prob, seed, trials, max_retries)
+    out_prob = state.keep_prob(prog.output, 0)
+    (successes, coins_total, consts_total, aborted, aborted_coins, aborts_at,
+     attempts, worst) = _replay(plans, prog.root, out_prob, seed, trials,
+                                max_retries)
     completed = trials - aborted
     return RunResult(
         p0=float(p0),
@@ -515,4 +664,6 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         node_attempts={nid: a / completed if completed else math.nan
                        for nid, a in enumerate(attempts)},
         max_retries_seen=worst,
+        aborted_coins=aborted_coins,
+        aborts_per_measure=aborts_at,
     )

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from coinfield.scalars import HALF_SQRT2, I_UNIT, ONE, SQRT2, Scalar, ZERO, sqrt_fraction
+from coinfield.scalars import (HALF_SQRT2, I_UNIT, ONE, SQRT2, Scalar, ZERO,
+                               from_zeta, sqrt_fraction, to_zeta)
 
 
 def random_scalar(rnd, span=6):
@@ -28,6 +30,25 @@ def test_i_squares_to_minus_one():
 def test_half_sqrt2_is_inverse_sqrt2():
     assert HALF_SQRT2 * SQRT2 == ONE
     assert HALF_SQRT2 * HALF_SQRT2 == Scalar(Fraction(1, 2))
+
+
+def test_zeta_tuple_round_trip():
+    # z = exp(i*pi/4): sqrt2 = z - z^3, i = z^2, i*sqrt2 = z + z^3
+    assert to_zeta(HALF_SQRT2) == ((0, 1, 0, -1), 2)
+    assert to_zeta(I_UNIT) == ((0, 0, 1, 0), 1)
+    assert to_zeta(Scalar(0, 0, 0, 1)) == ((0, 1, 0, 1), 1)
+    assert to_zeta(Scalar(0, 0, Fraction(-3, 4), Fraction(3, 4))) == ((0, 3, -3, 3), 4)
+    assert to_zeta(Scalar(Fraction(1, 3), 0, Fraction(-1, 6))) == ((2, 0, -1, 0), 6)
+    assert to_zeta(ZERO) == ((0, 0, 0, 0), 1)
+    z = from_zeta((0, 1, 0, 0))
+    assert z * z == I_UNIT and z ** 4 == Scalar(-1)
+    assert from_zeta((0, 1, 0, -1), 2) == HALF_SQRT2
+    rnd = random.Random(29)
+    for _ in range(200):
+        s = random_scalar(rnd)
+        c, den = to_zeta(s)
+        assert from_zeta(c, den) == s
+        assert math.gcd(den, *c) == 1  # the least denominator
 
 
 def test_conjugate_difference_of_squares():

@@ -16,7 +16,7 @@ from coinfield.field import (FE_ONE, FieldElem, INFINITY, TAU, fe_eval, fe_inv,
 from coinfield.lang import lower, parse
 from coinfield.polys import P as P_POLY
 from coinfield.polys import Poly, RatFn
-from coinfield.scalars import ONE, Scalar
+from coinfield.scalars import ONE, SQRT2, Scalar, from_zeta
 from coinfield.sim import (CostReport, PostselectionError, expected_cost,
                            gate_matrix, run_numeric, run_symbolic)
 from coinfield.synth import (AllocCoin, AllocConst, CircuitProgram, Gate,
@@ -125,6 +125,124 @@ def test_postselecting_impossible_branch_raises():
         (ProvNode(0, "leaf", (("instr", 0), ("instr", 1), ("instr", 2))),), 0)
     with pytest.raises(PostselectionError):
         run_symbolic(prog)
+
+
+def test_gcd_reduction_keeps_ratio_and_cost(monkeypatch):
+    # the pass reaches degree 31 here, so the shared polynomial factor is
+    # divided out on the way; the ratio and the cost must not notice
+    calls = []
+    real = sim.gcd_many
+
+    def spy(polys):
+        calls.append(max(f.degree for f in polys))
+        return real(polys)
+
+    monkeypatch.setattr(sim, "gcd_many", spy)
+    h = lower(parse("(p^3 + t)^3"))
+    prog = compile(h)
+    assert run_symbolic(prog) == h
+    assert max(calls) == 31
+    coins = expected_cost(prog, Fraction(3, 10)).expected_coins
+    assert abs(coins - 6207458.8604607675) <= 1e-12 * coins
+
+
+# ---------------------------------------------------------------------------
+# The Z[z] amplitude engine, z = exp(i*pi/4)
+# ---------------------------------------------------------------------------
+
+def test_zeta_products_match_scalars():
+    rnd = random.Random(83)
+    for _ in range(200):
+        x, y = (tuple(rnd.randint(-9, 9) for _ in range(4)) for _ in range(2))
+        assert from_zeta(sim._zmul(x, y)) == from_zeta(x) * from_zeta(y)
+        assert from_zeta(sim._zconj(x)) == from_zeta(x).conj()
+
+
+def test_integer_gates_are_scaled_gates():
+    for name, scale in (("X", ONE), ("CNOT", ONE), ("H", SQRT2), ("B", SQRT2)):
+        mat = gate_matrix(name)
+        want = [[m * scale for m in row] for row in mat]
+        got = [[Scalar(0)] * len(row) for row in mat]
+        for i, row in enumerate(sim._INT_GATES[name]):
+            for j, m in row:
+                got[i][j] = from_zeta(m)
+        assert got == want
+
+
+def _mass_at(pair, p0):
+    """|A(p0) + B(p0)*w0|^2 exactly, as sympy numbers."""
+    sympy = pytest.importorskip("sympy")
+
+    def value(f):
+        x = sim._to_poly(f).eval_exact(p0)
+        return (sympy.Rational(x.a) + sympy.Rational(x.b) * sympy.sqrt(2)
+                + sympy.I * (sympy.Rational(x.c) + sympy.Rational(x.d) * sympy.sqrt(2)))
+
+    amp = value(pair[0]) + value(pair[1]) * sympy.sqrt(sympy.Rational(p0 * (1 - p0)))
+    return sympy.expand(amp * sympy.conjugate(amp))
+
+
+def _assert_point_pass_matches(prog, p0):
+    """The point pass's keep probabilities against the symbolic pass's
+    states evaluated exactly at p0."""
+    sympy = pytest.importorskip("sympy")
+    got = expected_cost(prog, p0).measure_probs
+    state = sim._SymState(None)
+    for idx, ins in enumerate(prog.instructions):
+        if isinstance(ins, AllocCoin):
+            state.alloc_coin(ins.reg)
+        elif isinstance(ins, AllocConst):
+            state.alloc_const(ins.reg, ins.value)
+        elif isinstance(ins, Gate):
+            state.apply_gate(ins.name, ins.regs)
+        else:
+            grp = state.group_of[ins.reg]
+            s = 1 << (len(grp.regs) - 1 - grp.regs.index(ins.reg))
+            kept = total = 0
+            for i, pair in enumerate(grp.amps):
+                m = _mass_at(pair, p0)
+                total += m
+                if bool(i & s) == (ins.keep == 1):
+                    kept += m
+            want = float(sympy.N(kept / total, 30))
+            assert abs(got[idx] - want) <= 1e-12
+            state.measure(ins.reg, ins.keep)
+
+
+_P0S = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 11)]  # w0 = 1/2 at 1/2
+
+
+def test_point_pass_matches_symbolic_states():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=12, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32), st.sampled_from(_P0S))
+    def check(seed, p0):
+        _assert_point_pass_matches(compile(random_target(random.Random(seed))), p0)
+
+    check()
+
+
+@pytest.mark.parametrize("p0", _P0S)
+@pytest.mark.parametrize("text", ["(sqrt2*p/(1+p))*t + i*p/(1+p)",
+                                  "sqrt2 + t", "(1+sqrt2)*t + sqrt2*p"])
+def test_point_pass_matches_symbolic_states_with_sqrt2(text, p0):
+    # sqrt2 coefficients give the masses' w parts a sqrt2 component
+    _assert_point_pass_matches(compile(lower(parse(text))), p0)
+
+
+def test_deep_gate_chain_keeps_probability():
+    # each H doubles the integer amplitudes and no measurement divides the
+    # growth out, so the kept and total masses pass 10^600
+    instrs = ((AllocCoin(0), AllocCoin(1), Gate("CNOT", (0, 1)))
+              + (Gate("H", (1,)),) * 2101 + (Gate("B", (0, 1)), Measure(1, 0, 0)))
+    prog = CircuitProgram(instrs, 2, 0, (ProvNode(0, "leaf", tuple(
+        ("instr", k) for k in range(len(instrs)))),), 0)
+    rep = expected_cost(prog, Fraction(3, 10))
+    assert abs(rep.measure_probs[len(instrs) - 1] - 0.46252272915132475) <= 1e-12
+    res = run_numeric(prog, 0.3, trials=50, seed=1)
+    assert res.completed == 50
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +402,19 @@ def test_numeric_abort_accounting():
     assert res.completed + res.aborted == res.trials
     # with no retries about half the attempts die at the postselection
     assert 0.3 < res.aborted / res.trials < 0.7
+    # each aborted trial drew its two coins before the miss
+    assert res.aborted_coins == 2 * res.aborted
+    (midx,) = expected_cost(prog, Fraction(1, 2)).measure_probs
+    assert res.aborts_per_measure == {midx: res.aborted}
+    assert res.to_json()["aborts_per_measure"] == {str(midx): res.aborted}
+
+
+def test_numeric_retries_reset_when_enclosing_node_restarts():
+    # a restart of an enclosing node enters its children afresh; counting a
+    # child's misses over the whole trial aborted 7 of these 20 trials
+    res = run_numeric(compile(lower(parse("1 - 2*p"))), 0.3, 20, seed=3)
+    assert res.aborted == 0 and res.aborted_coins == 0
+    assert res.completed == 20 and res.aborts_per_measure == {}
 
 
 def test_numeric_rejects_bad_arguments():
@@ -381,18 +512,19 @@ def _oracle_gate(group_of, regs, mat):
 
 
 class _OracleAbort(Exception):
-    pass
+    """args: (measurement instruction index, coins spent by the trial)"""
 
 
 def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries):
-    """Returns (outcome_bit_is_zero, coins, consts) or raises _OracleAbort."""
+    """Returns (outcome_bit_is_zero, coins, consts) or raises _OracleAbort.
+    A measurement's misses count from the latest entry of its node."""
     group_of = {}
-    retries = {}
     coins = 0
     consts = 0
 
     def run_node(nid):
         nonlocal coins, consts
+        retries = {}
         while True:
             ok = True
             for tag, ref in node_items[nid]:
@@ -436,7 +568,7 @@ def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries)
                     else:
                         c = retries.get(midx, 0) + 1
                         if c > max_retries:
-                            raise _OracleAbort()
+                            raise _OracleAbort(midx, coins)
                         retries[midx] = c
                         ok = False
                         break
@@ -451,13 +583,15 @@ def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries)
 
 
 def _oracle_run(prog, p0, trials, seed, max_retries=1000):
-    """(successes, completed, aborted, coins_total, consts_total)"""
+    """(successes, completed, aborted, coins_total, consts_total,
+    aborted_coins, {measurement: aborts} over the measurements that abort)"""
     steps = _oracle_steps(prog)
     node_items = [node.items for node in prog.nodes]
     amp0 = complex(math.sqrt(p0))
     amp1 = complex(math.sqrt(1.0 - p0))
     seed_key = sim._seed_key(seed)
-    successes = aborted = coins_total = consts_total = 0
+    successes = aborted = coins_total = consts_total = aborted_coins = 0
+    aborts_at = {}
     for trial in range(trials):
         key = sim._trial_key(seed_key, trial)
         draws = (sim._uniform(key, k) for k in itertools.count(1))
@@ -465,13 +599,17 @@ def _oracle_run(prog, p0, trials, seed, max_retries=1000):
             hit, coins, consts = _oracle_trial(
                 steps, node_items, prog.root, prog.output, amp0, amp1,
                 lambda: next(draws), max_retries)
-        except _OracleAbort:
+        except _OracleAbort as stop:
+            midx, coins = stop.args
             aborted += 1
+            aborted_coins += coins
+            aborts_at[midx] = aborts_at.get(midx, 0) + 1
             continue
         successes += hit
         coins_total += coins
         consts_total += consts
-    return successes, trials - aborted, aborted, coins_total, consts_total
+    return (successes, trials - aborted, aborted, coins_total, consts_total,
+            aborted_coins, aborts_at)
 
 
 @pytest.mark.parametrize("make, p0, trials, max_retries", [
@@ -486,7 +624,7 @@ def test_numeric_matches_per_trial_oracle(make, p0, trials, max_retries):
     prog = make()
     res = run_numeric(prog, p0, trials=trials, seed=17, max_retries=max_retries)
     got = (res.successes, res.completed, res.aborted, res.coins_total,
-           res.consts_total)
+           res.consts_total, res.aborted_coins, res.aborts_per_measure)
     assert got == _oracle_run(prog, p0, trials, 17, max_retries)
     assert 0 <= res.max_retries_seen <= max_retries
     if res.aborted:
