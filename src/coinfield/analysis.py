@@ -14,14 +14,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, ONE_MINUS_P,
-                    fe_eval, fe_mod_squared, sqrt_in_scalar_field,
-                    vanishing_order, vanishing_order_at_point, w_mul, w_norm)
+from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
+                    sqrt_in_scalar_field, vanishing_order,
+                    vanishing_order_at_point, w_mul, w_norm)
 from .lang import Expr, NotInFieldError, field_sqrt, lower, parse
-from .polys import (AlgebraicPoint, ONE_POLY, Poly, RatFn, certify_nonneg,
-                    isolate_roots, sturm_count)
-from .polys import P as P_POLY
-from .polys import ONE_RF
+from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, certify_nonneg_int,
+                    int_mul, int_parts, int_sub, isolate_roots, sturm_count)
 from .scalars import Scalar
 
 __all__ = [
@@ -181,9 +179,10 @@ def decide_real_corollary(f: RatFn) -> CorollaryResult:
     if not f.den.eval_exact(0) or not f.den.eval_exact(1) \
             or sturm_count(f.den, 0, 1) > 0:
         raise ValueError("f must be pole-free on [0,1]")
-    if not certify_nonneg(f.num * f.den, 0, 1):
+    below, above = _range_violation(*int_parts((f.num, f.den)), 0, 1)
+    if below:
         raise ValueError("range violation: f is negative somewhere on [0,1]")
-    if not certify_nonneg((f.den - f.num) * f.den, 0, 1):
+    if above:
         raise ValueError("range violation: f exceeds 1 somewhere on [0,1]")
     if f == ONE_RF:
         return CorollaryResult(True, INFINITY,
@@ -229,12 +228,28 @@ class CCReport:
                 "reason": self.reason}
 
 
-def _certify_piece_bound(f: RatFn, bound: Poly, lo: Fraction, hi: Fraction) -> bool:
-    # f - bound >= 0 and (1 - f) - bound >= 0 on [lo, hi], cleared by den^2
-    num, den = f.num, f.den
-    lower_ok = certify_nonneg((num - bound * den) * den, lo, hi)
-    upper_ok = certify_nonneg(((den - num) - bound * den) * den, lo, hi)
-    return lower_ok and upper_ok
+# A real piece num/den enters the bound checks once, as integer lists N and
+# D with num/den = N/D at one positive scale, so every sign condition below
+# is certify_nonneg_int on an integer product: g/den >= 0 iff g*D >= 0.
+
+def _range_violation(num: list, den: list, lo: Fraction, hi: Fraction
+                     ) -> tuple[bool, bool]:
+    """(f < 0 somewhere, f > 1 somewhere) on [lo, hi] for f = num/den."""
+    return (not certify_nonneg_int(int_mul(num, den), lo, hi),
+            not certify_nonneg_int(int_mul(int_sub(den, num), den), lo, hi))
+
+
+def _bound_holds(num: list, den: list, bound_den: list, lo: Fraction,
+                 hi: Fraction) -> bool:
+    """f - bound >= 0 and (1 - f) - bound >= 0 on [lo, hi], for f = num/den
+    and bound_den = bound * den."""
+    return certify_nonneg_int(int_mul(int_sub(num, bound_den), den), lo, hi) \
+        and certify_nonneg_int(
+            int_mul(int_sub(int_sub(den, num), bound_den), den), lo, hi)
+
+
+def _one_minus_p_pow(n: int) -> list:
+    return [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
 
 
 def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
@@ -245,10 +260,13 @@ def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
     for (a, b, f1), (_, _, f2) in zip(f.pieces, f.pieces[1:]):
         if f1.eval_exact(b) != f2.eval_exact(b):
             return CCReport("no", None, f"discontinuous at p = {b}")
-    for a, b, piece in f.pieces:
-        if not certify_nonneg(piece.num * piece.den, a, b):
+    pieces = [(a, b, *int_parts((piece.num, piece.den)))
+              for a, b, piece in f.pieces]
+    for a, b, num, den in pieces:
+        below, above = _range_violation(num, den, a, b)
+        if below:
             return CCReport("no", None, f"f < 0 somewhere on [{a},{b}]")
-        if not certify_nonneg((piece.den - piece.num) * piece.den, a, b):
+        if above:
             return CCReport("no", None, f"f > 1 somewhere on [{a},{b}]")
     if f.is_constant():
         return CCReport("yes", None, "constant function")
@@ -272,22 +290,36 @@ def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
                                 f"interior {what} inside ({a},{b})")
 
     half = Fraction(1, 2)
-    for n in range(1, n_max + 1):
-        ok = True
-        for a, b, piece in f.pieces:
-            if a < half:
-                if not _certify_piece_bound(piece, P_POLY ** n, a, min(b, half)):
-                    ok = False
-                    break
-            if b > half:
-                if not _certify_piece_bound(piece, ONE_MINUS_P ** n,
-                                            max(a, half), b):
-                    ok = False
-                    break
-        if ok:
-            return CCReport("yes", n, f"min(f,1-f) >= min(p^{n},(1-p)^{n})")
-    return CCReport("no_witness_found", None,
-                    f"no polynomial bound witness with n <= {n_max}")
+
+    def bounded(n: int) -> bool:
+        for a, b, num, den in pieces:
+            if a < half and not _bound_holds(num, den, [0] * n + den,
+                                             a, min(b, half)):
+                return False
+            if b > half and not _bound_holds(
+                    num, den, int_mul(_one_minus_p_pow(n), den),
+                    max(a, half), b):
+                return False
+        return True
+
+    # p^n and (1-p)^n fall as n grows, so bounded() is monotone in n: gallop
+    # to the first power of two that holds, then bisect for the least n
+    not_found = CCReport("no_witness_found", None,
+                         f"no polynomial bound witness with n <= {n_max}")
+    if n_max < 1:
+        return not_found
+    failed, n = 0, 1
+    while not bounded(n):
+        if n >= n_max:
+            return not_found
+        failed, n = n, min(2 * n, n_max)
+    while n - failed > 1:
+        mid = (failed + n) // 2
+        if bounded(mid):
+            n = mid
+        else:
+            failed = mid
+    return CCReport("yes", n, f"min(f,1-f) >= min(p^{n},(1-p)^{n})")
 
 
 # -- classifier: QC part (SPB certificates) --------------------------------
@@ -333,15 +365,21 @@ class QCReport:
                 "ones": [e.to_json() for e in self.ones]}
 
 
-def _f_of_h(h: FieldElem, x: float) -> float:
-    try:
-        v = fe_eval(h, x)
-    except ZeroDivisionError:
-        return 1.0
-    m = abs(v) ** 2
-    if math.isinf(m):
-        return 1.0
-    return m / (1.0 + m)
+def _f_evaluator(h: FieldElem):
+    """x -> f(x) = |h(x)|^2/(1 + |h(x)|^2) in floats; 1.0 at a pole of h
+    and where |h(x)|^2 passes the float range."""
+    h_at = h.evaluator()
+
+    def f(x: float) -> float:
+        try:
+            m = abs(h_at(x)) ** 2
+        except (ZeroDivisionError, OverflowError):
+            return 1.0
+        if math.isinf(m):
+            return 1.0
+        return m / (1.0 + m)
+
+    return f
 
 
 def _candidate_points(h: FieldElem):
@@ -374,6 +412,7 @@ def classify_qc(h: FieldElem) -> QCReport:
 
     positions = [float(z) if isinstance(z, Fraction) else z.approx()
                  for z, _, _ in found]
+    f_at = _f_evaluator(h)
     zeros: list[SPBEntry] = []
     ones: list[SPBEntry] = []
     for i, (z, n, residual) in enumerate(found):
@@ -388,7 +427,7 @@ def classify_qc(h: FieldElem) -> QCReport:
             p = grid_lo + (j + 0.5) * (grid_hi - grid_lo) / 200
             if abs(p - x) < 1e-12:
                 continue
-            fv = _f_of_h(h, p)
+            fv = f_at(p)
             if n < 0:
                 fv = 1.0 - fv
             vals.append(fv / abs(p - x) ** (2 * k))
@@ -402,6 +441,7 @@ def classify_qc(h: FieldElem) -> QCReport:
 def verify_spb(h: FieldElem, report: QCReport) -> bool:
     """Independent re-check of an SPB certificate: recompute each vanishing
     order exactly and test the lower bound on a fresh grid."""
+    f_at = _f_evaluator(h)
     for entry in report.zeros + report.ones:
         if isinstance(entry.point, Fraction):
             res = vanishing_order(h, entry.point)
@@ -418,7 +458,7 @@ def verify_spb(h: FieldElem, report: QCReport) -> bool:
             # the window may reach an end of [0, 1], where h is not defined
             if abs(p - x) < 1e-12 or not 0 < p < 1:
                 continue
-            fv = _f_of_h(h, p)
+            fv = f_at(p)
             if entry.kind == "one":
                 fv = 1.0 - fv
             if fv + 1e-15 < entry.c * abs(p - x) ** (2 * entry.k):

@@ -8,6 +8,7 @@ stderr. decide exits 0 when simulable, 2 when not, 1 on bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -351,7 +352,10 @@ def cmd_fixtures(args) -> int:
     return 0 if all(ok for _, ok in rows) else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building it costs more than a short command."""
     parser = argparse.ArgumentParser(
         prog="coinfield",
         description="Exact toolkit for quantum-coin amplitude ratios: decide "
@@ -409,8 +413,11 @@ def main(argv=None) -> int:
 
     add("fixtures", cmd_fixtures,
         help="run the worked-example suite, print a PASS/FAIL table")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ZeroDivisionError, lang.DegreeLimitError) as err:

@@ -7,6 +7,7 @@ polynomial coefficients, no floating point in any decision path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,11 @@ TAU = RatFn(Poly((0, 1)), Poly((1, -1)))
 W_SQUARED = Poly((0, 1, -1))
 
 ONE_MINUS_P = Poly((1, -1))
+
+# Above this many bits a coefficient is scaled down before it becomes a
+# float: a Horner sum of a few hundred terms below 2^961 at |x| < 1 stays
+# below 2^1024, where the float range ends.
+_FLOAT_BITS = 960
 
 
 def w_mul(a, b):
@@ -180,14 +186,44 @@ class FieldElem:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, p0: Fraction | float) -> complex:
-        x = float(p0)
-        if not 0 < x < 1:
-            raise ValueError("coin bias must lie strictly inside (0, 1)")
-        c = self.C.eval_complex(x)
-        if c == 0:
-            raise ZeroDivisionError(f"pole at p = {x}")
-        w0 = (x * (1 - x)) ** 0.5
-        return (self.A.eval_complex(x) + self.B.eval_complex(x) * w0) / c
+        return self.evaluator()(float(p0))
+
+    def evaluator(self):
+        """x -> the value at float x in (0, 1), for many x: A, B and C
+        become complex coefficient tuples once. When a coefficient is too
+        long for a float, all of them are scaled by one common power of two,
+        which leaves (A + B*w)/C as it is; unscaled, each value is the one
+        Poly.eval_complex gives, by the same operations in the same order."""
+        parts = (self.A, self.B, self.C)
+        top = max((x.numerator.bit_length() - x.denominator.bit_length()
+                   for f in parts for c in f.coeffs
+                   for x in (c.a, c.b, c.c, c.d) if x), default=0)
+        shift = max(0, top - _FLOAT_BITS)
+        s2 = math.sqrt(2.0)
+
+        def flt(x: Fraction) -> float:
+            return x.numerator / (x.denominator << shift)
+
+        a, b, c = (tuple(complex(flt(k.a) + flt(k.b) * s2,
+                                 flt(k.c) + flt(k.d) * s2)
+                         for k in reversed(f.coeffs)) for f in parts)
+
+        def horner(cs: tuple, x: float) -> complex:
+            out = 0j
+            for k in cs:
+                out = out * x + k
+            return out
+
+        def at(x: float) -> complex:
+            if not 0 < x < 1:
+                raise ValueError("coin bias must lie strictly inside (0, 1)")
+            cv = horner(c, x)
+            if cv == 0:
+                raise ZeroDivisionError(f"pole at p = {x}")
+            w0 = (x * (1 - x)) ** 0.5
+            return (horner(a, x) + horner(b, x) * w0) / cv
+
+        return at
 
     # -- rendering ---------------------------------------------------------
 

@@ -274,9 +274,19 @@ def gcd_many(polys: list[Poly]) -> Poly:
 def canonical(den: Poly, *nums: Poly) -> tuple[Poly, ...]:
     """The parts of the fraction (nums...)/den, nonzero den, in canonical
     form: all divided by the monic gcd of den and every numerator, then
-    scaled so den is monic. Returns (den, *nums)."""
+    scaled so den is monic. Returns (den, *nums). Real parts that need a
+    gcd take the integer core; the canonical form is unique, so both paths
+    return the same parts."""
     if not any(nums):
         return (ONE_POLY, *nums)
+    if den.degree > 0 and any(f.degree > 0 for f in nums) \
+            and not any(c.c or c.d for f in (den, *nums) for c in f.coeffs):
+        return _canonical_real(den, nums)
+    return _canonical_euclid(den, nums)
+
+
+def _canonical_euclid(den: Poly, nums: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """canonical() by Euclidean gcds over the scalar field."""
     g = den
     for f in nums:
         if g.degree > 0 and f:
@@ -289,6 +299,19 @@ def canonical(den: Poly, *nums: Poly) -> tuple[Poly, ...]:
         linv = lc.inverse()
         parts = tuple(f * linv for f in parts)
     return parts
+
+
+def _canonical_real(den: Poly, nums: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """canonical() for real parts, den and some numerator nonconstant."""
+    parts = int_parts((den, *nums))
+    g = parts[0]
+    for f in parts[1:]:
+        if len(g) > 1 and f:
+            g = _gcd(f, g) if len(f) > 1 else [1]
+    if len(g) > 1:
+        parts = [_exquo(f, g) for f in parts]
+    lc = parts[0][-1]
+    return tuple(_from_int(f, lc) if f else Poly() for f in parts)
 
 
 class RatFn:
@@ -428,7 +451,10 @@ ONE_RF = RatFn(ONE_POLY)
 # with a sqrt2 part. A real Poly enters once, through _to_int, as a primitive
 # positive multiple of itself, so signs and roots are those of the Poly, and
 # leaves through _from_int as a monic Poly. Every gcd is primitive, so by
-# Gauss's lemma every exact quotient stays integral.
+# Gauss's lemma every exact quotient stays integral. int_parts brings several
+# Polys in at one common positive scale, for callers that combine them with
+# int_mul and int_sub before certify_nonneg_int; canonical() takes its real
+# gcds here.
 
 
 class _Z2:
@@ -526,26 +552,34 @@ def _primitive(f: list) -> list:
     return [c // (g if g.sign() > 0 else -g) for c in f]
 
 
+def int_parts(polys, not_real: str = "") -> list[list]:
+    """Real polys as integer lists at one common positive scale, over
+    Z[sqrt2] for all of them when one has a sqrt2 part; raises
+    ValueError(not_real) for a non-real poly."""
+    cs = [c for f in polys for c in f.coeffs]
+    if any(c.c or c.d for c in cs):
+        raise ValueError(not_real)
+    if any(c.b for c in cs):
+        den = math.lcm(*(x.denominator for c in cs for x in (c.a, c.b)))
+        return [[_Z2(c.a.numerator * (den // c.a.denominator),
+                     c.b.numerator * (den // c.b.denominator))
+                 for c in f.coeffs] for f in polys]
+    den = math.lcm(*(c.a.denominator for c in cs))
+    return [[c.a.numerator * (den // c.a.denominator) for c in f.coeffs]
+            for f in polys]
+
+
 def _to_int(f: Poly, not_real: str) -> list:
     """The primitive integer form of real f, a positive multiple of it;
     raises ValueError(not_real) for a non-real f."""
-    if not f.is_real():
-        raise ValueError(not_real)
-    cs = f.coeffs
-    if any(c.b for c in cs):
-        den = math.lcm(*(x.denominator for c in cs for x in (c.a, c.b)))
-        out = [_Z2(c.a.numerator * (den // c.a.denominator),
-                   c.b.numerator * (den // c.b.denominator)) for c in cs]
-    else:
-        den = math.lcm(*(c.a.denominator for c in cs))
-        out = [c.a.numerator * (den // c.a.denominator) for c in cs]
-    return _primitive(out)
+    return _primitive(int_parts((f,), not_real)[0])
 
 
-def _from_int(f: list) -> Poly:
-    """The monic Poly of nonzero f."""
-    lc = f[-1]
-    if not any(type(c) is _Z2 for c in f):
+def _from_int(f: list, lc=None) -> Poly:
+    """The Poly f/lc, for nonzero lc; by default lc is the leading
+    coefficient of f, which makes the Poly monic."""
+    lc = f[-1] if lc is None else lc
+    if type(lc) is int and not any(type(c) is _Z2 for c in f):
         return Poly([Fraction(c, lc) for c in f])
     lc = lc if type(lc) is _Z2 else _Z2(lc)
     n, conj = lc.norm(), _Z2(lc.a, -lc.b)
@@ -557,10 +591,21 @@ def _deriv(f: list) -> list:
     return [k * c for k, c in enumerate(f) if k]
 
 
-def _sub(f: list, g: list) -> list:
+def int_sub(f: list, g: list) -> list:
     n = max(len(f), len(g))
     f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
     return _trim([x - y for x, y in zip(f, g)])
+
+
+def int_mul(f: list, g: list) -> list:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for j, x in enumerate(f):
+        if x:
+            for k, y in enumerate(g):
+                out[j + k] += x * y
+    return out
 
 
 def _prem(f: list, g: list) -> list:
@@ -641,7 +686,7 @@ def _yun(f: list) -> list[tuple[list, int]]:
     df = _deriv(f)
     g = _gcd(f, df)
     b = _exquo(f, g)
-    d = _sub(_exquo(df, g), _deriv(b))
+    d = int_sub(_exquo(df, g), _deriv(b))
     out = []
     i = 1
     while len(b) > 1:
@@ -649,7 +694,7 @@ def _yun(f: list) -> list[tuple[list, int]]:
         if len(a) > 1:
             out.append((a, i))
         b = _exquo(b, a)
-        d = _sub(_exquo(d, a), _deriv(b))
+        d = int_sub(_exquo(d, a), _deriv(b))
         i += 1
     return out
 
@@ -774,7 +819,16 @@ def certify_nonneg(f: Poly, a: Fraction | int, b: Fraction | int) -> bool:
         raise ValueError("need a < b")
     if f.is_zero():
         return True
-    fi = _to_int(f, "nonnegativity certification requires real coefficients")
+    return certify_nonneg_int(
+        _to_int(f, "nonnegativity certification requires real coefficients"),
+        a, b)
+
+
+def certify_nonneg_int(fi: list, a: Fraction, b: Fraction) -> bool:
+    """certify_nonneg for an integer list fi over Z or Z[sqrt2], at any
+    positive scale, and rational a < b."""
+    if not fi:
+        return True
     # the squarefree factors are coprime: count each odd one on its own
     if any(_count_open(g, a, b) for g, m in _yun(fi) if m % 2 == 1):
         return False

@@ -15,7 +15,7 @@ from coinfield.field import (FE_ZERO, FieldElem, INFINITY, fe_eval,
                              fe_mod_squared, fe_mul)
 from coinfield.lang import NotInFieldError, lower, parse
 from coinfield.polys import P as P_POLY
-from coinfield.polys import Poly, RatFn
+from coinfield.polys import Poly, RatFn, certify_nonneg
 from coinfield.scalars import ONE, Scalar
 
 TWO_COIN_F = "(1-2*p)^2/(1+(1-2*p)^2)"
@@ -256,6 +256,57 @@ def test_cc_witness_scales_with_flatness():
     assert small.verdict == "no_witness_found"
     full = classify_cc(f)
     assert full.verdict == "yes" and full.witness_n >= 6
+
+
+def test_cc_witness_matches_linear_search():
+    # classify_cc gallops and bisects for the least witness n; the reference
+    # tries n = 1, 2, ... in turn on Polys through certify_nonneg
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    half = Fraction(1, 2)
+    one_minus_p = Poly.const(ONE) - P_POLY
+
+    def holds(f, n):
+        for a, b, piece in f.pieces:
+            num, den = piece.num, piece.den
+            for lo, hi, bound in ((a, min(b, half), P_POLY ** n),
+                                  (max(a, half), b, one_minus_p ** n)):
+                if lo < hi and not (
+                        certify_nonneg((num - bound * den) * den, lo, hi)
+                        and certify_nonneg((den - num - bound * den) * den,
+                                           lo, hi)):
+                    return False
+        return True
+
+    def linear(f, n_max):
+        for n in range(1, n_max + 1):
+            if holds(f, n):
+                return "yes", n
+        return "no_witness_found", None
+
+    @st.composite
+    def case(draw):
+        # f = k p^m / ((1-p)^j + k p^m): in (0, 1) inside, f ~ k p^m at 0 and
+        # 1 - f ~ (1-p)^j / k at 1, so the witness grows with m, j and |log k|
+        k = Fraction(draw(st.integers(1, 64)), draw(st.integers(1, 64)))
+        k = Scalar(0, k) if draw(st.booleans()) else Scalar(k)
+        m, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        hypothesis.assume(m + j > 0)
+        num = Poly.const(k) * P_POLY ** m
+        f = RatFn(num, one_minus_p ** j + num)
+        cut = draw(st.sampled_from([None, Fraction(1, 4), half,
+                                    Fraction(3, 4)]))
+        pieces = [(0, 1, f)] if cut is None else [(0, cut, f), (cut, 1, f)]
+        return PiecewiseFn(pieces), draw(st.integers(0, 12))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(case())
+    def check(args):
+        f, n_max = args
+        rep = classify_cc(f, n_max=n_max)
+        assert (rep.verdict, rep.witness_n) == linear(f, n_max)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,50 @@ def test_long_literal_gets_a_verdict(capsys, argv):
     assert out.startswith("CC: yes" if argv[0] == "classify" else "simulable: no")
 
 
+def test_huge_coefficient_classify_gets_a_verdict(capsys):
+    # h = 10^400 p: its coefficients overflow a float, so the QC grid scales
+    # A, B and C first; f/(1-f) = 10^800 p^2 leaves no CC witness n <= 64
+    f = f"(({BIG}*p)^2)/(1+({BIG}*p)^2)"
+    code, out, err = run_cli(capsys, "classify", f)
+    assert code == 0 and not err
+    cc, qc, qq = out.splitlines()
+    assert cc == "CC: no_witness_found  [no polynomial bound witness with n <= 64]"
+    assert qc == "QC: yes  [zeros: 0 order 2 k=1; ones: none]"
+    assert qq.startswith(f"QQ: yes (witness {BIG}*p)")
+
+
+def _fresh_env():
+    import os
+    import coinfield
+    src = os.path.dirname(os.path.dirname(coinfield.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_reused_parser_matches_fresh_processes(capsys):
+    # main() builds its parser once per process; a flag from one call must
+    # not reach the next
+    import subprocess
+    f = "(p+1)/(p+2)"
+    witness = "(t + 1/sqrt2 + i*(t - 1/sqrt2))/(t + i)"
+    calls = [("classify", f, "--witness", witness, "--json"),
+             ("classify", f, "--json"),
+             ("classify", f, "--no-complex-witness")]
+    here = [run_cli(capsys, *argv)[:2] for argv in calls]
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "coinfield.cli", *argv],
+                              env=_fresh_env(), capture_output=True,
+                              text=True, timeout=60)
+        fresh.append((done.returncode, done.stdout))
+    assert here == fresh
+    verdicts = [json.loads(out)["qq"]["verdict"] for _, out in here[:2]]
+    assert verdicts == ["yes", "unknown"]
+    assert here[2][1].splitlines()[-1].startswith("QQ: no ")
+
+
 def test_run_json_without_completed_trials_is_valid(capsys):
     from coinfield.synth import program_to_json, worked_example_program
     prog_json = json.dumps(program_to_json(worked_example_program()))

@@ -135,6 +135,28 @@ def test_eval_is_r_plus_s_t():
         assert abs(fe_eval(h, p0) - want) < 1e-8
 
 
+def test_evaluator_matches_poly_horner():
+    # the same floats as Horner's rule through Poly.eval_complex, bit for bit
+    rnd = random.Random(8)
+    for _ in range(20):
+        h = random_elem(rnd)
+        at = h.evaluator()
+        for x in (0.05, 0.3, 0.5, 0.77):
+            c = h.C.eval_complex(x)
+            if c == 0:
+                continue
+            w0 = (x * (1 - x)) ** 0.5
+            assert at(x) == (h.A.eval_complex(x)
+                             + h.B.eval_complex(x) * w0) / c
+
+
+def test_eval_scales_coefficients_past_float_range():
+    # 10^400 overflows a float; scaled by a power of two it cancels exactly
+    h = FieldElem(RatFn(Poly((-5 * 10 ** 399, 10 ** 400))))
+    assert fe_eval(h, 0.5) == 0
+    assert fe_eval(h * FieldElem.coin(), 0.5) == 0
+
+
 def test_mod_squared_matches_abs():
     rnd = random.Random(21)
     for _ in range(20):

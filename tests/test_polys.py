@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, certify_nonneg,
-                             isolate_roots, is_square, poly_gcd, rational_roots,
+from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, _canonical_euclid,
+                             _canonical_real, certify_nonneg, isolate_roots,
+                             is_square, poly_gcd, rational_roots,
                              split_rational_roots, square_test,
                              squarefree_decompose, sturm_count)
 from coinfield.scalars import ONE, SQRT2, Scalar
@@ -460,5 +461,63 @@ def test_sturm_and_nonneg_match_sympy(sqrt2):
         assert sturm_count(f, a, b) == distinct_inside(g, a, b)
         assert certify_nonneg(f, a, b) == nonneg(g, a, b)
         assert certify_nonneg(f * f, a, b)
+
+    check()
+
+
+@pytest.mark.parametrize("sqrt2", [False, True])
+def test_canonical_integer_path_matches_euclid(sqrt2):
+    # real parts take _canonical_real; the canonical form is unique, so it
+    # must equal the Euclidean path over the scalar field
+    hypothesis, st, sympy, poly, to_sympy, settings = _sympy_oracle(sqrt2)
+
+    @settings
+    @hypothesis.given(poly(2), poly(2), poly(2), poly(2), st.booleans())
+    def check(den, a, b, shared, b_zero):
+        den, a = den * shared, a * shared
+        nums = (a, Poly() if b_zero else b * shared)
+        got = _canonical_real(den, nums)
+        assert got == _canonical_euclid(den, nums)
+        assert got[0].leading == ONE
+
+    check()
+
+
+def test_gcd_over_gaussian_sqrt2_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    QQ = sympy.QQ
+    K = QQ.algebraic_field(sympy.sqrt(2), sympy.I)
+    # build elements from the two generators: converting each coefficient
+    # from a sympy expression takes seconds
+    r2, i = K.from_sympy(sympy.sqrt(2)), K.from_sympy(sympy.I)
+    assert K.to_sympy(r2 * r2) == 2 and K.to_sympy(i * i) == -1
+    frac = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    scalar = st.builds(Scalar, frac, frac, frac, frac)
+
+    @st.composite
+    def poly(draw):
+        f = Poly.const(draw(scalar.filter(bool)))
+        for _ in range(draw(st.integers(0, 2))):
+            f = f * Poly((-draw(scalar), ONE)) ** draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            f = f * Poly((draw(scalar), draw(scalar), ONE))
+        return f
+
+    def to_sympy(f):
+        def q(v):
+            return K.convert(QQ(v.numerator, v.denominator))
+        return sympy.Poly.from_list(
+            [q(c.a) + q(c.b) * r2 + q(c.c) * i + q(c.d) * i * r2
+             for c in reversed(f.coeffs)], x, domain=K)
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(poly(), poly(), poly())
+    def check(f, g, h):
+        # a shared factor h makes the gcd nontrivial
+        f, g = f * h, g * h
+        assert to_sympy(poly_gcd(f, g)) == to_sympy(f).gcd(to_sympy(g)).monic()
 
     check()
