@@ -20,24 +20,34 @@ from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
 from .lang import Expr, NotInFieldError, field_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, certify_nonneg_int,
                     int_mul, int_parts, int_sub, isolate_roots, sturm_count)
-from .scalars import Scalar
+from .scalars import Scalar, read_rational
 
 __all__ = [
-    "PiecewiseFn", "parse_piecewise", "RatioDecision", "decide_qq_ratio",
-    "CorollaryResult", "decide_real_corollary", "check_phased_witness",
-    "CCReport", "classify_cc", "SPBEntry", "QCReport", "classify_qc",
-    "verify_spb", "QQReport", "classify_qq", "ClassReport", "classify",
+    "read_real_ratfn", "PiecewiseFn", "parse_piecewise", "RatioDecision",
+    "decide_qq_ratio", "CorollaryResult", "decide_real_corollary",
+    "check_phased_witness", "CCReport", "classify_cc", "SPBEntry",
+    "QCReport", "classify_qc", "verify_spb", "QQReport", "classify_qq",
+    "ClassReport", "classify",
 ]
 
 
-# -- piecewise probability functions ---------------------------------------
+# -- probability functions -------------------------------------------------
+
+def read_real_ratfn(text: str) -> RatFn:
+    """The real rational function of p that an expression lowers to."""
+    h = lower(parse(text))
+    if not h.s.is_zero() or not h.r.is_real():
+        raise ValueError("not a real rational function of p")
+    return h.r
+
 
 class PiecewiseFn:
     """Real rational pieces on a rational partition of [0,1]; intervals are
     closed-open except the last, which is closed. Pieces must be pole-free
-    on the closure of their interval."""
+    on the closure of their interval. range_fault says where the first
+    piece that leaves [0,1] does so, or is None when f maps into [0,1]."""
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "range_fault")
 
     def __init__(self, pieces):
         pieces = tuple((Fraction(a), Fraction(b), f) for a, b, f in pieces)
@@ -56,6 +66,9 @@ class PiecewiseFn:
                     or sturm_count(f.den, a, b) > 0:
                 raise ValueError(f"piece on [{a},{b}] has a pole")
         self.pieces = pieces
+        self.range_fault = next(filter(None, (
+            _range_fault(a, b, *int_parts((f.num, f.den)))
+            for a, b, f in pieces)), None)
 
     @staticmethod
     def from_ratfn(f: RatFn) -> "PiecewiseFn":
@@ -110,14 +123,9 @@ def parse_piecewise(text: str) -> PiecewiseFn:
         m = _PIECE_LINE.match(ln)
         if m is None:
             raise ValueError(f"bad piece line: {ln!r}")
-        a, b = Fraction(m.group(1)), Fraction(m.group(2))
-        h = lower(parse(m.group(4)))
-        if not h.s.is_zero() or not h.r.is_real():
-            raise ValueError(f"piece {m.group(4)!r} is not a real rational "
-                             "function of p")
-        pieces.append((a, b, h.r))
-        closed = m.group(3) == "]"
-        if closed != (ln is lines[-1]):
+        pieces.append((read_rational(m.group(1)), read_rational(m.group(2)),
+                       read_real_ratfn(m.group(4))))
+        if (m.group(3) == "]") != (ln is lines[-1]):
             raise ValueError("only the last interval is closed on the right")
     return PiecewiseFn(pieces)
 
@@ -174,16 +182,15 @@ def decide_real_corollary(f: RatFn) -> CorollaryResult:
     """Decide membership for a real probability function via real square
     roots: f is realizable from real-form ratios iff u = f/(1-f) is q^2 or
     q^2 * p/(1-p). The returned h satisfies |h|^2 = u exactly."""
-    if not f.is_real():
-        raise ValueError("the real decision takes a real rational function")
-    if not f.den.eval_exact(0) or not f.den.eval_exact(1) \
-            or sturm_count(f.den, 0, 1) > 0:
-        raise ValueError("f must be pole-free on [0,1]")
-    below, above = _range_violation(*int_parts((f.num, f.den)), 0, 1)
-    if below:
-        raise ValueError("range violation: f is negative somewhere on [0,1]")
-    if above:
-        raise ValueError("range violation: f exceeds 1 somewhere on [0,1]")
+    # from_ratfn refuses an f that is not real or has a pole on [0,1]
+    fault = PiecewiseFn.from_ratfn(f).range_fault
+    if fault:
+        raise ValueError(f"range violation: {fault}")
+    return _square_root_witness(f)
+
+
+def _square_root_witness(f: RatFn) -> CorollaryResult:
+    """decide_real_corollary for an f known to map [0,1] into [0,1]."""
     if f == ONE_RF:
         return CorollaryResult(True, INFINITY,
                                "f is identically 1: degenerate ratio, state |0>")
@@ -219,10 +226,6 @@ class CCReport:
     witness_n: int | None
     reason: str
 
-    @property
-    def in_cc(self) -> bool:
-        return self.verdict == "yes"
-
     def to_json(self) -> dict:
         return {"verdict": self.verdict, "witness_n": self.witness_n,
                 "reason": self.reason}
@@ -232,11 +235,14 @@ class CCReport:
 # D with num/den = N/D at one positive scale, so every sign condition below
 # is certify_nonneg_int on an integer product: g/den >= 0 iff g*D >= 0.
 
-def _range_violation(num: list, den: list, lo: Fraction, hi: Fraction
-                     ) -> tuple[bool, bool]:
-    """(f < 0 somewhere, f > 1 somewhere) on [lo, hi] for f = num/den."""
-    return (not certify_nonneg_int(int_mul(num, den), lo, hi),
-            not certify_nonneg_int(int_mul(int_sub(den, num), den), lo, hi))
+def _range_fault(lo: Fraction, hi: Fraction, num: list, den: list
+                 ) -> str | None:
+    """Where f = num/den leaves [0,1] on [lo, hi], or None if it does not."""
+    if not certify_nonneg_int(int_mul(num, den), lo, hi):
+        return f"f < 0 somewhere on [{lo},{hi}]"
+    if not certify_nonneg_int(int_mul(int_sub(den, num), den), lo, hi):
+        return f"f > 1 somewhere on [{lo},{hi}]"
+    return None
 
 
 def _bound_holds(num: list, den: list, bound_den: list, lo: Fraction,
@@ -260,14 +266,8 @@ def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
     for (a, b, f1), (_, _, f2) in zip(f.pieces, f.pieces[1:]):
         if f1.eval_exact(b) != f2.eval_exact(b):
             return CCReport("no", None, f"discontinuous at p = {b}")
-    pieces = [(a, b, *int_parts((piece.num, piece.den)))
-              for a, b, piece in f.pieces]
-    for a, b, num, den in pieces:
-        below, above = _range_violation(num, den, a, b)
-        if below:
-            return CCReport("no", None, f"f < 0 somewhere on [{a},{b}]")
-        if above:
-            return CCReport("no", None, f"f > 1 somewhere on [{a},{b}]")
+    if f.range_fault:
+        return CCReport("no", None, f.range_fault)
     if f.is_constant():
         return CCReport("yes", None, "constant function")
 
@@ -290,6 +290,8 @@ def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
                                 f"interior {what} inside ({a},{b})")
 
     half = Fraction(1, 2)
+    pieces = [(a, b, *int_parts((piece.num, piece.den)))
+              for a, b, piece in f.pieces]
 
     def bounded(n: int) -> bool:
         for a, b, num, den in pieces:
@@ -483,15 +485,18 @@ class QQReport:
 def classify_qq(f: PiecewiseFn, witness: FieldElem | None = None,
                 no_complex_witness: bool = False) -> QQReport:
     """Quantum-to-quantum membership, deliberately three-valued. Yes with a
-    checked witness; no by the identity-theorem rule (constant on a
-    subinterval, nonconstant overall) or, for a single rational piece with
-    no real-form square root, when the caller asserts no complex witness
-    exists; unknown otherwise."""
+    checked witness; no when f leaves [0,1], by the identity-theorem rule
+    (constant on a subinterval, nonconstant overall) or, for a single
+    rational piece with no real-form square root, when the caller asserts
+    no complex witness exists; unknown otherwise."""
     single = f.single_ratfn()
 
     if witness is not None and single is not None \
             and check_phased_witness(witness, single):
         return QQReport("yes", witness, "supplied witness checks: |h|^2 = f/(1-f)")
+    if f.range_fault:
+        return QQReport("no", None,
+                        f"not a probability function: {f.range_fault}")
 
     if f.is_constant():
         value = f.pieces[0][2].constant_value()
@@ -499,6 +504,9 @@ def classify_qq(f: PiecewiseFn, witness: FieldElem | None = None,
             return QQReport("yes", INFINITY, "constant 1: the state |0>")
         if not value:
             return QQReport("yes", FE_ZERO, "constant 0: the state |1>")
+        if not value.is_rational():
+            return QQReport("yes", None, "constant coin with an irrational "
+                            "bias; its ratio is not sought")
         frac = value.as_fraction()
         root = sqrt_in_scalar_field(frac / (1 - frac))
         if root is not None:
@@ -519,7 +527,7 @@ def classify_qq(f: PiecewiseFn, witness: FieldElem | None = None,
                         "applies")
 
     if single.is_rational():
-        cor = decide_real_corollary(single)
+        cor = _square_root_witness(single)
         if cor.simulable:
             return QQReport("yes", cor.h, cor.reason)
         if no_complex_witness:

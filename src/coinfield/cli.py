@@ -2,28 +2,25 @@
 simulate, run, cost, fixtures.
 
 Reports go to stdout (add --json for machine parsing), diagnostics to
-stderr. decide exits 0 when simulable, 2 when not, 1 on bad input.
+stderr. decide, corollary and compile exit 2 for "not simulable"; main alone
+turns bad input, usage errors included, into one stderr line and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import analysis, lang, sim, synth
+from . import analysis, lang, scalars, sim, synth
 from .field import FieldElem, Infinity
-from .lang import NotInFieldError, ParseError
 
 __all__ = ["main"]
-
-
-def _fail(msg: str, code: int) -> int:
-    print(msg, file=sys.stderr)
-    return code
 
 
 def _ast_json(e: lang.Expr):
@@ -48,18 +45,11 @@ def _f_spec(spec: str) -> analysis.PiecewiseFn:
     """A probability function, from a piecewise file or a single expression."""
     if os.path.exists(spec):
         return analysis.parse_piecewise(open(spec).read())
-    h = lang.lower(lang.parse(spec))
-    if not h.s.is_zero() or not h.r.is_real():
-        raise ValueError("probability function must be a real rational "
-                         "function of p")
-    return analysis.PiecewiseFn.from_ratfn(h.r)
+    return analysis.PiecewiseFn.from_ratfn(analysis.read_real_ratfn(spec))
 
 
 def cmd_parse(args) -> int:
-    try:
-        e = lang.parse(args.expr)
-    except ParseError as err:
-        return _fail(f"parse error: {err}", 1)
+    e = lang.parse(args.expr)
     if args.json:
         print(json.dumps({"printed": lang.print_expr(e), "ast": _ast_json(e)}))
     else:
@@ -68,40 +58,22 @@ def cmd_parse(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    try:
-        d = analysis.decide_qq_ratio(args.expr)
-    except ParseError as err:
-        return _fail(f"parse error: {err}", 1)
+    d = analysis.decide_qq_ratio(args.expr)
     if args.json:
         print(json.dumps(d.to_json()))
+    elif d.simulable:
+        print("simulable: yes")
+        print(f"element: {d.element}")
+        for k, g in enumerate(d.witness, 1):
+            print(f"g{k}: {g}")
     else:
-        if d.simulable:
-            g1, g2, g3, g4 = d.witness
-            print("simulable: yes")
-            print(f"element: {d.element}")
-            print(f"g1: {g1}")
-            print(f"g2: {g2}")
-            print(f"g3: {g3}")
-            print(f"g4: {g4}")
-        else:
-            print("simulable: no")
-            print(f"diagnosis: {d.diagnosis}")
+        print("simulable: no")
+        print(f"diagnosis: {d.diagnosis}")
     return 0 if d.simulable else 2
 
 
 def cmd_corollary(args) -> int:
-    try:
-        h = lang.lower(lang.parse(args.expr))
-    except ParseError as err:
-        return _fail(f"parse error: {err}", 1)
-    except NotInFieldError as err:
-        return _fail(f"not a rational probability function: {err}", 1)
-    if not h.s.is_zero() or not h.r.is_real():
-        return _fail("corollary takes a real rational function of p", 1)
-    try:
-        res = analysis.decide_real_corollary(h.r)
-    except ValueError as err:
-        return _fail(str(err), 1)
+    res = analysis.decide_real_corollary(analysis.read_real_ratfn(args.expr))
     if args.json:
         print(json.dumps(res.to_json()))
     else:
@@ -113,16 +85,9 @@ def cmd_corollary(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        f = _f_spec(args.fspec)
-    except (ParseError, NotInFieldError, ValueError, OSError) as err:
-        return _fail(f"bad probability function: {err}", 1)
-    witness = None
-    if args.witness is not None:
-        try:
-            witness = lang.lower(lang.parse(args.witness))
-        except (ParseError, NotInFieldError) as err:
-            return _fail(f"bad witness: {err}", 1)
+    f = _f_spec(args.fspec)
+    witness = (None if args.witness is None
+               else lang.lower(lang.parse(args.witness)))
     report = analysis.classify(f, witness=witness,
                                no_complex_witness=args.no_complex_witness)
     if args.json:
@@ -134,10 +99,10 @@ def cmd_classify(args) -> int:
     if report.qc is None:
         print("QC: not computed (no ratio witness available)")
     else:
-        zs = ", ".join(f"{e.to_json()['point'] if isinstance(e.point, Fraction) else round(e.position(), 6)}"
-                       f" order {e.order} k={e.k}" for e in report.qc.zeros) or "none"
-        ws = ", ".join(f"{e.to_json()['point'] if isinstance(e.point, Fraction) else round(e.position(), 6)}"
-                       f" order {e.order} k={e.k}" for e in report.qc.ones) or "none"
+        zs, ws = (", ".join(
+            f"{e.point if isinstance(e.point, Fraction) else round(e.position(), 6)}"
+            f" order {e.order} k={e.k}" for e in es) or "none"
+            for es in (report.qc.zeros, report.qc.ones))
         print(f"QC: yes  [zeros: {zs}; ones: {ws}]")
     qq = report.qq
     w = f" (witness {qq.witness})" if qq.witness is not None else ""
@@ -148,46 +113,31 @@ def cmd_classify(args) -> int:
 def cmd_compile(args) -> int:
     try:
         h = lang.lower(lang.parse(args.expr))
-    except ParseError as err:
-        return _fail(f"parse error: {err}", 1)
-    except NotInFieldError as err:
-        return _fail(f"not simulable: {err}", 2)
+    except lang.NotInFieldError as err:
+        print(f"not simulable: {err}", file=sys.stderr)
+        return 2
     prog = synth.compile(h)
     print(json.dumps(synth.program_to_json(prog), indent=None if args.json else 2))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    try:
-        prog = _read_program(args.program)
-    except (ValueError, OSError) as err:
-        return _fail(f"bad program: {err}", 1)
-    try:
-        ratio = sim.run_symbolic(prog)
-    except sim.PostselectionError as err:
-        return _fail(f"postselection error: {err}", 1)
+    ratio = sim.run_symbolic(_read_program(args.program))
     if args.json:
-        if isinstance(ratio, Infinity):
-            print(json.dumps({"ratio": "inf"}))
-        else:
-            print(json.dumps({"ratio": str(ratio), "r": str(ratio.r),
-                              "s": str(ratio.s)}))
+        out = {"ratio": str(ratio)}
+        if not isinstance(ratio, Infinity):
+            out.update(r=str(ratio.r), s=str(ratio.s))
+        print(json.dumps(out))
     else:
         print(f"ratio: {ratio}")
     return 0
 
 
 def cmd_run(args) -> int:
-    try:
-        prog = _read_program(args.program)
-    except (ValueError, OSError) as err:
-        return _fail(f"bad program: {err}", 1)
-    try:
-        res = sim.run_numeric(prog, float(Fraction(args.p0)), args.trials,
-                              seed=args.seed, max_retries=args.max_retries,
-                              workers=args.workers)
-    except (ValueError, sim.PostselectionError) as err:
-        return _fail(str(err), 1)
+    prog = _read_program(args.program)
+    p0 = float(scalars.read_rational(args.p0))
+    res = sim.run_numeric(prog, p0, args.trials, seed=args.seed,
+                          max_retries=args.max_retries, workers=args.workers)
     if args.json:
         print(json.dumps(res.to_json()))
     else:
@@ -197,14 +147,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    try:
-        prog = _read_program(args.program)
-    except (ValueError, OSError) as err:
-        return _fail(f"bad program: {err}", 1)
-    try:
-        rep = sim.expected_cost(prog, Fraction(args.p0))
-    except (ValueError, sim.PostselectionError) as err:
-        return _fail(str(err), 1)
+    prog = _read_program(args.program)
+    rep = sim.expected_cost(prog, scalars.read_rational(args.p0))
     if args.json:
         print(json.dumps(rep.to_json()))
     else:
@@ -284,33 +228,19 @@ def _fixture_rows():
             and rep.qc is not None and analysis.verify_spb(w, rep.qc)
 
     def row_fig2():
-        fig1 = analysis.parse_piecewise("[0,1/2) 1/2\n[1/2,1] p/2 + 1/4")
-        in_cc_not_qq = (analysis.classify_cc(fig1).verdict == "yes"
-                        and analysis.classify_qq(fig1).verdict == "no")
-        u = lang.lower(lang.parse("(p-1/2)^2")).r
-        eq1 = analysis.PiecewiseFn.from_ratfn(u / (analysis.ONE_RF + u))
-        in_qq_not_cc = (analysis.classify_cc(eq1).verdict == "no"
-                        and analysis.classify_qq(eq1).verdict == "yes")
-        p2 = analysis.PiecewiseFn.from_ratfn(lang.lower(lang.parse("p^2")).r)
-        w = lang.lower(lang.parse(stmt3))
-        overlap = (analysis.classify_cc(p2).verdict == "yes"
-                   and analysis.classify_qq(p2, witness=w).verdict == "yes")
-        # members of QQ pass the QC predicate
-        qq_in_qc = all(
-            analysis.verify_spb(h, analysis.classify_qc(h))
-            for h in (lang.lower(lang.parse("p - 1/2")), w,
-                      lang.lower(lang.parse("t"))))
-        return in_cc_not_qq and in_qq_not_cc and overlap and qq_in_qc
+        # CC\QQ, QQ\CC and CC&QQ are the three rows above, which also check
+        # that their QQ members pass the QC predicate; so does the coin
+        t = lang.lower(lang.parse("t"))
+        return row_fig1() and row_eq1() and row_p_squared() \
+            and analysis.verify_spb(t, analysis.classify_qc(t))
 
     def row_orders():
         from .field import vanishing_order
         t = lang.lower(lang.parse("t"))
-        if vanishing_order(t, 0).order != Fraction(1, 2):
-            return False
-        if vanishing_order(t, 1).order != Fraction(-1, 2):
-            return False
         sq = lang.lower(lang.parse("(p-1/2)^2"))
-        return vanishing_order(sq, Fraction(1, 2)).order == 2
+        return vanishing_order(t, 0).order == Fraction(1, 2) \
+            and vanishing_order(t, 1).order == Fraction(-1, 2) \
+            and vanishing_order(sq, Fraction(1, 2)).order == 2
 
     return [
         ("print/parse round-trip on the two-coin example function", row_parse),
@@ -333,15 +263,17 @@ def _fixture_rows():
     ]
 
 
+def _passes(name: str, row) -> bool:
+    """One fixture row; a crash is a failing row, named on stderr."""
+    try:
+        return bool(row())
+    except Exception as err:
+        print(f"{name}: error {err!r}", file=sys.stderr)
+        return False
+
+
 def cmd_fixtures(args) -> int:
-    rows = []
-    for name, fn in _fixture_rows():
-        try:
-            ok = bool(fn())
-        except Exception as err:          # a crash is a failing fixture
-            print(f"{name}: error {err!r}", file=sys.stderr)
-            ok = False
-        rows.append((name, ok))
+    rows = [(name, _passes(name, row)) for name, row in _fixture_rows()]
     if args.json:
         print(json.dumps({"rows": [{"name": n, "pass": ok} for n, ok in rows],
                           "all_pass": all(ok for _, ok in rows)}))
@@ -352,11 +284,17 @@ def cmd_fixtures(args) -> int:
     return 0 if all(ok for _, ok in rows) else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is bad input like any other: one line, exit 1
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state between calls, and building it costs more than a short command."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="coinfield",
         description="Exact toolkit for quantum-coin amplitude ratios: decide "
                     "simulability, compile postselected circuit programs, "
@@ -416,13 +354,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ArithmeticError covers a division by zero and a --p0 too large for a
+# float; json.loads raises RecursionError on deeply nested text
+_BAD_INPUT = (ValueError, OSError, ArithmeticError, RecursionError)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command. Its report reaches stdout only if the command ends
+    without error; bad input prints one stderr line and exits 1."""
     try:
-        return args.fn(args)
-    except (ZeroDivisionError, lang.DegreeLimitError) as err:
-        # 1/0, 0^-1, 1/(p-p) or a power past lang.MAX_DEGREE in an argument
-        return _fail(f"bad input: {err}", 1)
+        args = _parser().parse_args(argv)
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            code = args.fn(args)
+    except _BAD_INPUT as err:
+        print(f"bad input: {err}", file=sys.stderr)
+        return 1
+    sys.stdout.write(report.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ Grammar (precedence high to low: ^, unary -, * /, + -):
     atom   := int | 'p' | 'i' | 'sqrt2' | 't' | 'sqrt' '(' expr ')' | '(' expr ')'
 
 Expressions nest at most MAX_DEPTH levels, counting each operator, sqrt and
-pair of parentheses, and lowering refuses any subexpression whose degree
-passes MAX_DEGREE. Rational literals like 3/4 come out of the division
+pair of parentheses, an integer has at most scalars.MAX_DIGITS significant
+digits, and lowering refuses any subexpression whose degree passes
+MAX_DEGREE. Rational literals like 3/4 come out of the division
 operator. sqrt(...) is only accepted during lowering when its argument is
 an exact square (possibly after dividing by p/(1-p)); everything else is
 reported as outside the field.
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .field import FieldElem, sqrt_in_scalar_field
 from .polys import Poly, RatFn, SquareTest, square_test
-from .scalars import Scalar
+from .scalars import MAX_DIGITS, Scalar
 
 __all__ = [
     "Expr", "RationalConst", "I", "Sqrt2", "P", "T", "Add", "Sub", "Mul",
@@ -112,11 +113,9 @@ class ParseError(ValueError):
 class NotInFieldError(ValueError):
     """Lowering failure: the expression leaves the simulable field."""
 
-    def __init__(self, message: str, odd_factors: tuple[Poly, ...] = (),
-                 t_route_odd_factors: tuple[Poly, ...] = ()):
+    def __init__(self, message: str, odd_factors: tuple[Poly, ...] = ()):
         super().__init__(message)
         self.odd_factors = odd_factors
-        self.t_route_odd_factors = t_route_odd_factors
 
 
 class DegreeLimitError(ValueError):
@@ -141,11 +140,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             out.append(("op", ch, k))
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = k
-            while k < n and text[k].isdigit():
+            while k < n and text[k].isdecimal():
                 k += 1
-            out.append(("int", text[start:k], start))
+            digits = text[start:k].lstrip("0") or "0"
+            if len(digits) > MAX_DIGITS:
+                raise ParseError(f"integer literal has more than {MAX_DIGITS} "
+                                 "digits", start)
+            out.append(("int", digits, start))
             continue
         if ch.isalpha() or ch == "_":
             start = k
@@ -415,12 +418,11 @@ def _lower_sqrt(child: FieldElem) -> FieldElem:
     if scaled_t is not None:
         return FieldElem(RatFn(Poly()), scaled_t)
     odd = tuple(f.sign_normalized() for f in direct.odd_factors)
-    odd_t = tuple(f.sign_normalized() for f in via_t.odd_factors)
     detail = ", ".join(str(f) for f in odd) if odd else "leading coefficient not a square"
     raise NotInFieldError(
         f"sqrt argument is not an exact square, directly or after dividing "
         f"by p/(1-p); odd-multiplicity factors: {{{detail}}}",
-        odd_factors=odd, t_route_odd_factors=odd_t)
+        odd_factors=odd)
 
 
 def field_sqrt(u: RatFn) -> FieldElem:
@@ -460,10 +462,7 @@ def lower(e: Expr) -> FieldElem:
     elif isinstance(e, Mul):
         h = lower(e.left) * lower(e.right)
     elif isinstance(e, Div):
-        den = lower(e.right)
-        if den.is_zero():
-            raise ZeroDivisionError("division by the zero element")
-        h = lower(e.left) / den
+        h = lower(e.left) / lower(e.right)
     elif isinstance(e, Pow):
         base = lower(e.base)
         degree = _degree(base)

@@ -173,9 +173,6 @@ class Poly:
         linv = lc.inverse()
         return Poly([c * linv for c in self.coeffs])
 
-    def derivative(self) -> "Poly":
-        return Poly([c * k for k, c in enumerate(self.coeffs) if k > 0])
-
     # -- evaluation --------------------------------------------------------
 
     def eval_exact(self, x: Scalar | Fraction | int) -> Scalar:
@@ -759,7 +756,6 @@ class SquareTest:
     root: "RatFn | None"
     odd_factors: tuple[Poly, ...]
     lc_ratio: Fraction | None
-    lc_is_square: bool
 
     @property
     def is_square(self) -> bool:
@@ -771,7 +767,7 @@ def square_test(f: RatFn) -> SquareTest:
     if not f.is_rational():
         raise ValueError("square detection supports rational coefficients only")
     if f.is_zero():
-        return SquareTest(ZERO_RF, (), Fraction(0), True)
+        return SquareTest(ZERO_RF, (), Fraction(0))
     ln, nf = squarefree_decompose(f.num)
     ld, df = squarefree_decompose(f.den)
     odd = tuple(piece for g, m in nf + df if m % 2 == 1
@@ -779,7 +775,7 @@ def square_test(f: RatFn) -> SquareTest:
     lc_ratio = ln.as_fraction() / ld.as_fraction()
     lcroot = sqrt_fraction(lc_ratio)
     if odd or lcroot is None:
-        return SquareTest(None, odd, lc_ratio, lcroot is not None)
+        return SquareTest(None, odd, lc_ratio)
     num = Poly.const(lcroot)
     for g, m in nf:
         num = num * g ** (m // 2)
@@ -788,7 +784,7 @@ def square_test(f: RatFn) -> SquareTest:
         den = den * g ** (m // 2)
     root = RatFn(num, den)
     assert root * root == f
-    return SquareTest(root, (), lc_ratio, True)
+    return SquareTest(root, (), lc_ratio)
 
 
 def is_square(f: RatFn) -> RatFn | None:

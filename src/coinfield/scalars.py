@@ -13,6 +13,7 @@ from an integer tuple (c0, c1, c2, c3) over one denominator in that basis.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 
@@ -26,6 +27,38 @@ def _frac(x: int | Fraction) -> Fraction:
     if isinstance(x, int):
         return Fraction(x) if x else _FRAC_ZERO
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+MAX_DIGITS = 4300  # bounds the big-int work one literal from outside can ask for
+
+# the literals Fraction(str) takes: n/d, or a decimal with an exponent
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|"
+                       r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
+
+
+def read_rational(text: str) -> Fraction:
+    """The rational that a literal like 3/10, -1/2, 0.3 or 1e-3 stands for,
+    in the forms Fraction(str) takes. A literal whose numerator or
+    denominator as written passes MAX_DIGITS significant digits is refused
+    from the text alone, before any big-int work."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a rational literal: {text[:40]!r}")
+    sign, num, den, frac, exp = (g.replace("_", "") for g in m.groups(""))
+    mant = (num + frac).lstrip("0")
+    digits, den = mant.rstrip("0"), (den or "1").lstrip("0")
+    e = exp.lstrip("+-0")
+    if len(e) > MAX_DIGITS:
+        raise ValueError(f"literal has more than {MAX_DIGITS} digits")
+    shift = 0  # value = digits * 10**shift / den
+    if digits:
+        e = -int(e or 0) if exp[:1] == "-" else int(e or 0)
+        shift = len(mant) - len(digits) - len(frac) + e
+    up, down = max(shift, 0), max(-shift, 0)
+    if len(digits) + up > MAX_DIGITS or len(den) + down > MAX_DIGITS:
+        raise ValueError(f"literal has more than {MAX_DIGITS} digits")
+    return Fraction(int(sign + (digits or "0")) * 10 ** up,
+                    int(den or 0) * 10 ** down)
 
 
 def sqrt_fraction(q: Fraction) -> Fraction | None:
@@ -227,7 +260,12 @@ class Scalar:
 
     @staticmethod
     def from_json(data: list[str]) -> "Scalar":
-        return Scalar(*(Fraction(part) for part in data))
+        """Four rational literals, each a JSON string as to_json writes it."""
+        if not isinstance(data, list) or len(data) != 4 \
+                or not all(isinstance(part, str) for part in data):
+            raise ValueError("a scalar is a list of four rational parts, "
+                             "each a string")
+        return Scalar(*(read_rational(part) for part in data))
 
 
 def to_zeta(s: Scalar) -> tuple[tuple[int, int, int, int], int]:

@@ -171,6 +171,10 @@ _INT_GATES = {name: _int_gate(mat) for name, mat in _GATES.items()}
 _FIX = 128
 _SQRT2_FIX = math.isqrt(2 << (2 * _FIX))
 
+# a group of n entangled registers holds 2**n amplitude pairs; compiled
+# programs entangle at most two registers at a time
+MAX_GROUP_WIDTH = 12
+
 
 # -- the exact pass ----------------------------------------------------------
 
@@ -212,6 +216,9 @@ class _SymState:
         self.group_of[reg] = _SymGroup((reg,), amps)
 
     def _merge(self, g1: _SymGroup, g2: _SymGroup) -> _SymGroup:
+        if len(g1.regs) + len(g2.regs) > MAX_GROUP_WIDTH:
+            raise ValueError(f"a gate entangles more than {MAX_GROUP_WIDTH} "
+                             "registers in one group")
         wsq = self.wsq
         amps = [_pair_mul(a, b, wsq) for a in g1.amps for b in g2.amps]
         merged = _SymGroup(g1.regs + g2.regs, amps)
@@ -640,6 +647,8 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         raise ValueError("workers must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if max_retries < 0:
+        raise ValueError("max_retries must be non-negative")
     exact_p0 = Fraction(p0).limit_denominator(10 ** 12)
     analytic, plans, state = _exact_cost(prog, exact_p0)
     out_prob = state.keep_prob(prog.output, 0)

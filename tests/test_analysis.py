@@ -452,6 +452,43 @@ def test_qq_multi_piece_nonconstant_unknown():
     assert classify_qq(f).verdict == "unknown"
 
 
+@pytest.mark.parametrize("text", [
+    "[0,1] 2*p", "[0,1] sqrt((1/2 + 3*p)^2)", "[0,1] 2", "[0,1] -1",
+    "[0,1] p - 1/2", "[0,1/2) p/2\n[1/2,1] 3*p - 5/4",
+])
+def test_qq_rejects_function_outside_unit_interval(text):
+    # decide_real_corollary refuses such an f; classify answers no, as
+    # classify_cc does, and finds no ratio to certify
+    rep = classify(parse_piecewise(text))
+    assert rep.cc.verdict == "no" and rep.qq.verdict == "no"
+    assert rep.qq.witness is None and rep.qc is None
+    assert rep.qq.reason == f"not a probability function: {rep.cc.reason}"
+
+
+@pytest.mark.parametrize("text", [
+    "[0,1] (p-1/2)^2/(1+(p-1/2)^2)", "[0,1/2) 1/2\n[1/2,1] p/2 + 1/4",
+    "[0,1] 1/3", "[0,1] sqrt2/2", "[0,1] 2*p",
+])
+def test_classify_certifies_range_once(monkeypatch, text):
+    import coinfield.analysis as analysis
+    real, calls = analysis._range_fault, []
+
+    def counting(lo, hi, num, den):
+        calls.append((lo, hi))
+        return real(lo, hi, num, den)
+
+    monkeypatch.setattr(analysis, "_range_fault", counting)
+    f = parse_piecewise(text)
+    classify(f)
+    # the CC and QQ decisions share one range certificate per piece
+    assert calls == [(a, b) for a, b, _ in f.pieces]
+
+
+def test_qq_irrational_constant():
+    rep = classify_qq(PiecewiseFn.from_ratfn(lower(parse("sqrt2/2")).r))
+    assert rep.verdict == "yes" and rep.witness is None
+
+
 # ---------------------------------------------------------------------------
 # Combined report
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -364,6 +365,118 @@ def test_run_rejects_bad_workers(capsys, workers):
                              "--workers", workers, "-", stdin=prog_json)
     assert code == 1 and not out
     assert len(err.strip().splitlines()) == 1 and "workers" in err
+
+
+def _program_json(prog) -> str:
+    from coinfield.synth import program_to_json
+    return json.dumps(program_to_json(prog))
+
+
+def _worked_example_json() -> str:
+    from coinfield.synth import worked_example_program
+    return _program_json(worked_example_program())
+
+
+def _const_json(value) -> str:
+    from coinfield.synth import const_program
+    data = json.loads(_program_json(const_program(1)))
+    data["instructions"][0]["value"] = value
+    return json.dumps(data)
+
+
+def _cnot_chain_json(n: int) -> str:
+    from coinfield.synth import (AllocCoin, CircuitProgram, Gate, Measure,
+                                 ProvNode)
+    instrs = tuple(AllocCoin(r) for r in range(n)) \
+        + tuple(Gate("CNOT", (r, r + 1)) for r in range(n - 1)) \
+        + tuple(Measure(r, 0, 0) for r in range(1, n))
+    node = ProvNode(0, "protocol", tuple(("instr", k) for k in range(len(instrs))))
+    return _program_json(CircuitProgram(instrs, n, 0, (node,), 0))
+
+
+LONG = "1" + "0" * 4999
+
+
+# (argv, stdin, piecewise file text); "{file}" in argv names that file
+BAD_INPUT = {
+    "parse-long-literal": (("parse", LONG), None, None),
+    "decide-long-literal": (("decide", f"p + {LONG}"), None, None),
+    "corollary-long-literal": (("corollary", f"{LONG}*p/(1+{LONG}*p)"),
+                               None, None),
+    "cost-p0-long-exponent": (("cost", "--p0", "1e-99999999", "-"),
+                              _worked_example_json(), None),
+    "simulate-const-long-exponent": (("simulate", "-"),
+                                     _const_json(["1e99999999", "0", "0", "0"]),
+                                     None),
+    "classify-endpoint-long-exponent": (
+        ("classify", "{file}"), None,
+        "[0,1e-99999999) p\n[1e-99999999,1] p\n"),
+    "simulate-deep-json": (("simulate", "-"),
+                           "[" * 100000 + "]" * 100000, None),
+    "cost-wide-group": (("cost", "--p0", "3/10", "-"), _cnot_chain_json(20),
+                        None),
+    "decide-without-argument": (("decide",), None, None),
+    "run-trials-not-int": (("run", "--p0", "0.3", "--trials", "abc", "-"),
+                           _worked_example_json(), None),
+    "simulate-const-two-parts": (("simulate", "-"), _const_json(["1", "0"]),
+                                 None),
+    "run-negative-max-retries": (("run", "--p0", "0.3", "--trials", "10",
+                                  "--max-retries", "-1", "-"),
+                                 _worked_example_json(), None),
+    "run-p0-past-float-range": (("run", "--p0", "1e400", "--trials", "10",
+                                 "-"), _worked_example_json(), None),
+    "unknown-command": (("frobnicate",), None, None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT.values(), ids=list(BAD_INPUT))
+def test_bad_input_exits_one_with_one_line(tmp_path, capsys, case):
+    argv, stdin, piecewise = case
+    if piecewise is not None:
+        path = tmp_path / "f.txt"
+        path.write_text(piecewise)
+        argv = tuple(str(path) if a == "{file}" else a for a in argv)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, stdin=stdin)
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("bad input: ")
+    assert "Traceback" not in err
+
+
+def test_failed_report_leaves_stdout_empty(capsys, monkeypatch):
+    # the report fails after its first line, as str() of an integer past the
+    # interpreter's int-string limit does; none of it reaches stdout
+    import dataclasses
+
+    from coinfield import analysis
+
+    class Unprintable:
+        def __str__(self):
+            raise ValueError("cannot print")
+
+    decision = analysis.decide_qq_ratio("p")
+    monkeypatch.setattr(analysis, "decide_qq_ratio", lambda expr: (
+        dataclasses.replace(decision, element=Unprintable())))
+    code, out, err = run_cli(capsys, "decide", "p")
+    assert (code, out, err) == (1, "", "bad input: cannot print\n")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["run", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coinfield run ")
+
+
+def test_classify_outside_unit_interval_answers_no(capsys):
+    code, out, err = run_cli(capsys, "classify", "2*p")
+    assert code == 0 and not err
+    assert out.splitlines() == [
+        "CC: no  [f > 1 somewhere on [0,1]]",
+        "QC: not computed (no ratio witness available)",
+        "QQ: no  [not a probability function: f > 1 somewhere on [0,1]]",
+    ]
 
 
 def test_simulate_rejects_corrupt_program(capsys):

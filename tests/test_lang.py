@@ -13,7 +13,7 @@ from coinfield.lang import (MAX_DEGREE, Add, DegreeLimitError, Div, I, Mul,
                             lower, parse, print_expr)
 from coinfield.polys import P as P_POLY
 from coinfield.polys import Poly, RatFn
-from coinfield.scalars import ONE, Scalar
+from coinfield.scalars import MAX_DIGITS, ONE, Scalar
 
 
 def random_tree(rnd, depth, allow_sqrt=True):
@@ -225,3 +225,15 @@ def test_sqrt_with_scalar_leading_coefficient():
     h2 = lower(parse("sqrt(0-(1-2*p)^2)"))
     assert h2 == FieldElem(RatFn.from_poly(Poly((Scalar(0, 0, 1), Scalar(0, 0, -2)))))
     assert fe_mul(h2, h2) == lower(parse("0-(1-2*p)^2"))
+
+
+def test_parse_refuses_integer_past_digit_bound():
+    # refused by the tokenizer, whatever the interpreter's int-string limit
+    for text in ("1" * (MAX_DIGITS + 1), "p + 2*" + "9" * 5000,
+                 "p^" + "1" * 5000):
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+            parse(text)
+    assert parse("9" * MAX_DIGITS) == RationalConst(Fraction(10 ** MAX_DIGITS - 1))
+    assert parse("0" * 5000 + "7") == RationalConst(Fraction(7))
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse("2\u00b2")   # a superscript two is a digit, but not a decimal

@@ -1,11 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from coinfield.scalars import (HALF_SQRT2, I_UNIT, ONE, SQRT2, Scalar, ZERO,
-                               from_zeta, sqrt_fraction, to_zeta)
+from coinfield.scalars import (HALF_SQRT2, I_UNIT, MAX_DIGITS, ONE, SQRT2,
+                               Scalar, ZERO, from_zeta, read_rational,
+                               sqrt_fraction, to_zeta)
 
 
 def random_scalar(rnd, span=6):
@@ -163,6 +165,53 @@ def test_json_round_trip():
     for _ in range(20):
         a = random_scalar(rnd)
         assert Scalar.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("text", [
+    "0.3", "3/10", "-1/2", "1e-3", " 5 ", ".5", "5.", "1_000", "+3", "1E3",
+    "00012/00004", "-7/14", "1.50", "12e-2", "-0", "0.000", "1_0.2_5e-1_0",
+    "1" * MAX_DIGITS, "1/" + "3" * MAX_DIGITS, "1e4299", "1e-4299",
+], ids=lambda text: text if len(text) < 30 else f"{text[:8]}...{len(text)}")
+def test_read_rational_matches_fraction(text):
+    assert read_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1e-99999999", "1e99999999", "1" * 5000, "1/" + "1" * 5000,
+    "1" * (MAX_DIGITS + 1), "1e4300", "1e-4300", "1" * 4299 + "0e2",
+    "1e" + "1" * 5000, "0.5e-" + "9" * 30, "1" * 5000 + "e-1000",
+], ids=lambda text: text if len(text) < 30 else f"{text[:8]}...{len(text)}")
+def test_read_rational_refuses_long_literals_from_the_text(text):
+    # each would need a big integer of more than MAX_DIGITS digits
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+        read_rational(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_read_rational_edge_cases():
+    # zeros that need no big integer, whatever the exponent or padding
+    assert read_rational("0e999999999999") == 0
+    assert read_rational("0" * 5000 + "7") == 7
+    assert read_rational("1" + "0" * 5000 + "e-5000") == 1
+    for text in ("abc", "", "1.2.3", "1e", "e5", "0.0/1", "1/2/3", "inf"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            read_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        read_rational("1/0")
+
+
+def test_from_json_takes_exactly_four_string_parts():
+    # a JSON number has lost its text by the time it is read: 1e400 is inf
+    for data in (["1", "0"], ["1", "0", "0", "0", "0"], "1234", 7,
+                 ["0.5", 0, "1e-3", "-1/2"], ["1", "0", "0", True],
+                 [1e400, "0", "0", "0"]):
+        with pytest.raises(ValueError, match="four rational parts"):
+            Scalar.from_json(data)
+    with pytest.raises(ValueError, match="digits"):
+        Scalar.from_json(["1e99999999", "0", "0", "0"])
+    assert Scalar.from_json(["0.5", "0", "1e-3", "-1/2"]) == Scalar(
+        Fraction(1, 2), 0, Fraction(1, 1000), Fraction(-1, 2))
 
 
 def test_str_spot_checks():

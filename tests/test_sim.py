@@ -650,6 +650,35 @@ def test_numeric_rejects_negative_seed():
         run_numeric(coin_program(), 0.5, trials=10, seed=-1)
 
 
+def test_numeric_rejects_negative_max_retries():
+    with pytest.raises(ValueError, match="max_retries"):
+        run_numeric(coin_program(), 0.5, trials=10, max_retries=-1)
+    assert run_numeric(coin_program(), 0.5, trials=10,
+                       max_retries=0).max_retries == 0
+
+
+def cnot_chain(n):
+    """n coins joined into one group by a chain of CNOTs, then every coin
+    but the first measured."""
+    instrs = tuple(AllocCoin(r) for r in range(n)) \
+        + tuple(Gate("CNOT", (r, r + 1)) for r in range(n - 1)) \
+        + tuple(Measure(r, 0, 0) for r in range(1, n))
+    node = ProvNode(0, "protocol", tuple(("instr", k) for k in range(len(instrs))))
+    return CircuitProgram(instrs, n, 0, (node,), 0)
+
+
+def test_group_width_is_bounded():
+    # the exact pass holds 2**n amplitude pairs for a group of n registers
+    wide = cnot_chain(sim.MAX_GROUP_WIDTH)
+    assert expected_cost(wide, Fraction(3, 10)).expected_coins > 0
+    too_wide = cnot_chain(sim.MAX_GROUP_WIDTH + 1)
+    for run in (lambda: expected_cost(too_wide, Fraction(3, 10)),
+                lambda: run_numeric(too_wide, 0.3, trials=10),
+                lambda: run_symbolic(too_wide)):
+        with pytest.raises(ValueError, match="entangles more than"):
+            run()
+
+
 def test_seed_key_uses_every_bit():
     keys = {sim._seed_key(s) for s in (0, 1, 2 ** 64, 2 ** 64 + 1, 2 ** 128)}
     assert len(keys) == 5
