@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
                     sqrt_in_scalar_field, vanishing_order,
-                    vanishing_order_at_point, w_mul, w_norm)
+                    vanishing_order_at_point, w_norm)
 from .lang import Expr, NotInFieldError, field_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, certify_nonneg_int,
                     int_mul, int_parts, int_sub, isolate_roots, sturm_count)
@@ -386,7 +386,9 @@ def _f_evaluator(h: FieldElem):
 
 def _candidate_points(h: FieldElem):
     a, b, c = h.A, h.B, h.C
-    q_num = w_norm(w_mul((a, b), (a.conj(), b.conj())))
+    # |A + B*w|^2 * |A - B*w|^2 = n * conj(n) with n = A^2 - B^2*w^2
+    n = w_norm((a, b))
+    q_num = n * n.conj()
     q_den = c * c.conj()
     rationals, points = isolate_roots((q_num * q_den).real_part(), 0, 1)
     cands: list[Fraction | AlgebraicPoint] = [Fraction(0), Fraction(1)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, canonical,
-                    sturm_count)
+                    multiplicity, sturm_count)
 from .scalars import Scalar, sqrt_fraction
 
 # t^2 = p/(1-p); w = sqrt(p(1-p)) = t*(1-p) is the polynomial-friendly twin
@@ -300,13 +300,6 @@ def sqrt_in_scalar_field(q: Fraction) -> Scalar | None:
 
 # -- vanishing orders ------------------------------------------------------
 
-def _ord_at(poly: Poly, z: Fraction) -> int | None:
-    """Multiplicity of rational z in a possibly complex polynomial; None if zero poly."""
-    if poly.is_zero():
-        return None
-    return poly.deflate(z)[0]
-
-
 def ext_is_zero(a: Scalar, b: Scalar, z: Fraction) -> bool:
     """Is a + b*sqrt(z(1-z)) zero? Exact, whether or not the root lies in the field."""
     q = z * (1 - z)
@@ -334,12 +327,12 @@ def vanishing_order(h: FieldElem, z: Fraction | int) -> OrderResult:
     if h.is_zero():
         raise ValueError("vanishing order of the zero element")
     A, B, C = h.A, h.B, h.C
-    ordC = _ord_at(C, z)
+    ordC = multiplicity(C, z)
     if z == 0 or z == 1:
         # w itself vanishes to order 1/2 at each endpoint, and the integer
         # and half-integer contributions can never cancel
-        na = _ord_at(A, z)
-        nb = _ord_at(B, z)
+        na = multiplicity(A, z)
+        nb = multiplicity(B, z)
         if na is None:
             n = Fraction(nb) + Fraction(1, 2)
             why = "A = 0; half-integer order from B alone"
@@ -351,7 +344,7 @@ def vanishing_order(h: FieldElem, z: Fraction | int) -> OrderResult:
             why = (f"min of integer order {na} from A and half-integer "
                    f"order {nb} + 1/2 from B; the two kinds cannot cancel")
         return OrderResult(n - ordC, why)
-    shared = min(f.deflate(z)[0] for f in (A, B) if f)
+    shared = min(multiplicity(f, z) for f in (A, B) if f)
     A, B = (f // Poly([-z, 1]) ** shared for f in (A, B))
     if not ext_is_zero(A.eval_exact(z), B.eval_exact(z), z):
         why = (f"after extracting (p - {z})^{shared}, "
@@ -360,8 +353,7 @@ def vanishing_order(h: FieldElem, z: Fraction | int) -> OrderResult:
     # numerator still vanishes through cancellation against w; its conjugate
     # A - B*w cannot vanish too, so the product A^2 - B^2*p*(1-p) carries
     # exactly the remaining order
-    prod = w_norm((A, B))
-    extra = prod.deflate(z)[0]
+    extra = multiplicity(w_norm((A, B)), z)
     why = (f"after extracting (p - {z})^{shared}, the numerator vanishes by "
            f"cancellation against the root; its conjugate does not, and "
            f"A^2 - B^2*p*(1-p) vanishes to order {extra}")
@@ -373,10 +365,9 @@ def vanishing_order_at_point(h: FieldElem, pt: AlgebraicPoint) -> OrderResult:
     if h.is_zero():
         raise ValueError("vanishing order of the zero element")
     A, B, C = h.A, h.B, h.C
-    k = min(pt.multiplicity_in_complex(f) for f in (A, B) if f)
-    prod = w_norm((A, B))
-    p_ord = pt.multiplicity_in_complex(prod)
-    ordC = pt.multiplicity_in_complex(C) or 0
+    k = min(multiplicity(f, pt) for f in (A, B) if f)
+    p_ord = multiplicity(w_norm((A, B)), pt)
+    ordC = multiplicity(C, pt)
     if p_ord == 2 * k:
         n = k
         why = (f"shared order {k} in A and B; the conjugate product vanishes "

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldElem, sqrt_in_scalar_field
-from .polys import Poly, RatFn, SquareTest, square_test
+from .polys import ZERO_RF, Poly, RatFn, square_test
 from .scalars import MAX_DIGITS, Scalar
 
 __all__ = [
@@ -357,6 +357,7 @@ def print_expr(e: Expr) -> str:
 
 _P_RF = RatFn(Poly((0, 1)))
 _TAU_INV = RatFn(Poly((1, -1)), Poly((0, 1)))  # (1-p)/p
+_TAU_ODD = {Poly((0, 1)), Poly((-1, 1))}  # p and p - 1
 
 def _sign_probe_points():
     yield Fraction(1, 2)
@@ -384,18 +385,6 @@ def _sign_fix(q: RatFn) -> RatFn:
     raise AssertionError("unreachable: nonzero rational function with no sign")
 
 
-def _scalar_scaled_root(res: SquareTest, u: RatFn) -> RatFn | None:
-    """Root of u = lc * q(p)^2 where sqrt(lc) needs sqrt2 or i but still
-    lands in the scalar field."""
-    if res.odd_factors or res.lc_ratio is None or not res.lc_ratio:
-        return None
-    s = sqrt_in_scalar_field(res.lc_ratio)
-    if s is None:
-        return None
-    base = square_test(u * RatFn.const(Scalar(1 / res.lc_ratio)))
-    return RatFn.const(s) * _sign_fix(base.root)
-
-
 def _lower_sqrt(child: FieldElem) -> FieldElem:
     if not child.s.is_zero():
         raise NotInFieldError(
@@ -406,17 +395,13 @@ def _lower_sqrt(child: FieldElem) -> FieldElem:
         raise NotInFieldError(
             "sqrt argument must have rational coefficients")
     direct = square_test(u)
-    if direct.root is not None:
-        return FieldElem(_sign_fix(direct.root))
-    scaled = _scalar_scaled_root(direct, u)
-    if scaled is not None:
-        return FieldElem(scaled)
-    via_t = square_test(u * _TAU_INV)
-    if via_t.root is not None:
-        return FieldElem(RatFn(Poly()), _sign_fix(via_t.root))
-    scaled_t = _scalar_scaled_root(via_t, u * _TAU_INV)
-    if scaled_t is not None:
-        return FieldElem(RatFn(Poly()), scaled_t)
+    # u = q^2 * p/(1-p) exactly when the odd factors of u are p and p - 1
+    via_t = len(direct.odd_factors) == 2 and set(direct.odd_factors) == _TAU_ODD
+    res = square_test(u * _TAU_INV) if via_t else direct
+    scale = None if res.half is None else sqrt_in_scalar_field(res.lc_ratio)
+    if scale is not None:
+        root = RatFn.const(scale) * _sign_fix(res.half)
+        return FieldElem(ZERO_RF, root) if via_t else FieldElem(root)
     odd = tuple(f.sign_normalized() for f in direct.odd_factors)
     detail = ", ".join(str(f) for f in odd) if odd else "leading coefficient not a square"
     raise NotInFieldError(

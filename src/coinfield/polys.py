@@ -188,18 +188,6 @@ class Poly:
             out = out * x + c.to_complex()
         return out
 
-    def deflate(self, z: Fraction | int) -> tuple[int, "Poly"]:
-        """(m, q) with self = (p - z)^m * q and q(z) != 0: the multiplicity
-        of z as a root and the cofactor. Requires a nonzero polynomial."""
-        if self.is_zero():
-            raise ValueError("deflating the zero polynomial")
-        divisor = Poly([-Fraction(z), 1])
-        m, q = 0, self
-        while not q.eval_exact(z):
-            q = q // divisor
-            m += 1
-        return m, q
-
     # -- rendering (ascending degree, like 1 - 2*p + p^2) ------------------
 
     def __str__(self) -> str:
@@ -752,10 +740,14 @@ def squarefree_decompose(f: Poly) -> tuple[Scalar, list[tuple[Poly, int]]]:
 
 @dataclass(frozen=True)
 class SquareTest:
-    """Outcome of testing a rational function for being an exact square."""
+    """Outcome of testing a rational function f for being an exact square.
+    Without odd-multiplicity factors, half is the q with monic numerator
+    and denominator and f = lc_ratio * q^2, and root is sqrt(lc_ratio) * q
+    when lc_ratio is a rational square."""
     root: "RatFn | None"
     odd_factors: tuple[Poly, ...]
     lc_ratio: Fraction | None
+    half: "RatFn | None"
 
     @property
     def is_square(self) -> bool:
@@ -767,24 +759,24 @@ def square_test(f: RatFn) -> SquareTest:
     if not f.is_rational():
         raise ValueError("square detection supports rational coefficients only")
     if f.is_zero():
-        return SquareTest(ZERO_RF, (), Fraction(0))
+        return SquareTest(ZERO_RF, (), Fraction(0), ZERO_RF)
     ln, nf = squarefree_decompose(f.num)
     ld, df = squarefree_decompose(f.den)
     odd = tuple(piece for g, m in nf + df if m % 2 == 1
                 for piece in split_rational_roots(g))
     lc_ratio = ln.as_fraction() / ld.as_fraction()
-    lcroot = sqrt_fraction(lc_ratio)
-    if odd or lcroot is None:
-        return SquareTest(None, odd, lc_ratio)
-    num = Poly.const(lcroot)
+    if odd:
+        return SquareTest(None, odd, lc_ratio, None)
+    num = den = ONE_POLY
     for g, m in nf:
         num = num * g ** (m // 2)
-    den = ONE_POLY
     for g, m in df:
         den = den * g ** (m // 2)
-    root = RatFn(num, den)
-    assert root * root == f
-    return SquareTest(root, (), lc_ratio)
+    half = RatFn(num, den)
+    lcroot = sqrt_fraction(lc_ratio)
+    root = None if lcroot is None else half * lcroot
+    assert root is None or root * root == f
+    return SquareTest(root, (), lc_ratio, half)
 
 
 def is_square(f: RatFn) -> RatFn | None:
@@ -947,13 +939,6 @@ class AlgebraicPoint:
             qi = _deriv(qi)
         return m
 
-    def multiplicity_in_complex(self, q: Poly) -> int | None:
-        """Multiplicity in a complex-coefficient polynomial (None for q == 0)."""
-        if q.is_zero():
-            return None
-        return min(self.multiplicity_in(part)
-                   for part in (q.real_part(), q.imag_part()) if part)
-
     def sign_of(self, q: Poly) -> int:
         """Exact sign of real q at this point."""
         qi = _to_int(q, "root test requires real coefficients")
@@ -971,6 +956,18 @@ class AlgebraicPoint:
 
     def __repr__(self) -> str:
         return f"AlgebraicPoint({self.g}, ({self.lo}, {self.hi}))"
+
+
+def multiplicity(f: Poly, at: Fraction | AlgebraicPoint) -> int | None:
+    """The multiplicity of the real point at as a root of f, whose
+    coefficients may be complex: the least over the nonzero real and
+    imaginary parts of f. None for f = 0."""
+    parts = [g for g in (f.real_part(), f.imag_part()) if g]
+    if not parts:
+        return None
+    if isinstance(at, AlgebraicPoint):
+        return min(at.multiplicity_in(g) for g in parts)
+    return min(_deflate(_to_int(g, ""), Fraction(at))[0] for g in parts)
 
 
 def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int

@@ -48,7 +48,8 @@ class Gate:
 @dataclass(frozen=True)
 class Measure:
     """Measure reg, keep the given outcome; on the other outcome rebuild the
-    provenance subtree rooted at node."""
+    provenance subtree rooted at node, which must be the node that emits
+    the measurement."""
     reg: int
     keep: int
     node: int
@@ -253,51 +254,52 @@ def worked_example_program() -> CircuitProgram:
 
 # -- validation ------------------------------------------------------------
 
+def _provenance(prog: CircuitProgram) -> tuple[list[int], dict[int, range]]:
+    """One walk of the provenance tree: the node that emits each
+    instruction, and each node's subtree as the range of instruction
+    indices it covers. Raises ValueError unless the tree reaches every node
+    exactly once and its depth-first order lists the instructions in
+    program order."""
+    nodes = prog.nodes
+    if not 0 <= prog.root < len(nodes):
+        raise ValueError("provenance root out of range")
+    for k, node in enumerate(nodes):
+        if node.id != k:
+            raise ValueError("provenance ids must be dense and ordered")
+    owner: list[int] = []
+    span: dict[int, range] = {}
+
+    def walk(nid: int) -> None:
+        if nid in span:
+            raise ValueError(f"node {nid} reached twice")
+        span[nid] = range(0)  # entered; its span is set once the walk returns
+        lo = len(owner)
+        for tag, ref in nodes[nid].items:
+            if tag == "child":
+                if not 0 <= ref < len(nodes):
+                    raise ValueError(f"child node {ref} out of range")
+                walk(ref)
+            elif tag == "instr":
+                if ref != len(owner):
+                    raise ValueError(
+                        "provenance must cover instructions in list order")
+                owner.append(nid)
+            else:
+                raise ValueError(f"unknown provenance item {tag!r}")
+        span[nid] = range(lo, len(owner))
+
+    walk(prog.root)
+    if len(owner) != len(prog.instructions):
+        raise ValueError("provenance must cover instructions in list order")
+    if len(span) != len(nodes):
+        raise ValueError("provenance must cover every node exactly once")
+    return owner, span
+
+
 def validate_program(prog: CircuitProgram) -> None:
     """Structural checks: allocation and retirement discipline, gate arities,
     provenance consistency, and rebuild-subtree soundness. Raises ValueError."""
-
-    # provenance tree must cover each instruction and node exactly once,
-    # and its depth-first instruction order must equal list order
-    if not (0 <= prog.root < len(prog.nodes)):
-        raise ValueError("provenance root out of range")
-    for k, node in enumerate(prog.nodes):
-        if node.id != k:
-            raise ValueError("provenance ids must be dense and ordered")
-    seen_instrs: list[int] = []
-    seen_nodes: set[int] = set()
-
-    def walk(node_id: int) -> None:
-        if node_id in seen_nodes:
-            raise ValueError(f"node {node_id} reached twice")
-        seen_nodes.add(node_id)
-        for tag, ref in prog.nodes[node_id].items:
-            if tag == "child":
-                walk(ref)
-            else:
-                seen_instrs.append(ref)
-
-    walk(prog.root)
-    if seen_instrs != list(range(len(prog.instructions))):
-        raise ValueError("provenance must cover instructions in list order")
-    if seen_nodes != set(range(len(prog.nodes))):
-        raise ValueError("provenance must cover every node exactly once")
-
-    # which node's subtree an instruction belongs to, for rebuild soundness
-    subtree_instrs: dict[int, set[int]] = {}
-
-    def collect(node_id: int) -> set[int]:
-        out: set[int] = set()
-        for tag, ref in prog.nodes[node_id].items:
-            if tag == "child":
-                out |= collect(ref)
-            else:
-                out.add(ref)
-        subtree_instrs[node_id] = out
-        return out
-
-    collect(prog.root)
-
+    owner, span = _provenance(prog)
     alloc_at: dict[int, int] = {}
     live: set[int] = set()
     retired: set[int] = set()
@@ -330,14 +332,14 @@ def validate_program(prog: CircuitProgram) -> None:
                 raise ValueError(f"measurement of dead register {ins.reg}")
             if ins.keep not in (0, 1):
                 raise ValueError("measurement keeps outcome 0 or 1")
-            if not 0 <= ins.node < len(prog.nodes):
-                raise ValueError("measurement rebuild marker out of range")
-            if idx not in subtree_instrs[ins.node]:
-                raise ValueError("measurement must rebuild a subtree containing itself")
+            # a miss restarts the node that emits the measurement
+            if ins.node != owner[idx]:
+                raise ValueError(
+                    f"measurement {idx} must name its emitting node {owner[idx]}")
             # every register the measured one may be entangled with must be
             # rebuilt too, so its allocation must sit inside the same subtree
             for r in group[ins.reg]:
-                if r in live and alloc_at[r] not in subtree_instrs[ins.node]:
+                if r in live and alloc_at[r] not in span[ins.node]:
                     raise ValueError(
                         f"rebuild subtree of node {ins.node} misses register {r}")
             live.discard(ins.reg)
@@ -360,11 +362,7 @@ def static_counts(prog: CircuitProgram) -> dict:
 
 def program_to_json(prog: CircuitProgram) -> dict:
     instrs = []
-    owner: dict[int, int] = {}
-    for node in prog.nodes:
-        for tag, ref in node.items:
-            if tag == "instr":
-                owner[ref] = node.id
+    owner = _provenance(prog)[0]
     for idx, ins in enumerate(prog.instructions):
         if isinstance(ins, AllocCoin):
             rec = {"op": "coin", "reg": ins.reg}
@@ -390,26 +388,44 @@ def program_to_json(prog: CircuitProgram) -> dict:
     }
 
 
+def _int(x) -> int:
+    """x itself if it is a JSON integer; a boolean is not one."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r:.40}")
+    return x
+
+
+def _str(x) -> str:
+    if type(x) is not str:
+        raise ValueError(f"expected a string, got {x!r:.40}")
+    return x
+
+
 def program_from_json(data: dict) -> CircuitProgram:
     try:
         instrs: list[Instr] = []
         for rec in data["instructions"]:
-            op = rec["op"]
+            op = _str(rec["op"])
             if op == "coin":
-                instrs.append(AllocCoin(rec["reg"]))
+                instrs.append(AllocCoin(_int(rec["reg"])))
             elif op == "const":
-                instrs.append(AllocConst(Scalar.from_json(rec["value"]), rec["reg"]))
+                instrs.append(AllocConst(Scalar.from_json(rec["value"]),
+                                         _int(rec["reg"])))
             elif op == "gate":
-                instrs.append(Gate(rec["name"], tuple(rec["regs"])))
+                instrs.append(Gate(_str(rec["name"]),
+                                   tuple(_int(r) for r in rec["regs"])))
             elif op == "measure":
-                instrs.append(Measure(rec["reg"], rec["keep"], rec["node"]))
+                instrs.append(Measure(_int(rec["reg"]), _int(rec["keep"]),
+                                      _int(rec["node"])))
             else:
                 raise ValueError(f"unknown instruction op {op!r}")
-        nodes = tuple(ProvNode(n["id"], n["kind"],
-                               tuple((tag, ref) for tag, ref in n["items"]))
+        nodes = tuple(ProvNode(_int(n["id"]), _str(n["kind"]),
+                               tuple((_str(tag), _int(ref))
+                                     for tag, ref in n["items"]))
                       for n in data["provenance"]["nodes"])
-        prog = CircuitProgram(tuple(instrs), data["registers"], data["output"],
-                              nodes, data["provenance"]["root"])
+        prog = CircuitProgram(tuple(instrs), _int(data["registers"]),
+                              _int(data["output"]), nodes,
+                              _int(data["provenance"]["root"]))
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed program record: {err}") from err
     validate_program(prog)

@@ -12,7 +12,7 @@ from coinfield.analysis import (ONE_RF, PiecewiseFn, check_phased_witness,
                                 decide_real_corollary, parse_piecewise,
                                 verify_spb)
 from coinfield.field import (FE_ZERO, FieldElem, INFINITY, fe_eval,
-                             fe_mod_squared, fe_mul)
+                             fe_mod_squared, fe_mul, w_mul, w_norm)
 from coinfield.lang import NotInFieldError, lower, parse
 from coinfield.polys import P as P_POLY
 from coinfield.polys import Poly, RatFn, certify_nonneg
@@ -398,6 +398,24 @@ def test_qc_random_targets_verify():
         assert rep.in_qc
         assert verify_spb(h, rep)
         done += 1
+
+
+def test_candidate_norm_short_form():
+    # |A + B*w|^2 * |A - B*w|^2 as the norm of the product with the
+    # conjugate pair equals n * conj(n) for n = A^2 - B^2*w^2
+    rnd = random.Random(137)
+
+    def poly(deg):
+        return Poly(tuple(Scalar(Fraction(rnd.randint(-3, 3), rnd.randint(1, 2)),
+                                 rnd.randint(-1, 1),
+                                 Fraction(rnd.randint(-3, 3), rnd.randint(1, 2)),
+                                 rnd.randint(-1, 1))
+                          for _ in range(deg + 1)))
+
+    for _ in range(20):
+        a, b = poly(rnd.randint(0, 3)), poly(rnd.randint(0, 2))
+        n = w_norm((a, b))
+        assert w_norm(w_mul((a, b), (a.conj(), b.conj()))) == n * n.conj()
 
 
 # ---------------------------------------------------------------------------

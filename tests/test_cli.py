@@ -394,8 +394,36 @@ def _cnot_chain_json(n: int) -> str:
     return _program_json(CircuitProgram(instrs, n, 0, (node,), 0))
 
 
+def _ancestor_measure_json() -> str:
+    from coinfield.synth import (AllocCoin, CircuitProgram, Gate, Measure,
+                                 ProvNode)
+    instrs = (AllocCoin(0), AllocCoin(1), Gate("CNOT", (0, 1)), Measure(1, 0, 0))
+    nodes = (ProvNode(0, "root", (("instr", 0), ("child", 1))),
+             ProvNode(1, "inner", (("instr", 1), ("instr", 2), ("instr", 3))))
+    return _program_json(CircuitProgram(instrs, 2, 0, nodes, 0))
+
+
+def _first(op):
+    return lambda data: next(r for r in data["instructions"] if r["op"] == op)
+
+
+def _root_items(data):
+    return data["provenance"]["nodes"][data["provenance"]["root"]]["items"]
+
+
+def _mutated_json(where, key, value) -> str:
+    """The program of "1 - 2*p" as JSON, with where(data)[key] = value."""
+    from coinfield.lang import lower, parse
+    from coinfield.synth import compile
+    data = json.loads(_program_json(compile(lower(parse("1 - 2*p")))))
+    where(data)[key] = value
+    return json.dumps(data)
+
+
 LONG = "1" + "0" * 4999
 
+
+COST = ("cost", "--p0", "3/10", "-")
 
 # (argv, stdin, piecewise file text); "{file}" in argv names that file
 BAD_INPUT = {
@@ -426,6 +454,29 @@ BAD_INPUT = {
     "run-p0-past-float-range": (("run", "--p0", "1e400", "--trials", "10",
                                  "-"), _worked_example_json(), None),
     "unknown-command": (("frobnicate",), None, None),
+    "cost-measure-names-ancestor": (COST, _ancestor_measure_json(), None),
+    "cost-registers-string": (COST, _mutated_json(lambda d: d, "registers",
+                                                  "10"), None),
+    "cost-output-list": (COST, _mutated_json(lambda d: d, "output", [0]),
+                         None),
+    "cost-root-null": (COST, _mutated_json(lambda d: d["provenance"], "root",
+                                           None), None),
+    "cost-reg-list": (COST, _mutated_json(_first("coin"), "reg", [0]), None),
+    "cost-node-float": (COST, _mutated_json(_first("measure"), "node", 1.5),
+                        None),
+    "cost-node-object": (COST, _mutated_json(_first("measure"), "node", {}),
+                         None),
+    "cost-keep-true": (COST, _mutated_json(_first("measure"), "keep", True),
+                       None),
+    "cost-gate-name-int": (COST, _mutated_json(_first("gate"), "name", 3),
+                           None),
+    "cost-gate-reg-string": (COST, _mutated_json(
+        lambda d: _first("gate")(d)["regs"], 0, "0"), None),
+    "cost-kind-list": (COST, _mutated_json(
+        lambda d: d["provenance"]["nodes"][0], "kind", ["coin"]), None),
+    "cost-child-out-of-range": (COST, _mutated_json(_root_items, 0,
+                                                    ["child", 1000000]), None),
+    "cost-item-tag-int": (COST, _mutated_json(_root_items, 0, [0, 0]), None),
 }
 
 

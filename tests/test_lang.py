@@ -227,6 +227,53 @@ def test_sqrt_with_scalar_leading_coefficient():
     assert fe_mul(h2, h2) == lower(parse("0-(1-2*p)^2"))
 
 
+_Q = RatFn(Poly((ONE, Scalar(-2))), Poly((Scalar(2), ONE)))  # (1 - 2p)/(p + 2)
+_PR = RatFn.from_poly(P_POLY)
+_OMP = RatFn.from_poly(Poly((ONE, Scalar(-1))))  # 1 - p
+SQRT_SHAPES = {
+    "q^2": RatFn.const(1),
+    "q^2*p/(1-p)": _PR / _OMP,
+    "q^2*(1-p)/p": _OMP / _PR,
+    "q^2*p*(p-1)": -(_PR * _OMP),
+    "q^2/(p*(p-1))": -(_PR * _OMP).inverse(),
+}
+
+
+@pytest.mark.parametrize("c", ["1", "4/9", "2", "1/2", "-1", "-2", "3"])
+@pytest.mark.parametrize("shape", SQRT_SHAPES)
+def test_sqrt_table(shape, c):
+    u = RatFn.const(Fraction(c)) * _Q * _Q * SQRT_SHAPES[shape]
+    if c != "3":
+        h = field_sqrt(u)
+        assert h * h == FieldElem(u)
+        return
+    with pytest.raises(NotInFieldError) as exc:
+        field_sqrt(u)
+    want = [] if shape == "q^2" else ["1 - p", "p"]
+    assert sorted(str(g) for g in exc.value.odd_factors) == want
+
+
+@pytest.mark.parametrize("text, tests", [
+    ("sqrt((p + 2)*(1 - 2*p)^2)", 1),
+    ("sqrt(2*(1 - 2*p)^2)", 1),
+    ("sqrt(3*(1 - 2*p)^2)", 1),
+    ("sqrt(2*(1 - 2*p)^2*p/(1 - p))", 2),
+])
+def test_sqrt_square_test_count(monkeypatch, text, tests):
+    from coinfield import lang
+    from coinfield.analysis import decide_qq_ratio
+    calls = []
+    real = lang.square_test
+
+    def counted(u):
+        calls.append(u)
+        return real(u)
+
+    monkeypatch.setattr(lang, "square_test", counted)
+    decide_qq_ratio(text)
+    assert len(calls) == tests
+
+
 def test_parse_refuses_integer_past_digit_bound():
     # refused by the tokenizer, whatever the interpreter's int-string limit
     for text in ("1" * (MAX_DIGITS + 1), "p + 2*" + "9" * 5000,

@@ -7,7 +7,7 @@ import pytest
 
 from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, _canonical_euclid,
                              _canonical_real, certify_nonneg, isolate_roots,
-                             is_square, poly_gcd, rational_roots,
+                             is_square, multiplicity, poly_gcd, rational_roots,
                              split_rational_roots, square_test,
                              squarefree_decompose, sturm_count)
 from coinfield.scalars import ONE, SQRT2, Scalar
@@ -253,6 +253,32 @@ def test_algebraic_point_queries():
     assert pt.sign_of(P - Poly.const(Scalar(2))) == -1
     assert pt.multiplicity_in(g * g) == 2
     assert pt.multiplicity_in(P) == 0
+
+
+def complex_poly(rnd, deg):
+    return Poly(tuple(Scalar(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)),
+                             rnd.choice((0, Fraction(1, 2))),
+                             Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)),
+                             rnd.choice((0, -1)))
+                      for _ in range(deg + 1)))
+
+
+def test_multiplicity_of_rational_and_algebraic_points():
+    rnd = random.Random(211)
+    golden = P * P + P - Poly.const(ONE)  # root (sqrt5 - 1)/2 in (0, 1)
+    pt = isolate_roots(golden, 0, 1)[1][0]
+    for _ in range(40):
+        f = complex_poly(rnd, rnd.randint(0, 3))
+        k = rnd.randint(0, 3)
+        z = Fraction(rnd.randint(-4, 4), rnd.randint(1, 4))
+        if f and f.eval_exact(z):
+            assert multiplicity(f * Poly((Scalar(-z), ONE)) ** k, z) == k
+        if f and not any(pt.is_root_of(g) for g in (f.real_part(), f.imag_part()) if g):
+            assert multiplicity(f * golden ** k, pt) == k
+    assert multiplicity(Poly(), Fraction(1, 3)) is None
+    assert multiplicity(Poly(), pt) is None
+    # a root of the real part alone does not count
+    assert multiplicity(Poly((Scalar(-1, 0, 1), ONE)), Fraction(1)) == 0
 
 
 def test_poly_json_round_trip():

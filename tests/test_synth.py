@@ -228,6 +228,25 @@ def test_validator_rejects_measure_outside_rebuild_scope():
         validate_program(prog)
 
 
+def ancestor_measure_program():
+    # the measurement sits in node 1 but names the root node 0
+    instrs = (AllocCoin(0), AllocCoin(1), Gate("CNOT", (0, 1)), Measure(1, 0, 0))
+    nodes = (ProvNode(0, "root", (("instr", 0), ("child", 1))),
+             ProvNode(1, "inner", (("instr", 1), ("instr", 2), ("instr", 3))))
+    return CircuitProgram(instrs, 2, 0, nodes, 0)
+
+
+def test_validator_rejects_measure_naming_another_node():
+    with pytest.raises(ValueError, match="emitting node 1"):
+        validate_program(ancestor_measure_program())
+    # the same circuit with the measurement in the root node is sound
+    prog = ancestor_measure_program()
+    moved = CircuitProgram(prog.instructions, 2, 0, (
+        ProvNode(0, "root", (("instr", 0), ("child", 1), ("instr", 3))),
+        ProvNode(1, "inner", (("instr", 1), ("instr", 2)))), 0)
+    validate_program(moved)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
