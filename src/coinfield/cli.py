@@ -152,9 +152,9 @@ def cmd_cost(args) -> int:
     if args.json:
         print(json.dumps(rep.to_json()))
     else:
-        print(f"expected coins: {rep.expected_coins:g}")
-        print(f"expected consts: {rep.expected_consts:g}")
-        print(f"success probability per attempt: {rep.success_probability:g}")
+        print(f"expected coins: {rep.expected_coins:.6g}")
+        print(f"expected consts: {rep.expected_consts:.6g}")
+        print(f"success probability per attempt: {rep.success_probability:.6g}")
         print(f"measurements: {rep.static['measures']}")
         print(f"registers: {rep.static['registers']}")
     return 0

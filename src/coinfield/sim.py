@@ -22,7 +22,9 @@ drives the Monte Carlo replay of every trial's retries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .field import INFINITY, FieldElem, Infinity, ext_is_zero
@@ -373,25 +375,65 @@ class CostReport:
 
     expected_attempts maps each provenance node to the expected number of
     times its subtree is built per run; measure_probs maps each measurement
-    instruction to its per-attempt success probability."""
+    instruction to its per-attempt success probability. A cost, attempt
+    count or success probability outside the normal float range is a
+    Decimal of 17 significant digits, and to_json writes it as a string."""
     p0: float
-    expected_coins: float
-    expected_consts: float
-    success_probability: float
-    expected_attempts: dict[int, float]
+    expected_coins: float | Decimal
+    expected_consts: float | Decimal
+    success_probability: float | Decimal
+    expected_attempts: dict[int, float | Decimal]
     measure_probs: dict[int, float]
     static: dict
 
     def to_json(self) -> dict:
         return {
             "p0": self.p0,
-            "expected_coins": self.expected_coins,
-            "expected_consts": self.expected_consts,
-            "success_probability": self.success_probability,
-            "expected_attempts": {str(k): v for k, v in self.expected_attempts.items()},
+            "expected_coins": _json_number(self.expected_coins),
+            "expected_consts": _json_number(self.expected_consts),
+            "success_probability": _json_number(self.success_probability),
+            "expected_attempts": {str(k): _json_number(v)
+                                  for k, v in self.expected_attempts.items()},
             "measure_probs": {str(k): v for k, v in self.measure_probs.items()},
             "static": dict(self.static),
         }
+
+
+# 17 significant digits, as many as a float's shortest repr can need
+_DECIMAL = Context(prec=17)
+_FLOAT_MAX = Decimal(sys.float_info.max)
+
+
+def _number(m: float, e: int) -> float | Decimal:
+    """m * 2**e: a float, exactly, inside the normal float range (frexp
+    exponents -1021 to 1024), else a Decimal."""
+    if -1021 <= e <= 1024:
+        return math.ldexp(m, e)
+    return _DECIMAL.multiply(Decimal(m), _DECIMAL.power(2, e))
+
+
+def _weighted_sum(terms) -> float | Decimal:
+    """The sum of a*n over the (a, n) pairs, added in float arithmetic in
+    the order given while the terms and the sum stay floats, else as a
+    Decimal that is a float again whenever it fits."""
+    if all(type(a) is float for a, _ in terms):
+        total = 0.0
+        for a, n in terms:
+            total += a * n
+        if total != math.inf:
+            return total
+    total = Decimal(0)
+    for a, n in terms:
+        total = _DECIMAL.add(total, _DECIMAL.multiply(Decimal(a), n))
+    return float(total) if total <= _FLOAT_MAX else total
+
+
+def _json_number(x: float | Decimal) -> float | str | None:
+    """A float as itself and NaN (no trial completed) as None; a Decimal
+    past the float range as a string such as '3.1234567890123457e+412'."""
+    if isinstance(x, Decimal):
+        return f"{x:g}"
+    return None if math.isnan(x) else x
 
 
 _CHILD, _COIN, _CONST, _MEASURE = range(4)
@@ -427,9 +469,12 @@ def _exact_cost(prog: CircuitProgram, p0: Fraction | float):
         raise ValueError("p0 must lie strictly between 0 and 1")
     state, probs = _exact_pass(prog, p0)
     plans = _node_plans(prog, probs)
-    attempts: dict[int, float] = {}
+    attempts: dict[int, float | Decimal] = {}
 
-    def walk(nid: int, upstream: float) -> None:
+    # attempts are carried as a frexp mantissa and a binary exponent, so a
+    # deep tree cannot overflow; inside the float range each quotient rounds
+    # exactly as a float quotient would
+    def walk(nid: int, m: float, e: int) -> None:
         own = 1.0
         for kind, _, prob in plans[nid]:
             if kind == _MEASURE:
@@ -437,20 +482,23 @@ def _exact_cost(prog: CircuitProgram, p0: Fraction | float):
         if own == 0.0:
             raise PostselectionError(
                 f"node {nid} has success probability 0 at p = {p0}")
-        attempts[nid] = a = upstream / own
+        m, k = math.frexp(m / own)
+        attempts[nid] = _number(m, e + k)
         for kind, ref, _ in plans[nid]:
             if kind == _CHILD:
-                walk(ref, a)
+                walk(ref, m, e + k)
 
-    walk(prog.root, 1.0)
-    coins = consts = 0.0
-    for nid, plan in enumerate(plans):
-        kinds = [kind for kind, _, _ in plan]
-        coins += attempts[nid] * kinds.count(_COIN)
-        consts += attempts[nid] * kinds.count(_CONST)
-    overall = 1.0
+    walk(prog.root, 0.5, 1)
+    kinds = [[kind for kind, _, _ in plan] for plan in plans]
+    coins = _weighted_sum([(attempts[nid], k.count(_COIN))
+                           for nid, k in enumerate(kinds)])
+    consts = _weighted_sum([(attempts[nid], k.count(_CONST))
+                            for nid, k in enumerate(kinds)])
+    m, e = 0.5, 1
     for pr in probs.values():
-        overall *= pr
+        m, k = math.frexp(m * pr)
+        e += k
+    overall = _number(m, e)
     report = CostReport(float(p0), coins, consts, overall, attempts, probs,
                         static_counts(prog))
     return report, plans, state
@@ -487,7 +535,7 @@ class RunResult:
     trials: int
     successes: int
     empirical_p0_prob: float
-    expected_coins_analytic: float
+    expected_coins_analytic: float | Decimal
     expected_coins_empirical: float
     seed: int
     aborted: int
@@ -507,9 +555,9 @@ class RunResult:
             "p0": self.p0,
             "trials": self.trials,
             "successes": self.successes,
-            "empirical_p0_prob": _null_nan(self.empirical_p0_prob),
-            "expected_coins_analytic": self.expected_coins_analytic,
-            "expected_coins_empirical": _null_nan(self.expected_coins_empirical),
+            "empirical_p0_prob": _json_number(self.empirical_p0_prob),
+            "expected_coins_analytic": _json_number(self.expected_coins_analytic),
+            "expected_coins_empirical": _json_number(self.expected_coins_empirical),
             "seed": self.seed,
             "aborted": self.aborted,
             "completed": self.completed,
@@ -517,17 +565,13 @@ class RunResult:
             "consts_total": self.consts_total,
             "max_retries": self.max_retries,
             "workers": self.workers,
-            "node_attempts": {str(k): _null_nan(v)
+            "node_attempts": {str(k): _json_number(v)
                               for k, v in self.node_attempts.items()},
             "max_retries_seen": self.max_retries_seen,
             "aborted_coins": self.aborted_coins,
             "aborts_per_measure": {str(k): v for k, v
                                    in self.aborts_per_measure.items()},
         }
-
-
-def _null_nan(x: float) -> float | None:
-    return None if math.isnan(x) else x
 
 
 # Counter-based uniforms (SplitMix64): the draw-th number of a trial is a
@@ -567,6 +611,29 @@ class _Abort(Exception):
     """A trial gave up at the measurement with this instruction index."""
 
 
+def _fold(plans):
+    """Each node's plan folded for the replay: its steps, each a child to
+    run or a measurement to draw against, with the coins and consts taken
+    since the step before; then the coins and consts after the last step.
+    A measurement keeps when its 53-bit draw is below prob * 2**53, which
+    is exactly the test _uniform(...) < prob, the scaling being by a power
+    of two."""
+    folded = []
+    for plan in plans:
+        steps = []
+        coins = consts = 0
+        for kind, ref, prob in plan:
+            if kind == _COIN:
+                coins += 1
+            elif kind == _CONST:
+                consts += 1
+            else:
+                steps.append((coins, consts, kind, ref, prob * 2.0 ** 53))
+                coins = consts = 0
+        folded.append((tuple(steps), coins, consts))
+    return folded
+
+
 def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
             max_retries: int):
     """Replay every trial: each measurement attempt draws one uniform and a
@@ -576,6 +643,7 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
     Returns (successes, coins and consts of completed trials, aborted,
     coins of aborted trials, aborts at each measurement where some trial
     aborted, attempts per node over completed trials, most misses)."""
+    folded = _fold(plans)
     seed_key = _seed_key(seed)
     totals = [0] * len(plans)
     successes = coins_total = consts_total = aborted = aborted_coins = 0
@@ -585,29 +653,30 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
 
     def run_node(nid):
         nonlocal draw, coins, consts, worst
+        steps, tail_coins, tail_consts = folded[nid]
         # misses since this entry: a restart of an enclosing node enters
         # the node afresh, a miss of its own repeats it
         misses: dict[int, int] = {}
         while True:
             attempts[nid] += 1
-            for kind, ref, prob in plans[nid]:
+            for step_coins, step_consts, kind, ref, bound in steps:
+                coins += step_coins
+                consts += step_consts
                 if kind == _CHILD:
                     run_node(ref)
-                elif kind == _COIN:
-                    coins += 1
-                elif kind == _CONST:
-                    consts += 1
-                else:
-                    draw += 1
-                    if _uniform(key, draw) < prob:
-                        continue
-                    tries = misses.get(ref, 0) + 1
-                    if tries > max_retries:
-                        raise _Abort(ref)
-                    misses[ref] = tries
-                    worst = max(worst, tries)
-                    break
+                    continue
+                draw += 1
+                if _mix64((key + draw * _GAMMA) & _MASK64) >> 11 < bound:
+                    continue
+                tries = misses.get(ref, 0) + 1
+                if tries > max_retries:
+                    raise _Abort(ref)
+                misses[ref] = tries
+                worst = max(worst, tries)
+                break
             else:
+                coins += tail_coins
+                consts += tail_consts
                 return
 
     for trial in range(trials):

@@ -172,6 +172,28 @@ def test_cost_json_of_two_coin_protocol(capsys):
     assert abs(data["expected_coins"] - 2 / 0.58) < 1e-9
 
 
+def test_cost_past_the_float_range_prints_finite_numbers(capsys):
+    _, prog_json, _ = run_cli(capsys, "compile", "(1+p)^40")
+    code, out, _ = run_cli(capsys, "cost", "--p0", "3/10", "-", stdin=prog_json)
+    assert code == 0
+    assert "expected coins: 7.99558e+540" in out.splitlines()
+    assert "success probability per attempt: 2.08447e-550" in out.splitlines()
+
+    def refuse(name):
+        raise ValueError(name)
+
+    code, out, _ = run_cli(capsys, "cost", "--json", "--p0", "3/10", "-",
+                           stdin=prog_json)
+    assert code == 0
+    data = json.loads(out, parse_constant=refuse)
+    assert data["expected_coins"].startswith("7.99558")
+    code, out, _ = run_cli(capsys, "run", "--json", "--p0", "0.3", "--trials",
+                           "2", "--max-retries", "0", "-", stdin=prog_json)
+    assert code == 0
+    data = json.loads(out, parse_constant=refuse)
+    assert data["expected_coins_analytic"].startswith("7.99558")
+
+
 def test_run_seeded(capsys):
     from coinfield.synth import program_to_json, worked_example_program
     prog_json = json.dumps(program_to_json(worked_example_program()))

@@ -4,7 +4,9 @@ import itertools
 import json
 import math
 import random
+import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -143,7 +145,7 @@ def test_gcd_reduction_keeps_ratio_and_cost(monkeypatch):
     assert run_symbolic(prog) == h
     assert max(calls) == 31
     coins = expected_cost(prog, Fraction(3, 10)).expected_coins
-    assert abs(coins - 6207458.8604607675) <= 1e-12 * coins
+    assert abs(coins - 516510.106172167) <= 1e-12 * coins
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +271,53 @@ def test_worked_example_cost():
     assert abs(rep.success_probability - 0.58) < 1e-12
     assert abs(rep.expected_coins - 2 / 0.58) < 1e-12
     assert rep.expected_consts == 0
+
+
+@pytest.mark.parametrize("text", ["2*p - 1", "1 - 2*p"])
+def test_compiled_q_costs_the_two_coin_protocol(text):
+    rep = expected_cost(compile(lower(parse(text))), Fraction(3, 10))
+    assert abs(rep.expected_coins - 2 / 0.58) < 1e-12
+    assert rep.expected_consts == 0
+
+
+def refuse_constant(name):
+    raise ValueError(f"JSON constant {name}")
+
+
+def test_cost_past_the_float_range_stays_finite():
+    # (1+p)^40 nests 40 postselecting Horner steps: its attempt counts pass
+    # the float maximum and its success probability the float minimum
+    prog = compile(lower(parse("(1+p)^40")))
+    rep = expected_cost(prog, Fraction(3, 10))
+    probs = {k: Fraction(v) for k, v in rep.measure_probs.items()}
+
+    def subtree(nid):
+        """Expected coins of a node's subtree, in exact rationals."""
+        coins, own = Fraction(0), Fraction(1)
+        for kind, ref in prog.nodes[nid].items:
+            if kind == "child":
+                coins += subtree(ref)
+            elif isinstance(prog.instructions[ref], AllocCoin):
+                coins += 1
+            elif ref in probs:
+                own *= probs[ref]
+        return coins / own
+
+    want = subtree(prog.root)
+    assert want > sys.float_info.max
+    assert isinstance(rep.expected_coins, Decimal)
+    assert abs(Fraction(rep.expected_coins) / want - 1) < 1e-12
+    overall = math.prod(probs.values())
+    assert 0 < overall < sys.float_info.min
+    assert abs(Fraction(rep.success_probability) / overall - 1) < 1e-12
+    data = json.loads(json.dumps(rep.to_json()), parse_constant=refuse_constant)
+    assert data["expected_coins"] == f"{rep.expected_coins:g}"
+    assert Decimal(data["expected_coins"]) == rep.expected_coins
+    # inside the float range every field is a float, as before
+    small = expected_cost(compile(lower(parse("(1+p)^8"))), Fraction(3, 10))
+    assert all(type(x) is float for x in (
+        small.expected_coins, small.expected_consts, small.success_probability,
+        *small.expected_attempts.values()))
 
 
 def test_coin_cost_is_one():

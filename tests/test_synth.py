@@ -9,11 +9,12 @@ from coinfield.field import FieldElem, INFINITY
 from coinfield.lang import lower, parse
 from coinfield.polys import Poly, RatFn
 from coinfield.scalars import SQRT2, Scalar
-from coinfield.synth import (AllocCoin, AllocConst, CircuitProgram, Gate,
-                             Measure, ProvNode, coin_program, compile,
-                             const_program, construct_p, emit_add, emit_inv,
-                             emit_mul, program_from_json, program_to_json,
-                             static_counts, validate_program,
+from coinfield.sim import expected_cost, run_symbolic
+from coinfield.synth import (_P_IN_Q, AllocCoin, AllocConst, CircuitProgram,
+                             Gate, Measure, ProvNode, _horner, coin_program,
+                             compile, const_program, construct_p, emit_add,
+                             emit_inv, emit_mul, emit_neg, program_from_json,
+                             program_to_json, static_counts, validate_program,
                              worked_example_program)
 
 
@@ -122,18 +123,119 @@ def test_worked_example_instructions():
 
 
 def test_construct_p_counts():
-    # mul then two adds and an inversion: hand count of the macro expansion
+    # a mul, two inversions and an add: hand count of the macro expansion,
+    # the add bringing its sqrt2 constant
     prog = construct_p()
     validate_program(prog)
     counts = static_counts(prog)
     assert counts["coins"] == 2
-    assert counts["consts"] == 5
-    assert counts["measures"] == 6
-    assert counts["registers"] == 7
+    assert counts["consts"] == 2
+    assert counts["measures"] == 3
+    assert counts["registers"] == 4
 
 
 def test_compile_p_equals_construct_p():
     assert compile(lower(parse("p"))) == construct_p()
+
+
+def test_emit_neg_flips_the_ratio_for_free():
+    for x in (worked_example_program(), construct_p(),
+              emit_add(coin_program(), const_program(Fraction(1, 3)))):
+        neg = emit_neg(x)
+        validate_program(neg)
+        assert run_symbolic(neg) == -run_symbolic(x)
+        assert [i.name for i in neg.instructions[len(x.instructions):]] \
+            == ["H", "X", "H"]
+        for p0 in (Fraction(1, 10), Fraction(3, 10)):
+            assert expected_cost(neg, p0).expected_coins \
+                == expected_cost(x, p0).expected_coins
+
+
+def test_compile_of_q_and_minus_q_is_the_two_coin_protocol():
+    # 2p - 1 and 1 - 2p have one nonzero coefficient in q = 2p - 1
+    q = worked_example_program()
+    assert compile(lower(parse("2*p - 1"))) == q
+    assert compile(lower(parse("1 - 2*p"))) == emit_neg(q)
+
+
+# ---------------------------------------------------------------------------
+# Coin cost of compiled programs
+# ---------------------------------------------------------------------------
+
+COST_P0 = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
+
+# expected coins per sample at COST_P0 when every Horner step in p took a
+# fresh 132-coin construct_p; compile must never cost more
+OLD_COINS = {
+    "p": (142.574257426, 132.110091743, 115.2, 96.644295302, 79.5580110497),
+    "1 - 2*p": (2634.14634146, 3724.13793103, 4320, 3724.13793103, 2634.14634146),
+    "(2*p - 1)^2": (545289.670829, 803572.230889, 940680, 1090336.66147, 962579.114642),
+    "(2*p - 1)^3": (2201380573.83, 3218319214.52, 4244805270, 6001629343.4, 7041929851.05),
+    "1 - p + p^2": (3719.53394234, 4271.85518133, 4838.4, 5335.82907456, 5610.02133363),
+    "t + p - 1/2": (1795.88495575, 1921.54116022, 1623, 1357.91507446, 1292.57961783),
+    "(p^3 + t)^3": (2520725.28017, 6207458.86046, 14425771.5252, 73330938.2754, 4903331137.49),
+}
+
+# the same for the first 16 random_target draws of random.Random(101)
+OLD_RANDOM_COINS = (
+    (2203.30260855, 3190.58029904, 4365.792, 5718.76097611, 7379.1276794),
+    (50795.9768051, 52045.0105902, 59417.9653179, 81421.800541, 142329.03467),
+    (147037.40547, 159527.569326, 184730.154187, 228369.539162, 322969.099165),
+    (12387.6740049, 12451.1224304, 12829.9788, 14609.9125181, 27538.247289),
+    (3.81818181818, 4.05814925273, 4.66666666667, 5.87449936331, 9.13043478261),
+    (3109.48249344, 3595.84269493, 4408.56, 5815.846753, 9450.1433806),
+    (32274.9810424, 59230.3623384, 127476.454422, 274748.103611, 309817.030509),
+    (20819.9766132, 25100.9477583, 30659.4097938, 39288.4081236, 55577.2802286),
+    (13254.0469066, 3579.63239875, 2018, 1483.92560365, 1259.19813674),
+    (14079.9353236, 10722.6673359, 8374.78321678, 6899.87699146, 5953.74668893),
+    (25033.8847333, 27394.314245, 37610.8663366, 59838.3215453, 96539.670748),
+    (75470.6096035, 85506.4118332, 96314.3732282, 111572.380978, 140673.824756),
+    (98399.1592458, 51403.2114802, 24712.7371069, 15249.3073518, 12133.5739791),
+    (10727.6326643, 8982.25111609, 7688.83934315, 7444.90853051, 9193.09169745),
+    (1639.75372816, 1616.8601573, 1530.256, 1440.01683355, 1429.04761905),
+    (150204.148131, 223466.159441, 362603.215805, 675724.412572, 1554036.15517),
+)
+
+
+def assert_no_dearer(h, old):
+    prog = compile(h)
+    assert run_symbolic(prog) == h
+    for p0, bound in zip(COST_P0, old):
+        assert expected_cost(prog, p0).expected_coins <= bound * (1 + 1e-9), p0
+
+
+@pytest.mark.parametrize("text", sorted(OLD_COINS))
+def test_compile_cost_never_exceeds_horner_in_p(text):
+    assert_no_dearer(lower(parse(text)), OLD_COINS[text])
+
+
+def test_compile_cost_on_random_targets_never_exceeds_horner_in_p():
+    rnd = random.Random(101)
+    for old in OLD_RANDOM_COINS:
+        assert_no_dearer(random_target(rnd), old)
+
+
+@pytest.mark.parametrize("text", ["(2*p - 1)^2", "(2*p - 1)^3", "1 - p + p^2"])
+def test_q_basis_costs_a_hundredth_of_horner_in_p(text):
+    prog = compile(lower(parse(text)))
+    coins = expected_cost(prog, Fraction(3, 10)).expected_coins
+    assert 100 * coins <= OLD_COINS[text][1]
+
+
+@pytest.mark.parametrize("text, basis", [
+    ("p", "p"), ("p^3", "p"), ("p^4 + 1/3", "p"),
+    ("2*p - 1", "q"), ("(2*p - 1)^3", "q"), ("1 - p + p^2", "q")])
+def test_the_chosen_basis_is_the_cheaper(text, basis):
+    # each branch of the basis rule is the cheaper one on targets it picks
+    g = lower(parse(text)).r.num
+    in_q = Poly()
+    for c in reversed(g.coeffs):
+        in_q = in_q * _P_IN_Q + Poly.const(c)
+    costs = {b: expected_cost(prog, Fraction(3, 10)).expected_coins
+             for b, prog in (("p", _horner(g, construct_p())),
+                             ("q", _horner(in_q, worked_example_program())))}
+    chosen = expected_cost(compile(lower(parse(text))), Fraction(3, 10))
+    assert chosen.expected_coins == costs[basis] < costs[{"p": "q", "q": "p"}[basis]]
 
 
 # ---------------------------------------------------------------------------
