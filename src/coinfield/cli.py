@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
     prog = _read_program(args.program)
     p0 = float(scalars.read_rational(args.p0))
     res = sim.run_numeric(prog, p0, args.trials, seed=args.seed,
-                          max_retries=args.max_retries, workers=args.workers)
+                          max_retries=args.max_retries)
     if args.json:
         print(json.dumps(res.to_json()))
     else:
@@ -343,7 +343,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-retries", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
 
     p = add("cost", cmd_cost, help="analytic expected cost of a program")
     p.add_argument("program", nargs="?")

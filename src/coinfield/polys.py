@@ -985,14 +985,7 @@ def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
     if len(fs) <= 1:
         return exact, []
     count = _root_counter(fs)
-
-    def nonroot_near(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-        step = (hi - lo) / 1024
-        while not _sign_at(fs, x):
-            x = x + step
-            step = step / 2
-        return x
-
+    # every rational root is peeled, so no midpoint is a root of fs
     stack = [(a, b)]
     intervals: list[tuple[Fraction, Fraction]] = []
     while stack:
@@ -1003,7 +996,7 @@ def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
         if n == 1:
             intervals.append((lo, hi))
             continue
-        mid = nonroot_near((lo + hi) / 2, lo, hi)
+        mid = (lo + hi) / 2
         stack.append((lo, mid))
         stack.append((mid, hi))
 

@@ -15,8 +15,10 @@ polynomials in p with w^2 = p - p^2. At a rational bias p0 = n/d, the pass
 behind expected_cost and run_numeric works on values: the coin is scaled by
 d, so 1 - p becomes d - n and w becomes W = sqrt(n(d - n)) with the integer
 W^2 = n(d - n), and every polynomial has degree 0. There the pass reads
-each measurement's keep probability, which fixes the analytic cost and
-drives the Monte Carlo replay of every trial's retries.
+each measurement's keep probability. One plan per provenance node folds
+those probabilities with the node's coins and constant coins into what one
+attempt of it does; the analytic cost walks the plans, and the Monte Carlo
+replay runs every trial's retries on them.
 """
 
 from __future__ import annotations
@@ -436,28 +438,34 @@ def _json_number(x: float | Decimal) -> float | str | None:
     return None if math.isnan(x) else x
 
 
-_CHILD, _COIN, _CONST, _MEASURE = range(4)
-
-
 def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
-    """What one attempt of each provenance node does, in order: run a
-    child, take a coin or a constant coin, or draw against a measurement's
-    keep probability. Gates cost nothing here."""
+    """What one attempt of each provenance node does, folded: its steps in
+    order, each the coins and constant coins taken since the step before,
+    then either a child to run (ref the child's id, prob and bound None) or
+    a measurement to draw against (ref its instruction index, prob its keep
+    probability); then the coins and consts after the last step. Gates cost
+    nothing here. A measurement keeps when its 53-bit draw is below
+    bound = prob * 2**53, which is exactly the test _uniform(...) < prob,
+    the scaling being by a power of two."""
     plans = []
     for node in prog.nodes:
-        plan = []
+        steps = []
+        coins = consts = 0
         for tag, ref in node.items:
             if tag == "child":
-                plan.append((_CHILD, ref, 0.0))
-                continue
-            ins = prog.instructions[ref]
-            if isinstance(ins, AllocCoin):
-                plan.append((_COIN, ref, 0.0))
-            elif isinstance(ins, AllocConst):
-                plan.append((_CONST, ref, 0.0))
-            elif isinstance(ins, Measure):
-                plan.append((_MEASURE, ref, keep_probs[ref]))
-        plans.append(tuple(plan))
+                steps.append((coins, consts, ref, None, None))
+            else:
+                ins = prog.instructions[ref]
+                if isinstance(ins, AllocCoin):
+                    coins += 1
+                elif isinstance(ins, AllocConst):
+                    consts += 1
+                if not isinstance(ins, Measure):
+                    continue
+                prob = keep_probs[ref]
+                steps.append((coins, consts, ref, prob, prob * 2.0 ** 53))
+            coins = consts = 0
+        plans.append((tuple(steps), coins, consts))
     return plans
 
 
@@ -475,25 +483,22 @@ def _exact_cost(prog: CircuitProgram, p0: Fraction | float):
     # deep tree cannot overflow; inside the float range each quotient rounds
     # exactly as a float quotient would
     def walk(nid: int, m: float, e: int) -> None:
-        own = 1.0
-        for kind, _, prob in plans[nid]:
-            if kind == _MEASURE:
-                own *= prob
+        steps = plans[nid][0]
+        own = math.prod(prob for *_, prob, _ in steps if prob is not None)
         if own == 0.0:
             raise PostselectionError(
                 f"node {nid} has success probability 0 at p = {p0}")
         m, k = math.frexp(m / own)
         attempts[nid] = _number(m, e + k)
-        for kind, ref, _ in plans[nid]:
-            if kind == _CHILD:
+        for _, _, ref, prob, _ in steps:
+            if prob is None:
                 walk(ref, m, e + k)
 
     walk(prog.root, 0.5, 1)
-    kinds = [[kind for kind, _, _ in plan] for plan in plans]
-    coins = _weighted_sum([(attempts[nid], k.count(_COIN))
-                           for nid, k in enumerate(kinds)])
-    consts = _weighted_sum([(attempts[nid], k.count(_CONST))
-                            for nid, k in enumerate(kinds)])
+    coins = _weighted_sum([(attempts[nid], tail + sum(s[0] for s in steps))
+                           for nid, (steps, tail, _) in enumerate(plans)])
+    consts = _weighted_sum([(attempts[nid], tail + sum(s[1] for s in steps))
+                            for nid, (steps, _, tail) in enumerate(plans)])
     m, e = 0.5, 1
     for pr in probs.values():
         m, k = math.frexp(m * pr)
@@ -543,7 +548,6 @@ class RunResult:
     coins_total: int
     consts_total: int
     max_retries: int
-    workers: int
     node_attempts: dict[int, float]
     max_retries_seen: int
     aborted_coins: int
@@ -564,7 +568,6 @@ class RunResult:
             "coins_total": self.coins_total,
             "consts_total": self.consts_total,
             "max_retries": self.max_retries,
-            "workers": self.workers,
             "node_attempts": {str(k): _json_number(v)
                               for k, v in self.node_attempts.items()},
             "max_retries_seen": self.max_retries_seen,
@@ -611,29 +614,6 @@ class _Abort(Exception):
     """A trial gave up at the measurement with this instruction index."""
 
 
-def _fold(plans):
-    """Each node's plan folded for the replay: its steps, each a child to
-    run or a measurement to draw against, with the coins and consts taken
-    since the step before; then the coins and consts after the last step.
-    A measurement keeps when its 53-bit draw is below prob * 2**53, which
-    is exactly the test _uniform(...) < prob, the scaling being by a power
-    of two."""
-    folded = []
-    for plan in plans:
-        steps = []
-        coins = consts = 0
-        for kind, ref, prob in plan:
-            if kind == _COIN:
-                coins += 1
-            elif kind == _CONST:
-                consts += 1
-            else:
-                steps.append((coins, consts, kind, ref, prob * 2.0 ** 53))
-                coins = consts = 0
-        folded.append((tuple(steps), coins, consts))
-    return folded
-
-
 def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
             max_retries: int):
     """Replay every trial: each measurement attempt draws one uniform and a
@@ -643,7 +623,6 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
     Returns (successes, coins and consts of completed trials, aborted,
     coins of aborted trials, aborts at each measurement where some trial
     aborted, attempts per node over completed trials, most misses)."""
-    folded = _fold(plans)
     seed_key = _seed_key(seed)
     totals = [0] * len(plans)
     successes = coins_total = consts_total = aborted = aborted_coins = 0
@@ -653,16 +632,16 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
 
     def run_node(nid):
         nonlocal draw, coins, consts, worst
-        steps, tail_coins, tail_consts = folded[nid]
+        steps, tail_coins, tail_consts = plans[nid]
         # misses since this entry: a restart of an enclosing node enters
         # the node afresh, a miss of its own repeats it
         misses: dict[int, int] = {}
         while True:
             attempts[nid] += 1
-            for step_coins, step_consts, kind, ref, bound in steps:
+            for step_coins, step_consts, ref, _, bound in steps:
                 coins += step_coins
                 consts += step_consts
-                if kind == _CHILD:
+                if bound is None:
                     run_node(ref)
                     continue
                 draw += 1
@@ -699,14 +678,21 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
             dict(sorted(aborts_at.items())), totals, worst)
 
 
+# the most coins and constant coins a run may expect to replay in all
+MAX_REPLAY_COINS = 10 ** 9
+
+
 def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
                 max_retries: int = 1000, workers: int = 1) -> RunResult:
     """Monte Carlo runs of a program at coin bias p0. One exact pass gives
     the analytic cost and the keep probabilities, both at the same rational
-    p0: the nearest fraction with denominator at most 10^12. Each trial then
-    replays its retries against those probabilities, drawing from a
-    counter-based stream keyed by (seed, trial), so results depend on
-    nothing else. workers is checked and echoed for compatibility; the run
+    p0: the nearest fraction with denominator at most 10^12. A run whose
+    trials are expected to take more than MAX_REPLAY_COINS coins and
+    constant coins in all is refused. Each trial then replays its retries
+    against those probabilities, drawing from a counter-based stream keyed
+    by (seed, trial), so results depend on nothing else. workers must be at
+    least 1 and changes nothing; the keyword stays for callers that pass it
+    (the benchmark's Monte Carlo workload passes workers=1), and the run
     takes place in the calling thread."""
     if not 0.0 < float(p0) < 1.0:
         raise ValueError("p0 must lie strictly between 0 and 1")
@@ -720,6 +706,12 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         raise ValueError("max_retries must be non-negative")
     exact_p0 = Fraction(p0).limit_denominator(10 ** 12)
     analytic, plans, state = _exact_cost(prog, exact_p0)
+    coins, consts = analytic.expected_coins, analytic.expected_consts
+    if trials * (Decimal(coins) + Decimal(consts)) > MAX_REPLAY_COINS:
+        raise ValueError(
+            f"{trials} trials at {coins:.6g} expected coins and {consts:.6g} "
+            f"constant coins each exceed the replay bound of "
+            f"{MAX_REPLAY_COINS} in all")
     out_prob = state.keep_prob(prog.output, 0)
     (successes, coins_total, consts_total, aborted, aborted_coins, aborts_at,
      attempts, worst) = _replay(plans, prog.root, out_prob, seed, trials,
@@ -738,7 +730,6 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         coins_total=coins_total,
         consts_total=consts_total,
         max_retries=max_retries,
-        workers=workers,
         node_attempts={nid: a / completed if completed else math.nan
                        for nid, a in enumerate(attempts)},
         max_retries_seen=worst,

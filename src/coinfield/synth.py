@@ -90,14 +90,17 @@ def _shift_instr(ins: Instr, reg_off: int, node_off: int) -> Instr:
     return Measure(ins.reg + reg_off, ins.keep, ins.node + node_off)
 
 
-def _merge(operands: list[CircuitProgram]
-           ) -> tuple[list[Instr], list[ProvNode], list[tuple[str, int]], list[int], int]:
-    """Concatenate operand programs; returns (instrs, nodes, root items so far,
-    shifted operand outputs, next register index)."""
+def _node(kind: str, operands: list[CircuitProgram], fresh: int,
+          body) -> CircuitProgram:
+    """The one builder of a provenance node. The operand programs sit side
+    by side as its children, then come fresh new registers and the node's
+    own instructions: body(regs, node) returns (output, instructions), with
+    regs the operands' outputs followed by the fresh registers and node the
+    new node's id, which each of its measurements names."""
     instrs: list[Instr] = []
     nodes: list[ProvNode] = []
     items: list[tuple[str, int]] = []
-    outs: list[int] = []
+    regs: list[int] = []
     reg_off = 0
     for prog in operands:
         instr_off = len(instrs)
@@ -109,76 +112,58 @@ def _merge(operands: list[CircuitProgram]
                 tuple((tag, ref + (node_off if tag == "child" else instr_off))
                       for tag, ref in node.items)))
         items.append(("child", prog.root + node_off))
-        outs.append(prog.output + reg_off)
+        regs.append(prog.output + reg_off)
         reg_off += prog.registers
-    return instrs, nodes, items, outs, reg_off
-
-
-def _finish(kind: str, instrs, nodes, items, output, registers) -> CircuitProgram:
     root = len(nodes)
+    output, own = body(regs + list(range(reg_off, reg_off + fresh)), root)
+    items.extend(("instr", k) for k in range(len(instrs), len(instrs) + len(own)))
+    instrs.extend(own)
     nodes.append(ProvNode(root, kind, tuple(items)))
-    return CircuitProgram(tuple(instrs), registers, output, tuple(nodes), root)
+    return CircuitProgram(tuple(instrs), reg_off + fresh, output, tuple(nodes),
+                          root)
 
 
 def coin_program() -> CircuitProgram:
     """A single fresh coin; ratio t."""
-    return CircuitProgram((AllocCoin(0),), 1, 0,
-                          (ProvNode(0, "coin", (("instr", 0),)),), 0)
+    return _node("coin", [], 1, lambda regs, _: (regs[0], [AllocCoin(regs[0])]))
 
 
 def const_program(a: Scalar | int | Fraction) -> CircuitProgram:
     """The constant coin (a|0> + |1>)/norm; ratio a."""
     a = a if isinstance(a, Scalar) else Scalar(a)
-    return CircuitProgram((AllocConst(a, 0),), 1, 0,
-                          (ProvNode(0, "const", (("instr", 0),)),), 0)
+    return _node("const", [], 1,
+                 lambda regs, _: (regs[0], [AllocConst(a, regs[0])]))
 
 
 def emit_inv(x: CircuitProgram) -> CircuitProgram:
     """X on the output register: ratio h -> 1/h."""
-    instrs, nodes, items, (out,), regs = _merge([x])
-    items.append(("instr", len(instrs)))
-    instrs.append(Gate("X", (out,)))
-    return _finish("inv", instrs, nodes, items, out, regs)
+    return _node("inv", [x], 0,
+                 lambda regs, _: (regs[0], [Gate("X", (regs[0],))]))
 
 
 def emit_mul(x: CircuitProgram, y: CircuitProgram) -> CircuitProgram:
     """CNOT then postselect the second register on |0>: ratio h1*h2."""
-    instrs, nodes, items, (xo, yo), regs = _merge([x, y])
-    node_id = len(nodes)
-    items.append(("instr", len(instrs)))
-    instrs.append(Gate("CNOT", (xo, yo)))
-    items.append(("instr", len(instrs)))
-    instrs.append(Measure(yo, 0, node_id))
-    return _finish("mul", instrs, nodes, items, xo, regs)
+    def body(regs, node):
+        xo, yo = regs
+        return xo, [Gate("CNOT", (xo, yo)), Measure(yo, 0, node)]
+    return _node("mul", [x, y], 0, body)
 
 
 def emit_add(x: CircuitProgram, y: CircuitProgram) -> CircuitProgram:
     """B then postselect the first register on |0>, leaving sqrt2/(h1+h2);
     an X and a sqrt2 constant-multiplication land exactly on h1+h2."""
-    aux = const_program(SQRT2)
-    instrs, nodes, items, (xo, yo, co), regs = _merge([x, y, aux])
-    node_id = len(nodes)
-    items.append(("instr", len(instrs)))
-    instrs.append(Gate("B", (xo, yo)))
-    items.append(("instr", len(instrs)))
-    instrs.append(Measure(xo, 0, node_id))
-    items.append(("instr", len(instrs)))
-    instrs.append(Gate("X", (yo,)))
-    items.append(("instr", len(instrs)))
-    instrs.append(Gate("CNOT", (yo, co)))
-    items.append(("instr", len(instrs)))
-    instrs.append(Measure(co, 0, node_id))
-    return _finish("add", instrs, nodes, items, yo, regs)
+    def body(regs, node):
+        xo, yo, co = regs
+        return yo, [Gate("B", (xo, yo)), Measure(xo, 0, node), Gate("X", (yo,)),
+                    Gate("CNOT", (yo, co)), Measure(co, 0, node)]
+    return _node("add", [x, y, const_program(SQRT2)], 0, body)
 
 
 def emit_neg(x: CircuitProgram) -> CircuitProgram:
     """H, X, H on the output register, which is Z: ratio h -> -h with no
     postselection."""
-    instrs, nodes, items, (out,), regs = _merge([x])
-    for name in ("H", "X", "H"):
-        items.append(("instr", len(instrs)))
-        instrs.append(Gate(name, (out,)))
-    return _finish("neg", instrs, nodes, items, out, regs)
+    return _node("neg", [x], 0, lambda regs, _: (
+        regs[0], [Gate(name, (regs[0],)) for name in ("H", "X", "H")]))
 
 
 # p = (q + 1)/2 as a polynomial in q = 2p - 1
@@ -265,16 +250,11 @@ def compile(h: FieldElem | Infinity) -> CircuitProgram:
 def worked_example_program() -> CircuitProgram:
     """The two-coin protocol ending at ratio 2p-1: CNOT both coins,
     postselect the second on |0>, then H and X on the survivor."""
-    instrs = (
-        AllocCoin(0),
-        AllocCoin(1),
-        Gate("CNOT", (0, 1)),
-        Measure(1, 0, 0),
-        Gate("H", (0,)),
-        Gate("X", (0,)),
-    )
-    node = ProvNode(0, "protocol", tuple(("instr", k) for k in range(len(instrs))))
-    return CircuitProgram(instrs, 2, 0, (node,), 0)
+    def body(regs, node):
+        a, b = regs
+        return a, [AllocCoin(a), AllocCoin(b), Gate("CNOT", (a, b)),
+                   Measure(b, 0, node), Gate("H", (a,)), Gate("X", (a,))]
+    return _node("protocol", [], 2, body)
 
 
 # -- validation ------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_cost_json_of_two_coin_protocol(capsys):
     assert abs(data["expected_coins"] - 2 / 0.58) < 1e-9
 
 
-def test_cost_past_the_float_range_prints_finite_numbers(capsys):
+def test_cost_past_the_float_range_prints_finite_numbers(capsys, monkeypatch):
     _, prog_json, _ = run_cli(capsys, "compile", "(1+p)^40")
     code, out, _ = run_cli(capsys, "cost", "--p0", "3/10", "-", stdin=prog_json)
     assert code == 0
@@ -187,11 +187,25 @@ def test_cost_past_the_float_range_prints_finite_numbers(capsys):
     assert code == 0
     data = json.loads(out, parse_constant=refuse)
     assert data["expected_coins"].startswith("7.99558")
+    # lift the replay bound, which refuses this run, to reach the run report
+    monkeypatch.setattr("coinfield.sim.MAX_REPLAY_COINS", 10 ** 600)
     code, out, _ = run_cli(capsys, "run", "--json", "--p0", "0.3", "--trials",
                            "2", "--max-retries", "0", "-", stdin=prog_json)
     assert code == 0
     data = json.loads(out, parse_constant=refuse)
     assert data["expected_coins_analytic"].startswith("7.99558")
+
+
+def test_run_refuses_a_replay_past_its_bound(capsys):
+    # without the bound these three trials do not end: the program costs
+    # 8.0e540 coins per sample at 0.3
+    _, prog_json, _ = run_cli(capsys, "compile", "(1+p)^40")
+    for retries in ("1000", "0"):
+        code, out, err = run_cli(capsys, "run", "--p0", "0.3", "--trials", "3",
+                                 "--max-retries", retries, "-", stdin=prog_json)
+        assert code == 1 and not out
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("bad input:") and "7.99558e+540 expected coins" in err
 
 
 def test_run_seeded(capsys):

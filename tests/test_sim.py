@@ -434,7 +434,6 @@ def test_numeric_pool_size_is_capped(monkeypatch, workers, trials, old_pool):
     one = run_numeric(prog, 0.3, trials=trials, seed=5, workers=1)
     key = lambda r: (r.successes, r.completed, r.aborted, r.coins_total, r.consts_total)
     assert key(got) == key(one)
-    assert got.workers == workers
 
 
 def test_numeric_seed_changes_stream():
@@ -464,6 +463,15 @@ def test_numeric_retries_reset_when_enclosing_node_restarts():
     res = run_numeric(compile(lower(parse("1 - 2*p"))), 0.3, 20, seed=3)
     assert res.aborted == 0 and res.aborted_coins == 0
     assert res.completed == 20 and res.aborts_per_measure == {}
+
+
+def test_replay_bound_refuses_runs_just_over_it(monkeypatch):
+    # the two-coin protocol expects 2/0.58 = 3.45 coins per trial at 0.3
+    monkeypatch.setattr(sim, "MAX_REPLAY_COINS", 50)
+    prog = worked_example_program()
+    assert run_numeric(prog, 0.3, trials=14, seed=1).trials == 14   # 48.3
+    with pytest.raises(ValueError, match="3.44828 expected coins"):
+        run_numeric(prog, 0.3, trials=15, seed=1)                  # 51.7
 
 
 def test_numeric_rejects_bad_arguments():
