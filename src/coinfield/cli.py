@@ -369,7 +369,14 @@ def main(argv=None) -> int:
     except _BAD_INPUT as err:
         print(f"bad input: {err}", file=sys.stderr)
         return 1
-    sys.stdout.write(report.getvalue())
+    try:
+        sys.stdout.write(report.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device, so that the
+        # flush at exit writes what is left there instead of raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -64,13 +64,6 @@ INFINITY = Infinity()
 _PZERO = Poly()
 
 
-def _raw(A: Poly, B: Poly, C: Poly) -> "FieldElem":
-    """An element from parts already in canonical form."""
-    h = object.__new__(FieldElem)
-    h.A, h.B, h.C = A, B, C
-    return h
-
-
 class FieldElem:
     """r + s*t, stored as (A + B*w)/C with polynomial A, B, C over the exact
     scalar field, gcd(A, B, C) = 1 and C monic. Since w is not in the
@@ -99,7 +92,15 @@ class FieldElem:
         if C.is_zero():
             raise ZeroDivisionError("field element with zero denominator")
         C, A, B = canonical(C, A, B)
-        return _raw(A, B, C)
+        return FieldElem.from_canonical(A, B, C)
+
+    @staticmethod
+    def from_canonical(A: Poly, B: Poly, C: Poly) -> "FieldElem":
+        """The element (A + B*w)/C from parts already in canonical form,
+        taken as they are."""
+        h = object.__new__(FieldElem)
+        h.A, h.B, h.C = A, B, C
+        return h
 
     @staticmethod
     def const(x: Scalar | int | Fraction) -> "FieldElem":
@@ -143,7 +144,7 @@ class FieldElem:
                                   self.C * other.C)
 
     def __neg__(self) -> "FieldElem":
-        return _raw(-self.A, -self.B, self.C)
+        return FieldElem.from_canonical(-self.A, -self.B, self.C)
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return self + (-other)
@@ -176,7 +177,8 @@ class FieldElem:
 
     def conj(self) -> "FieldElem":
         # w is real on (0, 1), so conjugation acts on the coefficients only
-        return _raw(self.A.conj(), self.B.conj(), self.C.conj())
+        return FieldElem.from_canonical(self.A.conj(), self.B.conj(),
+                                        self.C.conj())
 
     def mod_squared(self) -> "FieldElem":
         A, B, C = self.A, self.B, self.C

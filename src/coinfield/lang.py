@@ -10,11 +10,11 @@ Grammar (precedence high to low: ^, unary -, * /, + -):
 
 Expressions nest at most MAX_DEPTH levels, counting each operator, sqrt and
 pair of parentheses, an integer has at most scalars.MAX_DIGITS significant
-digits, and lowering refuses any subexpression whose degree passes
-MAX_DEGREE. Rational literals like 3/4 come out of the division
-operator. sqrt(...) is only accepted during lowering when its argument is
-an exact square (possibly after dividing by p/(1-p)); everything else is
-reported as outside the field.
+digits, and lowering refuses, before computing anything, any subexpression
+whose degree bound passes MAX_DEGREE. Rational literals like 3/4 come out
+of the division operator. sqrt(...) is only accepted during lowering when
+its argument is an exact square (possibly after dividing by p/(1-p));
+everything else is reported as outside the field.
 """
 
 from __future__ import annotations
@@ -419,52 +419,108 @@ def field_sqrt(u: RatFn) -> FieldElem:
 MAX_DEGREE = 128  # bounds the polynomial work one expression can ask for
 
 
-def _degree(h: FieldElem) -> int:
-    """Degree in p of the parts A, B*w and C of h, with w counted as
-    degree 1; at least 1, so constants count too."""
-    return max(h.A.degree, h.B.degree + 1, h.C.degree, 1)
+def _times(x: int, y: int) -> int:
+    """Degree bound of a product of parts of degree at most x and y, where
+    -1 stands for a part that is zero."""
+    return x + y if x >= 0 and y >= 0 else -1
+
+
+def _inverse_bounds(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Part bounds of 1/h from those of h = (A + B*w)/C: C*(A - B*w) over
+    A^2 - B^2*p(1-p), or C/A when B is zero."""
+    if b < 0:
+        return c, -1, max(a, 0)
+    return _times(c, a), _times(c, b), max(2 * a, _times(2 * b, 2))
+
+
+def _bounds(e: Expr) -> tuple[int, int, int]:
+    """Upper bounds on the degrees of the parts A, B and C of lower(e) as
+    its operations compute them, before a common factor is divided out;
+    -1 for a part that is surely zero. Raises DegreeLimitError at the first
+    subexpression whose bound passes MAX_DEGREE, the degree of (A + B*w)/C
+    being the largest of those of A, B*w and C, and at least 1."""
+    if isinstance(e, RationalConst):
+        out = (0 if e.value else -1, -1, 0)
+    elif isinstance(e, (I, Sqrt2)):
+        out = (0, -1, 0)
+    elif isinstance(e, P):
+        out = (1, -1, 0)
+    elif isinstance(e, T):
+        out = (-1, 0, 1)
+    elif isinstance(e, (Add, Sub)):
+        (a1, b1, c1), (a2, b2, c2) = _bounds(e.left), _bounds(e.right)
+        out = (max(_times(a1, c2), _times(a2, c1)),
+               max(_times(b1, c2), _times(b2, c1)), c1 + c2)
+    elif isinstance(e, (Mul, Div)):
+        (a1, b1, c1), right = _bounds(e.left), _bounds(e.right)
+        a2, b2, c2 = _inverse_bounds(*right) if isinstance(e, Div) else right
+        # B1*B2*w^2 with w^2 = p(1-p) of degree 2
+        out = (max(_times(a1, a2), _times(_times(b1, b2), 2)),
+               max(_times(a1, b2), _times(b1, a2)), c1 + c2)
+    elif isinstance(e, Pow):
+        a, b, c = _bounds(e.base)
+        degree = max(a, b + 1, c, 1)
+        if degree * abs(e.exp) > MAX_DEGREE:
+            raise DegreeLimitError(
+                f"power ^{e.exp} of a base of degree up to {degree} exceeds "
+                f"degree {MAX_DEGREE}")
+        n = abs(e.exp)
+        top = n * max(a, b + 1)
+        # in (A + B*w)^n the even powers of B*w fall to A, the odd ones to B
+        out = (top if a >= 0 or n % 2 == 0 else -1,
+               top - 1 if b >= 0 and (a >= 0 or n % 2) else -1,
+               n * c) if n else (0, -1, 0)
+        if e.exp < 0:
+            out = _inverse_bounds(*out)
+    elif isinstance(e, Sqrt):
+        # the root of A/C is q, or q*t = q*w/(1-p) when q^2 is A/C divided
+        # by p/(1-p); either way q has at most half the degrees, rounded up
+        a, _, c = _bounds(e.child)
+        out = (a // 2, (a + 1) // 2 if a >= 0 else -1, (c + 1) // 2 + 1)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    degree = max(out[0], out[1] + 1, out[2], 1)
+    if degree > MAX_DEGREE:
+        raise DegreeLimitError(f"a subexpression of degree up to {degree} "
+                               f"exceeds degree {MAX_DEGREE}")
+    return out
 
 
 def lower(e: Expr) -> FieldElem:
     """Evaluate the tree inside the field; raises NotInFieldError when the
-    expression falls outside it, and DegreeLimitError when a subexpression
-    exceeds MAX_DEGREE. A power is refused before it is computed when its
-    base's degree times |exponent| exceeds MAX_DEGREE."""
+    expression falls outside it. Raises DegreeLimitError before computing
+    anything when a subexpression can exceed MAX_DEGREE: its parts are
+    bounded from those of its operands before any common factor cancels,
+    and a power is refused when its base's bound times |exponent| exceeds
+    MAX_DEGREE."""
+    _bounds(e)
+    return _lower(e)
+
+
+def _lower(e: Expr) -> FieldElem:
     if isinstance(e, RationalConst):
-        h = FieldElem.const(e.value)
-    elif isinstance(e, I):
-        h = FieldElem.const(Scalar(0, 0, 1))
-    elif isinstance(e, Sqrt2):
-        h = FieldElem.const(Scalar(0, 1))
-    elif isinstance(e, P):
-        h = FieldElem(_P_RF)
-    elif isinstance(e, T):
-        h = FieldElem.coin()
-    elif isinstance(e, Add):
-        h = lower(e.left) + lower(e.right)
-    elif isinstance(e, Sub):
-        h = lower(e.left) - lower(e.right)
-    elif isinstance(e, Mul):
-        h = lower(e.left) * lower(e.right)
-    elif isinstance(e, Div):
-        h = lower(e.left) / lower(e.right)
-    elif isinstance(e, Pow):
-        base = lower(e.base)
-        degree = _degree(base)
-        if degree * abs(e.exp) > MAX_DEGREE:
-            raise DegreeLimitError(
-                f"power ^{e.exp} of a degree-{degree} base exceeds degree "
-                f"{MAX_DEGREE}")
-        h = base ** e.exp
-    elif isinstance(e, Sqrt):
-        h = _lower_sqrt(lower(e.child))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    degree = _degree(h)
-    if degree > MAX_DEGREE:
-        raise DegreeLimitError(
-            f"a subexpression of degree {degree} exceeds degree {MAX_DEGREE}")
-    return h
+        return FieldElem.const(e.value)
+    if isinstance(e, I):
+        return FieldElem.const(Scalar(0, 0, 1))
+    if isinstance(e, Sqrt2):
+        return FieldElem.const(Scalar(0, 1))
+    if isinstance(e, P):
+        return FieldElem(_P_RF)
+    if isinstance(e, T):
+        return FieldElem.coin()
+    if isinstance(e, Add):
+        return _lower(e.left) + _lower(e.right)
+    if isinstance(e, Sub):
+        return _lower(e.left) - _lower(e.right)
+    if isinstance(e, Mul):
+        return _lower(e.left) * _lower(e.right)
+    if isinstance(e, Div):
+        return _lower(e.left) / _lower(e.right)
+    if isinstance(e, Pow):
+        return _lower(e.base) ** e.exp
+    if isinstance(e, Sqrt):
+        return _lower_sqrt(_lower(e.child))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_expr_numeric(e: Expr, p0: float) -> complex:

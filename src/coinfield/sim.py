@@ -4,11 +4,15 @@ cost, and seeded Monte Carlo runs.
 One exact pass serves all three. It tracks each entangled register group as
 a vector of amplitude pairs (A, B), meaning A + B*w with w = sqrt(p(1-p)).
 A and B are dense polynomials over Z[z], z = exp(i*pi/4), each coefficient
-an int 4-tuple (c0, c1, c2, c3) for c0 + c1*z + c2*z^2 + c3*z^3, z^4 = -1.
-Global factors cancel in the final ratio and in every keep probability, so
-states are kept unnormalised and integral: H and B act as sqrt2 times the
-gate, a constant coin is prepared times its denominator, and each
-measurement divides the group by its integer content.
+an int 4-tuple (c0, c1, c2, c3) for c0 + c1*z + c2*z^2 + c3*z^3, z^4 = -1;
+the integer kernel zpoly does all their arithmetic. Global factors cancel
+in the final ratio and in every keep probability, so states are kept
+unnormalised and integral: H and B act as sqrt2 times the gate, a constant
+coin is prepared times its denominator, and each measurement divides the
+group by its integer content. One gcd, zpoly.gcd, serves both places that
+divide out a shared polynomial factor: a group past degree 24 after a
+measurement, and run_symbolic's rationalised (A + B*w)/C, which it then
+makes monic and turns into Polys only to build its result.
 
 The pass runs in one of two modes on the same code. run_symbolic works on
 polynomials in p with w^2 = p - p^2. At a rational bias p0 = n/d, the pass
@@ -30,10 +34,14 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 from .field import INFINITY, FieldElem, Infinity, ext_is_zero
-from .polys import Poly, gcd_many
+from .polys import Poly
 from .scalars import HALF_SQRT2, SQRT2, Scalar, from_zeta, to_zeta
 from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
                     static_counts, validate_program)
+from .zpoly import (Z0 as _Z0, Z1 as _Z1, ZNEG1 as _ZNEG1,
+                    content as _pcontent, exquo as _exquo, gcd as _gcd,
+                    padd as _padd, pmul as _pmul, pscale as _pscale,
+                    zconj as _zconj, zinv as _zinv, zmul as _zmul)
 
 __all__ = [
     "PostselectionError", "gate_matrix", "run_symbolic",
@@ -69,67 +77,6 @@ class PostselectionError(ValueError):
     """The kept measurement branch has amplitude identically zero."""
 
 
-# -- Z[z] polynomials --------------------------------------------------------
-#
-# A polynomial is a list of 4-tuples, ascending degree, no trailing zero
-# tuple; [] is zero. Lists are never changed once built, so they are shared.
-
-_Z0 = (0, 0, 0, 0)
-_Z1 = (1, 0, 0, 0)
-_ZNEG1 = (-1, 0, 0, 0)
-
-
-def _zmul(x, y):
-    """Product in Z[z], a negacyclic convolution since z^4 = -1."""
-    a0, a1, a2, a3 = x
-    b0, b1, b2, b3 = y
-    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
-
-
-def _zconj(x):
-    """Complex conjugate: z -> z^-1 = -z^3."""
-    c0, c1, c2, c3 = x
-    return (c0, -c3, -c2, -c1)
-
-
-def _padd(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    if not g:
-        return f
-    out = list(f)
-    for k, (b0, b1, b2, b3) in enumerate(g):
-        a0, a1, a2, a3 = out[k]
-        out[k] = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-    if len(f) == len(g):
-        while out and out[-1] == _Z0:
-            out.pop()
-    return out
-
-
-def _pscale(m, f):
-    """m*f for a nonzero tuple m."""
-    return [_zmul(m, c) for c in f]
-
-
-def _pmul(f, g):
-    if not f or not g:
-        return []
-    n = len(f) + len(g) - 1
-    r0, r1, r2, r3 = [0] * n, [0] * n, [0] * n, [0] * n
-    for j, (a0, a1, a2, a3) in enumerate(f):
-        for k, (b0, b1, b2, b3) in enumerate(g, j):
-            r0[k] += a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
-            r1[k] += a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
-            r2[k] += a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
-            r3[k] += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-    # Z[z] has no zero divisors, so the top coefficient is nonzero
-    return list(zip(r0, r1, r2, r3))
-
-
 def _pair_mul(x, y, wsq):
     """(a0 + a1*w)(b0 + b1*w) as a pair, with w^2 the polynomial wsq."""
     (a0, a1), (b0, b1) = x, y
@@ -142,15 +89,15 @@ def _content(amps) -> int:
     g = 0
     for pair in amps:
         for f in pair:
-            for c in f:
-                g = math.gcd(g, *c)
-                if g == 1:
-                    return 1
+            g = math.gcd(g, _pcontent(f))
+            if g == 1:
+                return 1
     return g
 
 
-def _to_poly(f) -> Poly:
-    return Poly([from_zeta(c) for c in f])
+def _to_poly(f, den: int = 1) -> Poly:
+    """The Poly f/den, for a positive integer den."""
+    return Poly([from_zeta(c, den) for c in f])
 
 
 def _int_gate(mat):
@@ -281,13 +228,10 @@ class _SymState:
         # divide out a shared polynomial factor once degrees get large; at a
         # point every polynomial is a constant and this never runs
         if max(len(f) for pair in amps for f in pair) > 25:
-            polys = [_to_poly(f) for pair in amps for f in pair]
-            g = gcd_many([f for f in polys if f])
-            if g.degree > 0:
-                quots = [[to_zeta(c) for c in (f // g).coeffs] for f in polys]
-                den = math.lcm(*(d for q in quots for _, d in q))
-                flat = [[tuple(x * (den // d) for x in c) for c, d in q]
-                        for q in quots]
+            flat = [f for pair in amps for f in pair]
+            g = _gcd(flat)
+            if len(g) > 1:
+                flat = _exquo(flat, g)[0]
                 amps = list(zip(flat[0::2], flat[1::2]))
         g = _content(amps)
         if g > 1:
@@ -366,7 +310,14 @@ def run_symbolic(prog: CircuitProgram) -> FieldElem | Infinity:
     conj = (a1, _pscale(_ZNEG1, b1))
     num = _pair_mul((a0, b0), conj, state.wsq)
     den = _pair_mul((a1, b1), conj, state.wsq)[0]
-    return FieldElem.from_abc(*(_to_poly(f) for f in (*num, den)))
+    # the canonical form: the gcd divided out, then den made monic
+    parts = (den, *num)
+    g = _gcd(parts)
+    if len(g) > 1:
+        parts = _exquo(parts, g)[0]
+    m, n = _zinv(parts[0][-1])
+    C, A, B = (_to_poly(_pscale(m, f), n) for f in parts)
+    return FieldElem.from_canonical(A, B, C)
 
 
 # -- expected cost ---------------------------------------------------------

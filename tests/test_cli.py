@@ -581,3 +581,30 @@ def test_fixture_battery_all_pass(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert len(lines) == 14
     assert all(ln.rstrip().endswith("PASS") for ln in lines)
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    # the reader has closed its end before the report is written
+    import os
+    import subprocess
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "coinfield.cli", "compile", "(1+p)^6"],
+            env=_fresh_env(), stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
+def test_over_degree_input_is_refused_before_it_is_computed(capsys):
+    # both terms lower, but their sum's denominator bound is 200: refused
+    # before either power is computed
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "decide", "1/(p+1)^100 + 1/(p+2)^100")
+    assert time.perf_counter() - t0 < 0.3
+    assert code == 1 and not out and "exceeds degree" in err

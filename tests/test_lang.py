@@ -284,3 +284,17 @@ def test_parse_refuses_integer_past_digit_bound():
     assert parse("0" * 5000 + "7") == RationalConst(Fraction(7))
     with pytest.raises(ParseError, match="unexpected character"):
         parse("2\u00b2")   # a superscript two is a digit, but not a decimal
+
+
+def test_degree_bounds_come_before_cancellation():
+    # a part is bounded from its operands' bounds before any common factor
+    # cancels, so a product that would cancel back under the limit is
+    # refused; inputs whose bounds stay within it still lower
+    with pytest.raises(DegreeLimitError):
+        lower(parse("(p^70/(p+1)^70)*((p+1)^70/p^70)"))
+    assert lower(parse("(p^100 + 1) - p^100")) == FE_ONE
+    assert lower(parse("p^64*p^64")) == FieldElem(RatFn(P_POLY ** MAX_DEGREE))
+    h = lower(parse("p^70/(p+1)^70"))
+    assert (h.A.degree, h.C.degree) == (70, 70)
+    h = lower(parse("t^-128"))
+    assert (h.A.degree, h.B.degree, h.C.degree) == (64, -1, 64)

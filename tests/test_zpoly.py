@@ -1,0 +1,171 @@
+"""The Z[z] polynomial kernel, z = exp(i*pi/4): gcd, exact quotient and
+norm inverse against the Fraction arithmetic of polys, and run_symbolic's
+canonical form against FieldElem.from_abc."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from coinfield import sim
+from coinfield.field import FieldElem
+from coinfield.lang import lower, parse
+from coinfield.polys import Poly, poly_gcd
+from coinfield.scalars import from_zeta
+from coinfield.synth import compile
+from coinfield.zpoly import Z1, content, exquo, gcd, pmul, zinv, zmul
+
+from test_acceptance import _random_elem
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# contents that are not rational: 1 + z has norm 2 and 2 + z norm 17
+ONE_PLUS_Z = (1, 1, 0, 0)
+TWO_PLUS_Z = (2, 1, 0, 0)
+
+
+def to_poly(f) -> Poly:
+    return Poly([from_zeta(c) for c in f])
+
+
+def rand_elem(rnd, span=3):
+    while True:
+        x = tuple(rnd.randint(-span, span) for _ in range(4))
+        if any(x):
+            return x
+
+
+def rand_poly(rnd, degree, span=3):
+    """A random polynomial of exactly this degree."""
+    return [tuple(rnd.randint(-span, span) for _ in range(4))
+            for _ in range(degree)] + [rand_elem(rnd, span)]
+
+
+def zpow(x, k):
+    out = Z1
+    for _ in range(k):
+        out = zmul(out, x)
+    return out
+
+
+def rand_factor(rnd):
+    """A random common factor, often with a content that is not rational."""
+    content = rnd.choice([Z1, zpow(ONE_PLUS_Z, rnd.randint(1, 5)),
+                          zpow(TWO_PLUS_Z, rnd.randint(1, 3)), (6, 0, 0, 0)])
+    return pmul([content], rand_poly(rnd, rnd.randint(1, 3)))
+
+
+def assert_normal(g):
+    """A positive integer leading coefficient, integers of gcd 1."""
+    assert g[-1][0] > 0 and not any(g[-1][1:])
+    assert content(g) == 1
+
+
+def assert_gcd_matches(polys):
+    got = gcd(polys)
+    want = Poly()
+    for f in polys:
+        want = poly_gcd(want, to_poly(f)) if not want.is_zero() \
+            else to_poly(f).monic()
+    if not got:
+        assert want.is_zero()
+        return
+    assert_normal(got)
+    assert to_poly(got).monic() == want
+
+
+def test_norm_inverse():
+    rnd = random.Random(5)
+    for _ in range(300):
+        y = rand_elem(rnd, 9)
+        m, n = zinv(y)
+        assert n > 0 and zmul(y, m) == (n, 0, 0, 0)
+    assert zinv((-4, 0, 0, 0)) == ((-1, 0, 0, 0), 4)
+
+
+def test_gcd_of_products_with_a_common_factor():
+    rnd = random.Random(11)
+    for _ in range(150):
+        g = rand_factor(rnd)
+        f1 = pmul(g, rand_poly(rnd, rnd.randint(0, 5)))
+        f2 = pmul(g, rand_poly(rnd, rnd.randint(0, 2)))
+        assert_gcd_matches([f1, f2])
+        assert_gcd_matches([f2, f1])
+
+
+def test_gcd_of_coprime_pairs_and_degree_gaps():
+    rnd = random.Random(13)
+    for _ in range(100):
+        f1 = rand_poly(rnd, rnd.randint(3, 7))
+        f2 = rand_poly(rnd, rnd.randint(0, 1))
+        assert_gcd_matches([f1, f2])
+    # p^6 - 1 and p^2 - 1 share p^2 - 1, four degrees apart
+    six = [(-1, 0, 0, 0)] + [(0, 0, 0, 0)] * 5 + [Z1]
+    two = [(-1, 0, 0, 0), (0, 0, 0, 0), Z1]
+    assert gcd([six, two]) == two
+    assert gcd([six, [(0, 0, 0, 0), Z1]]) == [Z1]
+
+
+def test_gcd_of_three_and_of_zero_and_constant_operands():
+    rnd = random.Random(17)
+    for _ in range(60):
+        g = rand_factor(rnd)
+        polys = [pmul(g, rand_poly(rnd, rnd.randint(0, 3))) for _ in range(3)]
+        assert_gcd_matches(polys)
+    f = pmul([TWO_PLUS_Z], rand_poly(rnd, 3))
+    assert gcd([]) == [] and gcd([[], []]) == []
+    assert_gcd_matches([[], f])
+    assert_gcd_matches([f, []])
+    assert gcd([[TWO_PLUS_Z], f]) == [Z1] and gcd([f, [ONE_PLUS_Z]]) == [Z1]
+    assert gcd([[ONE_PLUS_Z]]) == [Z1]
+
+
+def test_exact_quotient_times_divisor_is_the_dividend():
+    # the normal form of g, what the simulator divides by, may leave a
+    # quotient that is integral only after a scale s > 1
+    rnd = random.Random(19)
+    scales = []
+    for _ in range(150):
+        g = rand_factor(rnd)
+        polys = [pmul(g, rand_poly(rnd, rnd.randint(0, 4))) for _ in range(3)]
+        polys.append([])
+        for div in (g, gcd([g])):
+            quots, s = exquo(polys, div)
+            scales.append(s)
+            for f, q in zip(polys, quots):
+                assert pmul(q, div) == [tuple(s * x for x in c) for c in f]
+    assert min(scales) == 1 and max(scales) > 1
+    with pytest.raises(ValueError):
+        exquo([[Z1, Z1]], [Z1, (0, 0, 1, 0)])
+
+
+def from_abc_oracle(prog):
+    """The output ratio by the Fraction path: the rationalised parts of the
+    exact pass as Polys, brought to canonical form by FieldElem.from_abc."""
+    state, _ = sim._exact_pass(prog, None)
+    (a0, b0), (a1, b1) = state.group_of[prog.output].amps
+    conj = (a1, sim._pscale(sim._ZNEG1, b1))
+    num = sim._pair_mul((a0, b0), conj, state.wsq)
+    den = sim._pair_mul((a1, b1), conj, state.wsq)[0]
+    return FieldElem.from_abc(*(sim._to_poly(f) for f in (*num, den)))
+
+
+def assert_same_parts(prog):
+    got, want = sim.run_symbolic(prog), from_abc_oracle(prog)
+    assert (got.A, got.B, got.C) == (want.A, want.B, want.C)
+    assert str(got.A) == str(want.A) and str(got.C) == str(want.C)
+
+
+def test_run_symbolic_parts_on_the_criterion_2_set():
+    rnd = random.Random(777)
+    for _ in range(100):
+        assert_same_parts(compile(_random_elem(rnd)))
+
+
+def test_run_symbolic_parts_on_benchmark_targets(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = pytest.importorskip("workloads")
+    stream = workloads.CompileExecute().stream(random.Random(3))
+    for _ in range(200):
+        text, _ = next(stream)
+        assert_same_parts(compile(lower(parse(text))))
