@@ -138,10 +138,19 @@ def cmd_run(args) -> int:
     p0 = float(scalars.read_rational(args.p0))
     res = sim.run_numeric(prog, p0, args.trials, seed=args.seed,
                           max_retries=args.max_retries)
+    out = {}
+    for key, val in res.to_json().items():
+        out[key] = val
+        if key == "node_attempts":
+            # the analytic attempts per node beside the observed ones, at
+            # the rational p0 the replay ran at
+            want = sim.expected_cost(prog, sim.rational_p0(p0)).to_json()
+            out["expected_attempts"] = dict(sorted(
+                want["expected_attempts"].items(), key=lambda kv: int(kv[0])))
     if args.json:
-        print(json.dumps(res.to_json()))
+        print(json.dumps(out))
     else:
-        for key, val in res.to_json().items():
+        for key, val in out.items():
             print(f"{key}: {json.dumps(val) if isinstance(val, dict) else val}")
     return 0
 

@@ -158,6 +158,10 @@ class FieldElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero element")
         A, B, C = self.A, self.B, self.C
+        if not B:
+            # gcd(A, C) = 1 in canonical form, so C/A only needs A monic
+            linv = A.leading.inverse()
+            return FieldElem.from_canonical(C * linv, B, A * linv)
         return FieldElem.from_abc(C * A, -(C * B), w_norm((A, B)))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":

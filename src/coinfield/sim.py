@@ -45,7 +45,7 @@ from .zpoly import (Z0 as _Z0, Z1 as _Z1, ZNEG1 as _ZNEG1,
 
 __all__ = [
     "PostselectionError", "gate_matrix", "run_symbolic",
-    "CostReport", "expected_cost", "RunResult", "run_numeric",
+    "CostReport", "expected_cost", "RunResult", "rational_p0", "run_numeric",
 ]
 
 _S0 = Scalar(0)
@@ -395,9 +395,11 @@ def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
     then either a child to run (ref the child's id, prob and bound None) or
     a measurement to draw against (ref its instruction index, prob its keep
     probability); then the coins and consts after the last step. Gates cost
-    nothing here. A measurement keeps when its 53-bit draw is below
-    bound = prob * 2**53, which is exactly the test _uniform(...) < prob,
-    the scaling being by a power of two."""
+    nothing here. A measurement keeps when its 53-bit draw x is below the
+    integer bound = ceil(prob * 2**53): the product is exact, the scaling
+    being by a power of two, and for an integer x, x < ceil(b) exactly when
+    x < b, so this is the test _uniform(...) < prob. The cost walk reads
+    prob."""
     plans = []
     for node in prog.nodes:
         steps = []
@@ -414,7 +416,8 @@ def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
                 if not isinstance(ins, Measure):
                     continue
                 prob = keep_probs[ref]
-                steps.append((coins, consts, ref, prob, prob * 2.0 ** 53))
+                steps.append((coins, consts, ref, prob,
+                              math.ceil(prob * 2.0 ** 53)))
             coins = consts = 0
         plans.append((tuple(steps), coins, consts))
     return plans
@@ -533,12 +536,13 @@ class RunResult:
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
     """The SplitMix64 finaliser, a bijection on 64-bit words."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -561,10 +565,6 @@ def _uniform(key: int, draw: int) -> float:
     return (_mix64((key + draw * _GAMMA) & _MASK64) >> 11) * 2.0 ** -53
 
 
-class _Abort(Exception):
-    """A trial gave up at the measurement with this instruction index."""
-
-
 def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
             max_retries: int):
     """Replay every trial: each measurement attempt draws one uniform and a
@@ -573,64 +573,106 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
     last entered, and a completed trial draws once more for its outcome.
     Returns (successes, coins and consts of completed trials, aborted,
     coins of aborted trials, aborts at each measurement where some trial
-    aborted, attempts per node over completed trials, most misses)."""
-    seed_key = _seed_key(seed)
+    aborted, attempts per node over completed trials, most misses).
+
+    One loop walks the plans with an explicit stack of the nodes entered,
+    and every draw is _uniform's hash written out on a running counter:
+    ctr += _GAMMA keeps ctr = key + draw * _GAMMA (mod 2**64), so the draws
+    are exactly _trial_key's and _uniform's, and each is compared as a
+    53-bit integer with the plan's integer bound. Attempts go straight into
+    the run's totals; an aborted trial restores the copy taken at its
+    start."""
+    mask, gamma, mix1, mix2 = _MASK64, _GAMMA, _MIX1, _MIX2
+    out_bound = math.ceil(out_prob * 2.0 ** 53)
     totals = [0] * len(plans)
     successes = coins_total = consts_total = aborted = aborted_coins = 0
-    worst = key = draw = coins = consts = 0
+    worst = 0
     aborts_at: dict[int, int] = {}
-    attempts: list[int] = []
-
-    def run_node(nid):
-        nonlocal draw, coins, consts, worst
-        steps, tail_coins, tail_consts = plans[nid]
-        # misses since this entry: a restart of an enclosing node enters
-        # the node afresh, a miss of its own repeats it
-        misses: dict[int, int] = {}
+    stack: list = []
+    trial_ctr = _seed_key(seed)
+    for _ in range(trials):
+        z = trial_ctr & mask
+        trial_ctr += gamma
+        z = ((z ^ (z >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        ctr = z ^ (z >> 31)
+        coins = consts = 0
+        before = totals[:]
+        nid = root
+        steps, tail_coins, tail_consts = plans[root]
+        n = len(steps)
+        i = 0
+        # misses since this entry of the node, made on its first miss: a
+        # restart of an enclosing node enters the node afresh, a miss of its
+        # own repeats it
+        misses = None
+        totals[root] += 1
         while True:
-            attempts[nid] += 1
-            for step_coins, step_consts, ref, _, bound in steps:
-                coins += step_coins
-                consts += step_consts
-                if bound is None:
-                    run_node(ref)
-                    continue
-                draw += 1
-                if _mix64((key + draw * _GAMMA) & _MASK64) >> 11 < bound:
-                    continue
-                tries = misses.get(ref, 0) + 1
-                if tries > max_retries:
-                    raise _Abort(ref)
-                misses[ref] = tries
-                worst = max(worst, tries)
-                break
-            else:
+            if i == n:
                 coins += tail_coins
                 consts += tail_consts
-                return
-
-    for trial in range(trials):
-        key = _trial_key(seed_key, trial)
-        draw = coins = consts = 0
-        attempts = [0] * len(plans)
-        try:
-            run_node(root)
-        except _Abort as stop:
+                if not stack:
+                    break
+                nid, i, misses = stack.pop()
+                steps, tail_coins, tail_consts = plans[nid]
+                n = len(steps)
+                continue
+            step_coins, step_consts, ref, _, bound = steps[i]
+            i += 1
+            coins += step_coins
+            consts += step_consts
+            if bound is None:
+                stack.append((nid, i, misses))
+                nid = ref
+                steps, tail_coins, tail_consts = plans[ref]
+                n = len(steps)
+                i = 0
+                misses = None
+                totals[ref] += 1
+                continue
+            ctr += gamma
+            z = ctr & mask
+            z = ((z ^ (z >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            if (z ^ (z >> 31)) >> 11 < bound:
+                continue
+            if misses is None:
+                misses = {}
+            tries = misses.get(ref, 0) + 1
+            if tries > max_retries:
+                i = -1
+                break
+            misses[ref] = tries
+            if tries > worst:
+                worst = tries
+            i = 0
+            totals[nid] += 1
+        if i < 0:
+            stack.clear()
+            totals = before
             aborted += 1
             aborted_coins += coins
-            aborts_at[stop.args[0]] = aborts_at.get(stop.args[0], 0) + 1
+            aborts_at[ref] = aborts_at.get(ref, 0) + 1
             continue
-        draw += 1
-        successes += _uniform(key, draw) < out_prob
+        ctr += gamma
+        z = ctr & mask
+        z = ((z ^ (z >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        successes += (z ^ (z >> 31)) >> 11 < out_bound
         coins_total += coins
         consts_total += consts
-        totals = [t + a for t, a in zip(totals, attempts)]
     return (successes, coins_total, consts_total, aborted, aborted_coins,
             dict(sorted(aborts_at.items())), totals, worst)
 
 
 # the most coins and constant coins a run may expect to replay in all
 MAX_REPLAY_COINS = 10 ** 9
+
+
+def rational_p0(p0: float) -> Fraction:
+    """The rational p0 at which run_numeric prices and replays a float p0:
+    the nearest fraction with denominator at most 10^12."""
+    return Fraction(p0).limit_denominator(10 ** 12)
 
 
 def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
@@ -655,8 +697,7 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         raise ValueError("seed must be non-negative")
     if max_retries < 0:
         raise ValueError("max_retries must be non-negative")
-    exact_p0 = Fraction(p0).limit_denominator(10 ** 12)
-    analytic, plans, state = _exact_cost(prog, exact_p0)
+    analytic, plans, state = _exact_cost(prog, rational_p0(p0))
     coins, consts = analytic.expected_coins, analytic.expected_consts
     if trials * (Decimal(coins) + Decimal(consts)) > MAX_REPLAY_COINS:
         raise ValueError(

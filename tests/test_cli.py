@@ -238,6 +238,30 @@ def test_run_reports_observed_attempts(capsys):
     assert f"max_retries_seen: {data['max_retries_seen']}" in out
 
 
+def test_run_prints_expected_attempts_beside_observed(capsys):
+    from fractions import Fraction
+    from coinfield.sim import expected_cost
+    from coinfield.synth import construct_p
+    prog = construct_p()
+    want = {str(nid): a for nid, a in
+            sorted(expected_cost(prog, Fraction(3, 10)).expected_attempts.items())}
+    code, out, _ = run_cli(capsys, "run", "--p0", "0.3", "--trials", "200",
+                           "--seed", "5", "--json", "-",
+                           stdin=_program_json(prog))
+    assert code == 0
+    data = json.loads(out)
+    assert data["expected_attempts"] == want
+    assert list(data["expected_attempts"]) == list(data["node_attempts"])
+    keys = list(data)
+    assert keys[keys.index("node_attempts") + 1] == "expected_attempts"
+    code, out, _ = run_cli(capsys, "run", "--p0", "0.3", "--trials", "200",
+                           "--seed", "5", "-", stdin=_program_json(prog))
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index(f"node_attempts: {json.dumps(data['node_attempts'])}")
+    assert lines[at + 1] == f"expected_attempts: {json.dumps(want)}"
+
+
 def test_run_rejects_negative_seed(capsys):
     from coinfield.synth import program_to_json, worked_example_program
     prog_json = json.dumps(program_to_json(worked_example_program()))

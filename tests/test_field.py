@@ -9,7 +9,7 @@ import pytest
 from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, ONE_MINUS_P,
                              TAU, W_SQUARED, fe_add, fe_conj, fe_eval, fe_inv,
                              fe_mod_squared, fe_mul, sqrt_in_scalar_field,
-                             vanishing_order, vanishing_order_at_point)
+                             vanishing_order, vanishing_order_at_point, w_norm)
 from coinfield.polys import P, Poly, RatFn, isolate_roots, poly_gcd
 from coinfield.scalars import HALF_SQRT2, ONE, SQRT2, Scalar
 
@@ -99,6 +99,31 @@ def test_inverse_random():
             continue
         assert fe_mul(a, fe_inv(a)) == FE_ONE
         done += 1
+
+
+def test_inverse_without_w_part_matches_general_formula():
+    # with B = 0 the inverse is C/A made monic; the general formula
+    # C*(A - B*w) / (A^2 - B^2*w^2) must give the same parts
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    scalar = st.builds(Scalar, rational, rational, rational, rational)
+    poly = st.lists(scalar, min_size=1, max_size=4).map(
+        lambda cs: Poly(tuple(cs))).filter(lambda f: not f.is_zero())
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(poly, poly)
+    def check(num, den):
+        h = FieldElem(RatFn(num, den))
+        A, B, C = h.A, h.B, h.C
+        assert B.is_zero()
+        want = FieldElem.from_abc(C * A, -(C * B), w_norm((A, B)))
+        got = h.inverse()
+        assert (got.A, got.B, got.C) == (want.A, want.B, want.C)
+        assert h * got == FE_ONE
+
+    check()
 
 
 def test_inverse_of_zero_raises():

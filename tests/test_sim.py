@@ -572,9 +572,13 @@ class _OracleAbort(Exception):
     """args: (measurement instruction index, coins spent by the trial)"""
 
 
-def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries):
+def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries,
+                  tally):
     """Returns (outcome_bit_is_zero, coins, consts) or raises _OracleAbort.
-    A measurement's misses count from the latest entry of its node."""
+    A measurement's misses count from the latest entry of its node. Each
+    attempt of a node adds one to tally["attempts"][node], and
+    tally["most"] keeps the most misses one measurement took within one
+    entry of its node."""
     group_of = {}
     coins = 0
     consts = 0
@@ -583,6 +587,7 @@ def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries)
         nonlocal coins, consts
         retries = {}
         while True:
+            tally["attempts"][nid] += 1
             ok = True
             for tag, ref in node_items[nid]:
                 if tag == "child":
@@ -627,6 +632,7 @@ def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries)
                         if c > max_retries:
                             raise _OracleAbort(midx, coins)
                         retries[midx] = c
+                        tally["most"] = max(tally["most"], c)
                         ok = False
                         break
             if ok:
@@ -639,9 +645,12 @@ def _oracle_trial(steps, node_items, root, output, amp0, amp1, rng, max_retries)
     return rng() < m0 / (m0 + m1), coins, consts
 
 
-def _oracle_run(prog, p0, trials, seed, max_retries=1000):
+def _oracle_run(prog, p0, trials, seed, max_retries=1000, seen=None):
     """(successes, completed, aborted, coins_total, consts_total,
-    aborted_coins, {measurement: aborts} over the measurements that abort)"""
+    aborted_coins, {measurement: aborts} over the measurements that abort);
+    a dict passed as seen gets run_numeric's node_attempts (attempts per
+    completed trial, NaN with none completed) and max_retries_seen, the
+    most misses over every trial, aborted ones too"""
     steps = _oracle_steps(prog)
     node_items = [node.items for node in prog.nodes]
     amp0 = complex(math.sqrt(p0))
@@ -649,13 +658,16 @@ def _oracle_run(prog, p0, trials, seed, max_retries=1000):
     seed_key = sim._seed_key(seed)
     successes = aborted = coins_total = consts_total = aborted_coins = 0
     aborts_at = {}
+    totals = [0] * len(prog.nodes)
+    tally = {"most": 0}
     for trial in range(trials):
+        tally["attempts"] = [0] * len(prog.nodes)
         key = sim._trial_key(seed_key, trial)
         draws = (sim._uniform(key, k) for k in itertools.count(1))
         try:
             hit, coins, consts = _oracle_trial(
                 steps, node_items, prog.root, prog.output, amp0, amp1,
-                lambda: next(draws), max_retries)
+                lambda: next(draws), max_retries, tally)
         except _OracleAbort as stop:
             midx, coins = stop.args
             aborted += 1
@@ -665,6 +677,12 @@ def _oracle_run(prog, p0, trials, seed, max_retries=1000):
         successes += hit
         coins_total += coins
         consts_total += consts
+        totals = [t + a for t, a in zip(totals, tally["attempts"])]
+    if seen is not None:
+        completed = trials - aborted
+        seen["node_attempts"] = {nid: a / completed if completed else math.nan
+                                 for nid, a in enumerate(totals)}
+        seen["max_retries_seen"] = tally["most"]
     return (successes, trials - aborted, aborted, coins_total, consts_total,
             aborted_coins, aborts_at)
 
@@ -686,6 +704,61 @@ def test_numeric_matches_per_trial_oracle(make, p0, trials, max_retries):
     assert 0 <= res.max_retries_seen <= max_retries
     if res.aborted:
         assert res.max_retries_seen == max_retries
+
+
+@pytest.mark.parametrize("make, p0, trials, seed, max_retries, child_aborts", [
+    (worked_example_program, 0.3, 3000, 17, 1000, False),
+    (worked_example_program, 0.5, 2000, 17, 0, False),
+    # every trial aborts, so node_attempts are NaN
+    (worked_example_program, 0.5, 1, 2, 0, False),
+    (construct_p, 0.5, 200, 17, 1000, False),
+    (construct_p, 0.3, 200, 17, 3, True),
+    (construct_p, 0.3, 200, 17, 0, True),
+    # the README case
+    (lambda: compile(lower(parse("(1+p)^3"))), 0.3, 20, 3, 20, True),
+])
+def test_numeric_attempts_match_per_trial_oracle(make, p0, trials, seed,
+                                                 max_retries, child_aborts):
+    prog = make()
+    res = run_numeric(prog, p0, trials=trials, seed=seed,
+                      max_retries=max_retries)
+    seen = {}
+    got = (res.successes, res.completed, res.aborted, res.coins_total,
+           res.consts_total, res.aborted_coins, res.aborts_per_measure)
+    assert got == _oracle_run(prog, p0, trials, seed, max_retries, seen)
+    assert res.max_retries_seen == seen["max_retries_seen"]
+    assert res.node_attempts.keys() == seen["node_attempts"].keys()
+    for nid, want in seen["node_attempts"].items():
+        got = res.node_attempts[nid]
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    # some trial aborts at a measurement of a node below the root, so the
+    # attempts it made in the nodes it entered are taken back
+    root_items = {ref for tag, ref in prog.nodes[prog.root].items
+                  if tag == "instr"}
+    assert child_aborts == any(m not in root_items
+                               for m in res.aborts_per_measure)
+
+
+def test_integer_keep_bound_is_the_float_test():
+    # a measurement keeps when its 53-bit draw x is below the plan's integer
+    # bound; that must be the float test x < prob * 2**53, and _uniform's
+    # x * 2**-53 < prob, at the two draws where they could part
+    prog = worked_example_program()
+    (midx,) = expected_cost(prog, Fraction(1, 2)).measure_probs
+    rnd = random.Random(14)
+    probs = [rnd.random() for _ in range(2000)]
+    probs += [rnd.random() * 2.0 ** -rnd.randint(1, 1070) for _ in range(200)]
+    probs += [k / 2 ** j for j in range(1, 60) for k in (1, 3, 2 ** j - 1)
+              if k < 2 ** j]
+    probs += [0.0, 1.0, 5e-324, 1 - 2.0 ** -53]
+    for prob in probs:
+        ((step,), _, _), = sim._node_plans(prog, {midx: prob})
+        bound = step[4]
+        assert isinstance(bound, int) and step[3] == prob
+        for x in (bound - 1, bound):
+            assert (x < bound) == (x < prob * 2 ** 53)
+            if x >= 0:
+                assert (x < bound) == (x * 2.0 ** -53 < prob)
 
 
 def test_numeric_node_attempts_track_analytic():
