@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
-                    sqrt_in_scalar_field, vanishing_order,
-                    vanishing_order_at_point, w_norm)
+                    sqrt_in_scalar_field, vanishing_order, w_norm)
 from .lang import Expr, NotInFieldError, field_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, certify_nonneg_int,
                     int_mul, int_parts, int_sub, isolate_roots, sturm_count)
@@ -407,10 +406,7 @@ def classify_qc(h: FieldElem) -> QCReport:
     cands = _candidate_points(h)
     found: list[tuple[Fraction | AlgebraicPoint, Fraction, str]] = []
     for z in cands:
-        if isinstance(z, Fraction):
-            res = vanishing_order(h, z)
-        else:
-            res = vanishing_order_at_point(h, z)
+        res = vanishing_order(h, z)
         if res.order != 0:
             found.append((z, res.order, res.residual))
 
@@ -447,10 +443,7 @@ def verify_spb(h: FieldElem, report: QCReport) -> bool:
     order exactly and test the lower bound on a fresh grid."""
     f_at = _f_evaluator(h)
     for entry in report.zeros + report.ones:
-        if isinstance(entry.point, Fraction):
-            res = vanishing_order(h, entry.point)
-        else:
-            res = vanishing_order_at_point(h, entry.point)
+        res = vanishing_order(h, entry.point)
         want = entry.order if entry.kind == "zero" else -entry.order
         if 2 * res.order != want:
             return False
@@ -558,11 +551,11 @@ class ClassReport:
 
 def classify(f: PiecewiseFn, witness: FieldElem | None = None,
              no_complex_witness: bool = False) -> ClassReport:
-    """Full classification. The QC part needs a ratio witness; it is filled
-    from the supplied witness or from the one found by the QQ decision."""
+    """Full classification. The QC part needs a ratio witness: the one the
+    QQ decision accepted, which is the supplied witness when it checks."""
     cc = classify_cc(f)
     qq = classify_qq(f, witness=witness, no_complex_witness=no_complex_witness)
-    h = witness if witness is not None else qq.witness
+    h = qq.witness
     qc = None
     if isinstance(h, FieldElem) and not h.is_zero():
         qc = classify_qc(h)

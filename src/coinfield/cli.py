@@ -145,8 +145,7 @@ def cmd_run(args) -> int:
             # the analytic attempts per node beside the observed ones, at
             # the rational p0 the replay ran at
             want = sim.expected_cost(prog, sim.rational_p0(p0)).to_json()
-            out["expected_attempts"] = dict(sorted(
-                want["expected_attempts"].items(), key=lambda kv: int(kv[0])))
+            out["expected_attempts"] = want["expected_attempts"]
     if args.json:
         print(json.dumps(out))
     else:

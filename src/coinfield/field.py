@@ -324,50 +324,42 @@ class OrderResult:
     residual: str
 
 
-def vanishing_order(h: FieldElem, z: Fraction | int) -> OrderResult:
-    """Order of vanishing at z in [0, 1]; half-integers at the endpoints,
-    negative for poles."""
+def vanishing_order(h: FieldElem, z: Fraction | int | AlgebraicPoint
+                    ) -> OrderResult:
+    """Order of vanishing at a rational z in [0, 1] or an algebraic point in
+    (0, 1); half-integers at the endpoints, negative for poles."""
+    if isinstance(z, AlgebraicPoint):
+        return vanishing_order_at_point(h, z)
     z = Fraction(z)
     if not 0 <= z <= 1:
         raise ValueError("vanishing orders are read on [0, 1]")
+    if 0 < z < 1:
+        return vanishing_order_at_point(h, z)
     if h.is_zero():
         raise ValueError("vanishing order of the zero element")
-    A, B, C = h.A, h.B, h.C
-    ordC = multiplicity(C, z)
-    if z == 0 or z == 1:
-        # w itself vanishes to order 1/2 at each endpoint, and the integer
-        # and half-integer contributions can never cancel
-        na = multiplicity(A, z)
-        nb = multiplicity(B, z)
-        if na is None:
-            n = Fraction(nb) + Fraction(1, 2)
-            why = "A = 0; half-integer order from B alone"
-        elif nb is None:
-            n = Fraction(na)
-            why = "B = 0; integer order from A alone"
-        else:
-            n = min(Fraction(na), Fraction(nb) + Fraction(1, 2))
-            why = (f"min of integer order {na} from A and half-integer "
-                   f"order {nb} + 1/2 from B; the two kinds cannot cancel")
-        return OrderResult(n - ordC, why)
-    shared = min(multiplicity(f, z) for f in (A, B) if f)
-    A, B = (f // Poly([-z, 1]) ** shared for f in (A, B))
-    if not ext_is_zero(A.eval_exact(z), B.eval_exact(z), z):
-        why = (f"after extracting (p - {z})^{shared}, "
-               f"A(z) + B(z)*sqrt(z(1-z)) evaluates to a nonzero value")
-        return OrderResult(Fraction(shared - ordC), why)
-    # numerator still vanishes through cancellation against w; its conjugate
-    # A - B*w cannot vanish too, so the product A^2 - B^2*p*(1-p) carries
-    # exactly the remaining order
-    extra = multiplicity(w_norm((A, B)), z)
-    why = (f"after extracting (p - {z})^{shared}, the numerator vanishes by "
-           f"cancellation against the root; its conjugate does not, and "
-           f"A^2 - B^2*p*(1-p) vanishes to order {extra}")
-    return OrderResult(Fraction(shared + extra - ordC), why)
+    # w itself vanishes to order 1/2 at each endpoint, and the integer and
+    # half-integer contributions can never cancel
+    na = multiplicity(h.A, z)
+    nb = multiplicity(h.B, z)
+    if na is None:
+        n = Fraction(nb) + Fraction(1, 2)
+        why = "A = 0; half-integer order from B alone"
+    elif nb is None:
+        n = Fraction(na)
+        why = "B = 0; integer order from A alone"
+    else:
+        n = min(Fraction(na), Fraction(nb) + Fraction(1, 2))
+        why = (f"min of integer order {na} from A and half-integer "
+               f"order {nb} + 1/2 from B; the two kinds cannot cancel")
+    return OrderResult(n - multiplicity(h.C, z), why)
 
 
-def vanishing_order_at_point(h: FieldElem, pt: AlgebraicPoint) -> OrderResult:
-    """Vanishing order at an exactly represented irrational point in (0, 1)."""
+def vanishing_order_at_point(h: FieldElem, pt: Fraction | AlgebraicPoint
+                             ) -> OrderResult:
+    """Vanishing order at a point of (0, 1), rational or an exactly
+    represented algebraic number. A + B*w and A - B*w vanish to orders whose
+    sum is the order P of their product A^2 - B^2*p*(1-p); the least of the
+    two is the shared order k of A and B, since w is nonzero at the point."""
     if h.is_zero():
         raise ValueError("vanishing order of the zero element")
     A, B, C = h.A, h.B, h.C
@@ -380,6 +372,9 @@ def vanishing_order_at_point(h: FieldElem, pt: AlgebraicPoint) -> OrderResult:
                f"to exactly 2k = {p_ord}, so both conjugates carry order k")
     else:
         assert p_ord > 2 * k, "conjugate orders cannot undershoot the shared part"
+        if isinstance(pt, Fraction):
+            m = min(pt, 1 - pt)
+            pt = AlgebraicPoint(Poly((-pt, 1)), pt - m / 2, pt + m / 2)
         # decide which of A + B*w, A - B*w carries the excess: compare their
         # moduli near the point via the sign of V = 2*Re(A*conj(B))
         V = (A * B.conj() + A.conj() * B).real_part()

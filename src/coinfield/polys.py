@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar, sqrt_fraction
+from .scalars import ONE, ZERO, Scalar, sqrt2_sign, sqrt_fraction
 
 
 class Poly:
@@ -247,13 +247,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         # monic-izing each remainder keeps coefficient growth in check
         f, g = g, r.monic()
     return f.monic()
-
-
-def gcd_many(polys: list[Poly]) -> Poly:
-    out = Poly()
-    for f in polys:
-        out = poly_gcd(out, f) if not out.is_zero() else f.monic() if not f.is_zero() else out
-    return out
 
 
 def canonical(den: Poly, *nums: Poly) -> tuple[Poly, ...]:
@@ -492,17 +485,11 @@ class _Z2:
         return self.a * self.a - 2 * self.b * self.b
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a >= 0 and b >= 0:
-            return 1 if a or b else 0
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: a^2 = 2 b^2 only for a = b = 0
-        return 1 if (a * a > 2 * b * b) == (a > 0) else -1
+        return sqrt2_sign(self.a, self.b)
 
 
 def _sgn(x) -> int:
-    return x.sign() if type(x) is _Z2 else (x > 0) - (x < 0)
+    return sqrt2_sign(x.a, x.b) if type(x) is _Z2 else (x > 0) - (x < 0)
 
 
 def _z2_gcd(x: _Z2, y: _Z2) -> _Z2:
@@ -938,21 +925,6 @@ class AlgebraicPoint:
             m += 1
             qi = _deriv(qi)
         return m
-
-    def sign_of(self, q: Poly) -> int:
-        """Exact sign of real q at this point."""
-        qi = _to_int(q, "root test requires real coefficients")
-        if self._is_root(qi):
-            return 0
-        if len(qi) == 1:
-            return _sgn(qi[0])
-        while _count_open(qi, self.lo, self.hi) > 0:
-            self.refine()
-        s = _sign_at(qi, (self.lo + self.hi) / 2)
-        while not s:
-            self.refine()
-            s = _sign_at(qi, (self.lo + self.hi) / 2)
-        return s
 
     def __repr__(self) -> str:
         return f"AlgebraicPoint({self.g}, ({self.lo}, {self.hi}))"

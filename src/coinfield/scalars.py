@@ -72,6 +72,16 @@ def sqrt_fraction(q: Fraction) -> Fraction | None:
     return None
 
 
+def sqrt2_sign(a: int | Fraction, b: int | Fraction) -> int:
+    """Exact sign of a + b*sqrt2 for rational a and b."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # mixed signs: a^2 = 2 b^2 only for a = b = 0, as sqrt2 is irrational
+    return 1 if (a * a > 2 * b * b) == (a > 0) else -1
+
+
 class Scalar:
     """Element a + b*sqrt2 + c*i + d*i*sqrt2 of Q(i, sqrt2)."""
 
@@ -194,20 +204,7 @@ class Scalar:
         """Exact sign of a real scalar a + b*sqrt2."""
         if not self.is_real():
             raise ValueError(f"sign of non-real scalar {self}")
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 with 2 b^2
-        diff = a * a - 2 * b * b
-        if diff == 0:
-            # sqrt2 is irrational, so a + b*sqrt2 = 0 forces a = b = 0
-            raise AssertionError("unreachable")
-        positive_side = a > 0
-        return 1 if (diff > 0) == positive_side else -1
+        return sqrt2_sign(self.a, self.b)
 
     def __lt__(self, other: "Scalar | int | Fraction") -> bool:
         o = other if isinstance(other, Scalar) else Scalar(other)

@@ -431,7 +431,7 @@ def _exact_cost(prog: CircuitProgram, p0: Fraction | float):
         raise ValueError("p0 must lie strictly between 0 and 1")
     state, probs = _exact_pass(prog, p0)
     plans = _node_plans(prog, probs)
-    attempts: dict[int, float | Decimal] = {}
+    attempts: list[float | Decimal] = [0.0] * len(plans)
 
     # attempts are carried as a frexp mantissa and a binary exponent, so a
     # deep tree cannot overflow; inside the float range each quotient rounds
@@ -458,8 +458,8 @@ def _exact_cost(prog: CircuitProgram, p0: Fraction | float):
         m, k = math.frexp(m * pr)
         e += k
     overall = _number(m, e)
-    report = CostReport(float(p0), coins, consts, overall, attempts, probs,
-                        static_counts(prog))
+    report = CostReport(float(p0), coins, consts, overall,
+                        dict(enumerate(attempts)), probs, static_counts(prog))
     return report, plans, state
 
 

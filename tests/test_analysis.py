@@ -333,13 +333,15 @@ def test_qc_of_phased_witness():
 
 
 def test_qc_interior_double_zero():
-    h = lower(parse("p - 1/2"))
-    rep = classify_qc(h)
-    assert rep.in_qc
-    assert [e.point for e in rep.zeros] == [Fraction(1, 2)]
-    assert rep.zeros[0].order == 2 and rep.zeros[0].k == 1
-    assert rep.ones == ()
-    assert verify_spb(h, rep)
+    # t - 1 vanishes at 1/2 by cancellation of A against B*w
+    for expr, ones in (("p - 1/2", []), ("t - 1", [Fraction(1)])):
+        h = lower(parse(expr))
+        rep = classify_qc(h)
+        assert rep.in_qc
+        assert [e.point for e in rep.zeros] == [Fraction(1, 2)]
+        assert rep.zeros[0].order == 2 and rep.zeros[0].k == 1
+        assert [e.point for e in rep.ones] == ones
+        assert verify_spb(h, rep)
 
 
 def test_qc_no_special_points_for_constant():
@@ -518,6 +520,18 @@ def test_classify_fills_qc_from_witness():
     assert rep.cc.verdict == "yes"
     assert rep.qq.verdict == "yes"
     assert rep.qc is not None and rep.qc.in_qc
+
+
+def test_classify_certifies_the_function_not_a_failed_witness():
+    # t - 1 fails for f = p, so QC certifies QQ's own witness t; for p^2
+    # the failed t leaves no witness at all
+    p = PiecewiseFn.from_ratfn(lower(parse("p")).r)
+    rep = classify(p, witness=lower(parse("t - 1")))
+    assert rep.qq.witness == FieldElem.coin()
+    assert [(e.point, e.order) for e in rep.qc.zeros] == [(Fraction(0), 1)]
+    assert [(e.point, e.order) for e in rep.qc.ones] == [(Fraction(1), 1)]
+    p2 = PiecewiseFn.from_ratfn(lower(parse("p^2")).r)
+    assert classify(p2, witness=FieldElem.coin()).qc is None
 
 
 def test_classify_without_witness_leaves_qc_empty():

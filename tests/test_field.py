@@ -1,15 +1,18 @@
 """Exact arithmetic in the extension generated by t = sqrt(p/(1-p))."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from coinfield.analysis import _candidate_points
 from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, ONE_MINUS_P,
                              TAU, W_SQUARED, fe_add, fe_conj, fe_eval, fe_inv,
                              fe_mod_squared, fe_mul, sqrt_in_scalar_field,
                              vanishing_order, vanishing_order_at_point, w_norm)
+from coinfield.lang import lower, parse
 from coinfield.polys import P, Poly, RatFn, isolate_roots, poly_gcd
 from coinfield.scalars import HALF_SQRT2, ONE, SQRT2, Scalar
 
@@ -272,6 +275,73 @@ def test_vanishing_order_at_algebraic_point():
     assert vanishing_order_at_point(form, pt).order == 1
     sq = FieldElem(RatFn.from_poly(g * g))
     assert vanishing_order_at_point(sq, pt).order == 2
+
+
+_SERIES_TERMS = 12
+
+
+@functools.lru_cache(maxsize=None)
+def _w_series(z: Fraction):
+    """sqrt(p(1-p)) at p = z + x, up to x^11, by sympy."""
+    sp = pytest.importorskip("sympy")
+    x, z = sp.Symbol("x"), sp.Rational(z.numerator, z.denominator)
+    return sp.series(sp.sqrt((z + x) * (1 - z - x)), x, 0,
+                     _SERIES_TERMS).removeO()
+
+
+def _sympy_order(h, z):
+    """Order of h at rational z in (0, 1) read off sympy's Taylor series:
+    the leading exponent of A + B*sqrt(p(1-p)) at z minus that of C."""
+    sp = pytest.importorskip("sympy")
+    x, r2 = sp.Symbol("x"), sp.sqrt(2)
+    # A + B*w vanishes to at most the degree of A^2 - B^2*p*(1-p), and the
+    # series gives exact coefficients below x^_SERIES_TERMS
+    assert 2 * max(len(h.A.coeffs) - 1, len(h.B.coeffs)) < _SERIES_TERMS
+    zs = sp.Rational(z.numerator, z.denominator)
+
+    def taylor(f):
+        return sp.expand(sum((c.a + c.b * r2 + sp.I * (c.c + c.d * r2))
+                             * (zs + x) ** i for i, c in enumerate(f.coeffs)))
+
+    def lead(e, n):
+        return next(k for k in range(n) if sp.expand(e.coeff(x, k)) != 0)
+
+    num = sp.expand(taylor(h.A) + taylor(h.B) * _w_series(z))
+    return lead(num, _SERIES_TERMS) - lead(taylor(h.C), len(h.C.coeffs))
+
+
+def test_vanishing_order_matches_sympy_series():
+    # random elements of the acceptance shape, times factors that vanish at
+    # rational points by cancellation against w (t = 1 at 1/2, t = 1/2 at
+    # 1/5) or whose conjugate does (t + 1)
+    from test_acceptance import _random_elem
+    half = Fraction(1, 2)
+    cases = [(lower(parse(e)), half)
+             for e in ("t - 1", "(t-1)^3", "(t-1)^2/(p-1/3)", "t + 1")]
+    factors = [lower(parse(e)) for e in
+               ("1", "p - 1/2", "t - 1", "t + 1", "(2*t - 1)/(p - 1/2)")]
+    rnd = random.Random(41)
+    for _ in range(40):
+        h = _random_elem(rnd) * factors[rnd.randrange(len(factors))]
+        if h:
+            cases.extend((h, z) for z in _candidate_points(h)
+                         if isinstance(z, Fraction) and 0 < z < 1)
+    assert len(cases) >= 40
+    for h, z in cases:
+        assert vanishing_order(h, z).order == _sympy_order(h, z), (h, z)
+
+
+def test_vanishing_order_takes_algebraic_points():
+    # t = 1 + sqrt2 at an irrational p, where A + B*w cancels
+    seen = 0
+    for e in ("t - 1 - sqrt2", "(t + 1 + sqrt2)*(p^2 - 1/2)",
+              "(p^2 - 1/2)^2/(p^2 - 1/3)"):
+        h = lower(parse(e))
+        for pt in _candidate_points(h):
+            if not isinstance(pt, Fraction):
+                seen += 1
+                assert vanishing_order(h, pt) == vanishing_order_at_point(h, pt)
+    assert seen >= 4
 
 
 def test_vanishing_order_rejects_bad_input():

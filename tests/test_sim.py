@@ -372,7 +372,9 @@ def test_cost_rejects_bad_p0():
 def test_cost_json_keys_are_strings():
     rep = expected_cost(construct_p(), Fraction(1, 2))
     data = rep.to_json()
-    assert all(isinstance(k, str) for k in data["expected_attempts"])
+    # keyed by node id in ascending order
+    assert list(data["expected_attempts"]) == [
+        str(n) for n in range(len(construct_p().nodes))]
     assert all(isinstance(k, str) for k in data["measure_probs"])
 
 
