@@ -483,12 +483,26 @@ def classify_qq(f: PiecewiseFn, witness: FieldElem | None = None,
     checked witness; no when f leaves [0,1], by the identity-theorem rule
     (constant on a subinterval, nonconstant overall) or, for a single
     rational piece with no real-form square root, when the caller asserts
-    no complex witness exists; unknown otherwise."""
+    no complex witness exists; unknown otherwise. A supplied witness that
+    fails its check is named in the reason, before the verdict found
+    without it."""
     single = f.single_ratfn()
-
-    if witness is not None and single is not None \
-            and check_phased_witness(witness, single):
+    if witness is None:
+        return _classify_qq(f, single, no_complex_witness)
+    # |h|^2 is one real-analytic function on (0, 1), so by the identity
+    # theorem no witness checks when f has two distinct pieces
+    if single is not None and check_phased_witness(witness, single):
         return QQReport("yes", witness, "supplied witness checks: |h|^2 = f/(1-f)")
+    rep = _classify_qq(f, single, no_complex_witness)
+    return QQReport(rep.verdict, rep.witness,
+                    f"supplied witness {witness} fails its check "
+                    f"|h|^2 = f/(1-f); {rep.reason}")
+
+
+def _classify_qq(f: PiecewiseFn, single: RatFn | None,
+                 no_complex_witness: bool) -> QQReport:
+    """classify_qq without a supplied witness; single is f's one piece, or
+    None when f has several."""
     if f.range_fault:
         return QQReport("no", None,
                         f"not a probability function: {f.range_fault}")

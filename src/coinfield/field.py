@@ -11,15 +11,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, canonical,
-                    multiplicity, sturm_count)
+from .polys import (ONE_POLY, AlgebraicPoint, Poly, RatFn, ZERO_RF,
+                    canonical, multiplicity, sturm_count, zeta_parts,
+                    zeta_poly)
 from .scalars import Scalar, sqrt_fraction
+from .zpoly import Z0, Z1, ZNEG1, pair_pow
 
 # t^2 = p/(1-p); w = sqrt(p(1-p)) = t*(1-p) is the polynomial-friendly twin
 TAU = RatFn(Poly((0, 1)), Poly((1, -1)))
 W_SQUARED = Poly((0, 1, -1))
 
 ONE_MINUS_P = Poly((1, -1))
+_PZERO = Poly()
+_W_SQUARED_Z = [Z0, Z1, ZNEG1]  # p(1-p) over Z[z]
 
 # Above this many bits a coefficient is scaled down before it becomes a
 # float: a Horner sum of a few hundred terms below 2^961 at |x| < 1 stays
@@ -27,11 +31,19 @@ ONE_MINUS_P = Poly((1, -1))
 _FLOAT_BITS = 960
 
 
+def _times(f: Poly, g: Poly) -> Poly:
+    """f*g, skipping a factor that is zero or the constant polynomial 1."""
+    if not f or g.is_one():
+        return f
+    return g if not g or f.is_one() else f * g
+
+
 def w_mul(a, b):
     """(a0 + a1*w)(b0 + b1*w) as a pair (x, y) of Polys meaning x + y*w,
     with w^2 = p(1-p)."""
     (a0, a1), (b0, b1) = a, b
-    return a0 * b0 + a1 * b1 * W_SQUARED, a0 * b1 + a1 * b0
+    return (_times(a0, b0) + _times(_times(a1, b1), W_SQUARED),
+            _times(a0, b1) + _times(a1, b0))
 
 
 def w_norm(a):
@@ -39,6 +51,50 @@ def w_norm(a):
     nonzero for a nonzero pair, because w is not in the coefficient field."""
     a0, a1 = a
     return a0 * a0 - a1 * a1 * W_SQUARED
+
+
+# -- parts: (A, B, C) meaning (A + B*w)/C, as the operations compute them ----
+#
+# These formulas take no gcd, so their parts may share a common factor; a
+# FieldElem is the parts brought to canonical form by one from_abc.
+
+def parts_add(x, y):
+    """x + y over the product of the denominators, or over their common one
+    when they are equal."""
+    (a1, b1, c1), (a2, b2, c2) = x, y
+    if c1 == c2:
+        return a1 + a2, b1 + b2, c1
+    return (_times(a1, c2) + _times(a2, c1), _times(b1, c2) + _times(b2, c1),
+            _times(c1, c2))
+
+
+def parts_mul(x, y):
+    (a1, b1, c1), (a2, b2, c2) = x, y
+    return (*w_mul((a1, b1), (a2, b2)), _times(c1, c2))
+
+
+def parts_inverse(x):
+    """1/x: C*(A - B*w) over A^2 - B^2*p(1-p), or C/A when B is zero, which
+    is C*(1/a) over 1 when A is a constant a."""
+    A, B, C = x
+    if not B:
+        if not A:
+            raise ZeroDivisionError("inverse of the zero element")
+        if A.is_constant():
+            return C * A.coeffs[0].inverse(), B, ONE_POLY
+        return C, B, A
+    return _times(C, A), -_times(C, B), w_norm((A, B))
+
+
+def parts_pow(x, n: int):
+    """x^n for n >= 0: A + B*w raised on integers over Z[z], over C^n."""
+    if n < 2:
+        return x if n else (ONE_POLY, _PZERO, ONE_POLY)
+    A, B, C = x
+    (a, b), den = zeta_parts(A, B)
+    den **= n
+    return (*(zeta_poly(f, den) for f in pair_pow((a, b), n, _W_SQUARED_Z)),
+            C ** n)
 
 
 class Infinity:
@@ -59,9 +115,6 @@ class Infinity:
 
 
 INFINITY = Infinity()
-
-
-_PZERO = Poly()
 
 
 class FieldElem:
@@ -122,6 +175,10 @@ class FieldElem:
         """The t coefficient B*(1-p)/C."""
         return RatFn(self.B * ONE_MINUS_P, self.C)
 
+    @property
+    def parts(self) -> tuple[Poly, Poly, Poly]:
+        return self.A, self.B, self.C
+
     def is_zero(self) -> bool:
         return self.A.is_zero() and self.B.is_zero()
 
@@ -139,9 +196,7 @@ class FieldElem:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        return FieldElem.from_abc(self.A * other.C + other.A * self.C,
-                                  self.B * other.C + other.B * self.C,
-                                  self.C * other.C)
+        return FieldElem.from_abc(*parts_add(self.parts, other.parts))
 
     def __neg__(self) -> "FieldElem":
         return FieldElem.from_canonical(-self.A, -self.B, self.C)
@@ -150,8 +205,7 @@ class FieldElem:
         return self + (-other)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        return FieldElem.from_abc(*w_mul((self.A, self.B), (other.A, other.B)),
-                                  self.C * other.C)
+        return FieldElem.from_abc(*parts_mul(self.parts, other.parts))
 
     def inverse(self) -> "FieldElem":
         # C/(A + B*w) = C*(A - B*w) / (A^2 - B^2*w^2)
@@ -162,7 +216,7 @@ class FieldElem:
             # gcd(A, C) = 1 in canonical form, so C/A only needs A monic
             linv = A.leading.inverse()
             return FieldElem.from_canonical(C * linv, B, A * linv)
-        return FieldElem.from_abc(C * A, -(C * B), w_norm((A, B)))
+        return FieldElem.from_abc(*parts_inverse(self.parts))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
@@ -170,14 +224,7 @@ class FieldElem:
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
             return self.inverse() ** (-n)
-        out = FE_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return FieldElem.from_abc(*parts_pow(self.parts, n))
 
     def conj(self) -> "FieldElem":
         # w is real on (0, 1), so conjugation acts on the coefficients only
@@ -185,9 +232,7 @@ class FieldElem:
                                         self.C.conj())
 
     def mod_squared(self) -> "FieldElem":
-        A, B, C = self.A, self.B, self.C
-        return FieldElem.from_abc(*w_mul((A, B), (A.conj(), B.conj())),
-                                  C * C.conj())
+        return self * self.conj()
 
     # -- evaluation --------------------------------------------------------
 

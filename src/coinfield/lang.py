@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElem, sqrt_in_scalar_field
-from .polys import ZERO_RF, Poly, RatFn, square_test
+from .field import (FieldElem, parts_add, parts_inverse, parts_mul, parts_pow,
+                    sqrt_in_scalar_field)
+from .polys import ONE_POLY, ZERO_RF, Poly, RatFn, square_test
 from .scalars import MAX_DIGITS, Scalar
 
 __all__ = [
@@ -355,7 +356,6 @@ def print_expr(e: Expr) -> str:
 
 # -- lowering into the field -----------------------------------------------
 
-_P_RF = RatFn(Poly((0, 1)))
 _TAU_INV = RatFn(Poly((1, -1)), Poly((0, 1)))  # (1-p)/p
 _TAU_ODD = {Poly((0, 1)), Poly((-1, 1))}  # p and p - 1
 
@@ -434,9 +434,9 @@ def _inverse_bounds(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 
 def _bounds(e: Expr) -> tuple[int, int, int]:
-    """Upper bounds on the degrees of the parts A, B and C of lower(e) as
-    its operations compute them, before a common factor is divided out;
-    -1 for a part that is surely zero. Raises DegreeLimitError at the first
+    """Upper bounds on the degrees of the parts A, B and C that _parts(e)
+    computes, before the root divides out a common factor; -1 for a part
+    that is surely zero. Raises DegreeLimitError at the first
     subexpression whose bound passes MAX_DEGREE, the degree of (A + B*w)/C
     being the largest of those of A, B*w and C, and at least 1."""
     if isinstance(e, RationalConst):
@@ -492,34 +492,42 @@ def lower(e: Expr) -> FieldElem:
     anything when a subexpression can exceed MAX_DEGREE: its parts are
     bounded from those of its operands before any common factor cancels,
     and a power is refused when its base's bound times |exponent| exceeds
-    MAX_DEGREE."""
+    MAX_DEGREE. The operations take no gcd: lowering normalises only at the
+    base of a power, at the argument of a sqrt and once at the root."""
     _bounds(e)
-    return _lower(e)
+    return FieldElem.from_abc(*_parts(e))
 
 
-def _lower(e: Expr) -> FieldElem:
+_ZERO = Poly()
+_LEAVES = {I: (Poly((Scalar(0, 0, 1),)), _ZERO, ONE_POLY),
+           Sqrt2: (Poly((Scalar(0, 1),)), _ZERO, ONE_POLY),
+           P: (Poly((0, 1)), _ZERO, ONE_POLY),
+           T: (_ZERO, ONE_POLY, Poly((1, -1)))}  # t = w/(1-p)
+
+
+def _parts(e: Expr) -> tuple[Poly, Poly, Poly]:
+    """The parts (A, B, C) of e, meaning (A + B*w)/C with w = sqrt(p(1-p)),
+    as the field's part formulas compute them, without dividing out a
+    common factor. A power's base is brought to canonical form first, so a
+    base that cancels collapses before it is raised, and it is raised
+    before it is inverted; so every part stays within _bounds(e)."""
+    leaf = _LEAVES.get(type(e))
+    if leaf is not None:
+        return leaf
     if isinstance(e, RationalConst):
-        return FieldElem.const(e.value)
-    if isinstance(e, I):
-        return FieldElem.const(Scalar(0, 0, 1))
-    if isinstance(e, Sqrt2):
-        return FieldElem.const(Scalar(0, 1))
-    if isinstance(e, P):
-        return FieldElem(_P_RF)
-    if isinstance(e, T):
-        return FieldElem.coin()
-    if isinstance(e, Add):
-        return _lower(e.left) + _lower(e.right)
-    if isinstance(e, Sub):
-        return _lower(e.left) - _lower(e.right)
+        return Poly.const(e.value), _ZERO, ONE_POLY
+    if isinstance(e, (Add, Sub)):
+        x, (a, b, c) = _parts(e.left), _parts(e.right)
+        return parts_add(x, (-a, -b, c) if isinstance(e, Sub) else (a, b, c))
     if isinstance(e, Mul):
-        return _lower(e.left) * _lower(e.right)
+        return parts_mul(_parts(e.left), _parts(e.right))
     if isinstance(e, Div):
-        return _lower(e.left) / _lower(e.right)
+        return parts_mul(_parts(e.left), parts_inverse(_parts(e.right)))
     if isinstance(e, Pow):
-        return _lower(e.base) ** e.exp
+        out = parts_pow(FieldElem.from_abc(*_parts(e.base)).parts, abs(e.exp))
+        return parts_inverse(out) if e.exp < 0 else out
     if isinstance(e, Sqrt):
-        return _lower_sqrt(_lower(e.child))
+        return _lower_sqrt(FieldElem.from_abc(*_parts(e.child))).parts
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar, sqrt2_sign, sqrt_fraction
+from .scalars import (ONE, ZERO, Scalar, from_zeta, sqrt2_sign, sqrt_fraction,
+                      to_zeta)
+from .zpoly import pair_pow
 
 
 class Poly:
@@ -124,16 +126,11 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        """self^n, by repeated squaring on integers over Z[z]."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        (f,), den = zeta_parts(self)
+        return zeta_poly(pair_pow((f, []), n, [])[0], den ** n)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -238,6 +235,19 @@ class Poly:
 
 P = Poly((0, 1))
 ONE_POLY = Poly((1,))
+
+
+def zeta_parts(*fs: Poly) -> tuple[list[list], int]:
+    """The Polys as coefficient lists over Z[z], z = exp(i*pi/4), with one
+    positive integer den: f = list/den for each f."""
+    cs = [[to_zeta(c) for c in f.coeffs] for f in fs]
+    den = math.lcm(*(d for f in cs for _, d in f))
+    return [[tuple(x * (den // d) for x in c) for c, d in f] for f in cs], den
+
+
+def zeta_poly(f: list, den: int = 1) -> Poly:
+    """The Poly f/den of a coefficient list over Z[z] and a positive den."""
+    return Poly([from_zeta(c, den) for c in f])
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

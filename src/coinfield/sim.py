@@ -34,13 +34,13 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 from .field import INFINITY, FieldElem, Infinity, ext_is_zero
-from .polys import Poly
-from .scalars import HALF_SQRT2, SQRT2, Scalar, from_zeta, to_zeta
+from .polys import zeta_poly
+from .scalars import HALF_SQRT2, SQRT2, Scalar, to_zeta
 from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
                     static_counts, validate_program)
 from .zpoly import (Z0 as _Z0, Z1 as _Z1, ZNEG1 as _ZNEG1,
                     content as _pcontent, exquo as _exquo, gcd as _gcd,
-                    padd as _padd, pmul as _pmul, pscale as _pscale,
+                    padd as _padd, pair_mul as _pair_mul, pscale as _pscale,
                     zconj as _zconj, zinv as _zinv, zmul as _zmul)
 
 __all__ = [
@@ -77,13 +77,6 @@ class PostselectionError(ValueError):
     """The kept measurement branch has amplitude identically zero."""
 
 
-def _pair_mul(x, y, wsq):
-    """(a0 + a1*w)(b0 + b1*w) as a pair, with w^2 the polynomial wsq."""
-    (a0, a1), (b0, b1) = x, y
-    return (_padd(_pmul(a0, b0), _pmul(_pmul(a1, b1), wsq)),
-            _padd(_pmul(a0, b1), _pmul(a1, b0)))
-
-
 def _content(amps) -> int:
     """The gcd of every integer in a group's amplitudes."""
     g = 0
@@ -93,11 +86,6 @@ def _content(amps) -> int:
             if g == 1:
                 return 1
     return g
-
-
-def _to_poly(f, den: int = 1) -> Poly:
-    """The Poly f/den, for a positive integer den."""
-    return Poly([from_zeta(c, den) for c in f])
 
 
 def _int_gate(mat):
@@ -316,7 +304,7 @@ def run_symbolic(prog: CircuitProgram) -> FieldElem | Infinity:
     if len(g) > 1:
         parts = _exquo(parts, g)[0]
     m, n = _zinv(parts[0][-1])
-    C, A, B = (_to_poly(_pscale(m, f), n) for f in parts)
+    C, A, B = (zeta_poly(_pscale(m, f), n) for f in parts)
     return FieldElem.from_canonical(A, B, C)
 
 

@@ -87,6 +87,25 @@ def pmul(f, g):
     return list(zip(r0, r1, r2, r3))
 
 
+def pair_mul(x, y, wsq):
+    """(a0 + a1*w)(b0 + b1*w) as a pair, with w^2 the polynomial wsq."""
+    (a0, a1), (b0, b1) = x, y
+    return (padd(pmul(a0, b0), pmul(pmul(a1, b1), wsq)),
+            padd(pmul(a0, b1), pmul(a1, b0)))
+
+
+def pair_pow(x, n: int, wsq):
+    """x^n for a pair x meaning a0 + a1*w and n >= 0, by repeated squaring."""
+    out = ([Z1], [])
+    while n:
+        if n & 1:
+            out = pair_mul(out, x, wsq)
+        n >>= 1
+        if n:
+            x = pair_mul(x, x, wsq)
+    return out
+
+
 def content(f) -> int:
     """The gcd of every integer in f, 0 for f = []."""
     g = 0

@@ -110,6 +110,36 @@ def test_classify_with_witness(capsys):
     assert "QQ: yes" in out and "QC: yes" in out
 
 
+def test_classify_names_a_failed_supplied_witness(capsys):
+    # t - 1 fails |h|^2 = f/(1-f) for f = p; QQ still finds t, and says
+    # first that the supplied witness failed
+    code, out, _ = run_cli(capsys, "classify", "p", "--witness", "t - 1")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "QQ: yes (witness t)  [supplied witness -1 + t fails its check "
+        "|h|^2 = f/(1-f); f/(1-f) is a square via q*t with q = 1]")
+    code, out, _ = run_cli(capsys, "classify", "p", "--witness", "t - 1",
+                           "--json")
+    assert code == 0
+    qq = json.loads(out)["qq"]
+    assert (qq["verdict"], qq["witness"]) == ("yes", "t")
+    assert qq["reason"].startswith("supplied witness -1 + t fails its check")
+    code, out, _ = run_cli(capsys, "classify", "p", "--witness", "t")
+    assert out.splitlines()[-1].endswith("[supplied witness checks: |h|^2 = f/(1-f)]")
+
+
+def test_classify_names_a_witness_for_a_piecewise_function(tmp_path, capsys):
+    # no h has |h|^2 = f/(1-f) when f has two distinct pieces
+    spec = tmp_path / "f.txt"
+    spec.write_text("[0,1/2) 1/2\n[1/2,1] p/2 + 1/4\n")
+    code, out, _ = run_cli(capsys, "classify", str(spec), "--witness", "t")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "QQ: no  [supplied witness t fails its check |h|^2 = f/(1-f); "
+        "constant on [0,1/2] but not globally: |h|^2 would be constant "
+        "everywhere]")
+
+
 def test_classify_json_matches_library(capsys):
     from coinfield.analysis import classify, parse_piecewise
     code, out, _ = run_cli(capsys, "classify", "--json", "p^2")

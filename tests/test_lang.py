@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from coinfield import field, lang, polys
 from coinfield.field import FE_ONE, FieldElem, TAU, fe_add, fe_eval, fe_mul
-from coinfield.lang import (MAX_DEGREE, Add, DegreeLimitError, Div, I, Mul,
-                            NotInFieldError, P, ParseError, Pow, RationalConst,
+from coinfield.lang import (MAX_DEGREE, Add, DegreeLimitError, Div, Expr, I,
+                            Mul, NotInFieldError, P, ParseError, Pow, RationalConst,
                             Sqrt, Sqrt2, Sub, T, eval_expr_numeric, field_sqrt,
                             lower, parse, print_expr)
+from coinfield.polys import ONE_POLY
 from coinfield.polys import P as P_POLY
 from coinfield.polys import Poly, RatFn
 from coinfield.scalars import MAX_DIGITS, ONE, Scalar
@@ -298,3 +300,157 @@ def test_degree_bounds_come_before_cancellation():
     assert (h.A.degree, h.C.degree) == (70, 70)
     h = lower(parse("t^-128"))
     assert (h.A.degree, h.B.degree, h.C.degree) == (64, -1, 64)
+
+
+# ---------------------------------------------------------------------------
+# Lowering on unnormalised parts, against the eager evaluation
+# ---------------------------------------------------------------------------
+
+def eager_lower(e):
+    """The oracle: lower's bound check, then one FieldElem operation per
+    node, each brought to canonical form. A power is the product of |n|
+    copies of its base, or of its inverse for n < 0."""
+    lang._bounds(e)
+    return _eager(e)
+
+
+def _eager(e):
+    if isinstance(e, RationalConst):
+        return FieldElem.const(e.value)
+    if isinstance(e, I):
+        return FieldElem.const(Scalar(0, 0, 1))
+    if isinstance(e, Sqrt2):
+        return FieldElem.const(Scalar(0, 1))
+    if isinstance(e, P):
+        return FieldElem(RatFn.from_poly(P_POLY))
+    if isinstance(e, T):
+        return FieldElem.coin()
+    if isinstance(e, Add):
+        return _eager(e.left) + _eager(e.right)
+    if isinstance(e, Sub):
+        return _eager(e.left) - _eager(e.right)
+    if isinstance(e, Mul):
+        return _eager(e.left) * _eager(e.right)
+    if isinstance(e, Div):
+        return _eager(e.left) / _eager(e.right)
+    if isinstance(e, Pow):
+        base = _eager(e.base)
+        if e.exp < 0:
+            base = base.inverse()
+        out = FE_ONE
+        for _ in range(abs(e.exp)):
+            out = out * base
+        return out
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _trees():
+    """hypothesis strategy: sqrt-free trees of depth at most 5 over p, t, i,
+    sqrt2 and small rationals, with + - * / and powers -3..3."""
+    st = pytest.importorskip("hypothesis.strategies")
+    tree = st.one_of(
+        st.sampled_from([P(), T(), I(), Sqrt2()]),
+        st.builds(RationalConst, st.builds(Fraction, st.integers(-4, 4),
+                                           st.integers(1, 3))))
+    for _ in range(5):
+        tree = st.one_of(
+            tree, st.builds(Pow, tree, st.integers(-3, 3)),
+            *(st.builds(cls, tree, tree) for cls in (Add, Sub, Mul, Div)))
+    return tree
+
+
+def _subtrees(e):
+    yield e
+    for child in (getattr(e, name, None)
+                  for name in ("left", "right", "base", "child")):
+        if isinstance(child, Expr):
+            yield from _subtrees(child)
+
+
+def _outcome(fn, e):
+    try:
+        return fn(e)
+    except (ZeroDivisionError, DegreeLimitError) as exc:
+        return type(exc)
+
+
+def test_lower_matches_eager_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    # both exceptions arise: 1/(t-t) divides by zero, and powers of powers
+    # pass the degree limit
+    for text in ("1/(t-t)", "(t-t)^-2", "((((p+t)^3)^3)^3)^3"):
+        want = _outcome(eager_lower, parse(text))
+        assert want in (ZeroDivisionError, DegreeLimitError)
+        assert _outcome(lower, parse(text)) is want
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_trees())
+    def check(e):
+        want = _outcome(eager_lower, e)
+        got = _outcome(lower, e)
+        if isinstance(want, FieldElem):
+            assert isinstance(got, FieldElem) and got.parts == want.parts
+            if isinstance(e, Pow):
+                assert _eager(e.base) ** e.exp == want
+        else:
+            assert got is want
+    check()
+
+
+def test_parts_stay_within_bounds():
+    # every subtree's parts, before the root normalisation, have degrees
+    # within _bounds of that subtree, so MAX_DEGREE bounds the work done
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_trees())
+    def check(e):
+        try:
+            lower(e)
+        except (ZeroDivisionError, DegreeLimitError):
+            return
+        for sub in _subtrees(e):
+            bounds = lang._bounds(sub)
+            degrees = tuple(f.degree for f in lang._parts(sub))
+            assert all(d <= b for d, b in zip(degrees, bounds)), (sub, degrees)
+    check()
+
+
+def test_lower_normalises_at_powers_and_root(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    calls = []
+    real = polys.canonical
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (polys, field):
+        monkeypatch.setattr(module, "canonical", counted)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_trees())
+    def check(e):
+        calls.clear()
+        try:
+            lower(e)
+        except (ZeroDivisionError, DegreeLimitError):
+            pass
+        pows = sum(isinstance(sub, Pow) for sub in _subtrees(e))
+        assert len(calls) <= pows + 1
+    check()
+
+
+@pytest.mark.parametrize("text, want, top", [
+    ("((p+i)*(p-i)/(p^2+1))^60", "1", 0),
+    ("((1+i*t)*(1-i*t)/(1+t^2))^30", "1", 0),
+    ("((p+1)^2/(p+1))^64", "(1+p)^64", 64),
+])
+def test_power_base_cancels_before_it_is_raised(text, want, top):
+    # a power's base is normalised first, so these bases collapse to 1 and
+    # 1 + p before they are raised, and the parts stay at degree top
+    e = parse(text)
+    assert lower(e) == lower(parse(want))
+    assert max(f.degree for f in lang._parts(e)) == top
+    if want == "1":
+        assert lang._parts(e) == (ONE_POLY, Poly(), ONE_POLY)

@@ -17,7 +17,7 @@ from coinfield.field import (FE_ONE, FieldElem, INFINITY, TAU, fe_eval, fe_inv,
                              fe_mod_squared, fe_mul)
 from coinfield.lang import lower, parse
 from coinfield.polys import P as P_POLY
-from coinfield.polys import Poly, RatFn
+from coinfield.polys import Poly, RatFn, zeta_poly
 from coinfield.scalars import ONE, SQRT2, Scalar, from_zeta
 from coinfield.sim import (CostReport, PostselectionError, expected_cost,
                            gate_matrix, run_numeric, run_symbolic)
@@ -176,7 +176,7 @@ def _mass_at(pair, p0):
     sympy = pytest.importorskip("sympy")
 
     def value(f):
-        x = sim._to_poly(f).eval_exact(p0)
+        x = zeta_poly(f).eval_exact(p0)
         return (sympy.Rational(x.a) + sympy.Rational(x.b) * sympy.sqrt(2)
                 + sympy.I * (sympy.Rational(x.c) + sympy.Rational(x.d) * sympy.sqrt(2)))
 

@@ -10,10 +10,11 @@ import pytest
 from coinfield import sim
 from coinfield.field import FieldElem
 from coinfield.lang import lower, parse
-from coinfield.polys import Poly, poly_gcd
+from coinfield.polys import Poly, poly_gcd, zeta_poly
 from coinfield.scalars import from_zeta
 from coinfield.synth import compile
-from coinfield.zpoly import Z1, content, exquo, gcd, pmul, zinv, zmul
+from coinfield.zpoly import (Z1, content, exquo, gcd, pair_mul, pmul, zinv,
+                             zmul)
 
 from test_acceptance import _random_elem
 
@@ -145,9 +146,9 @@ def from_abc_oracle(prog):
     state, _ = sim._exact_pass(prog, None)
     (a0, b0), (a1, b1) = state.group_of[prog.output].amps
     conj = (a1, sim._pscale(sim._ZNEG1, b1))
-    num = sim._pair_mul((a0, b0), conj, state.wsq)
-    den = sim._pair_mul((a1, b1), conj, state.wsq)[0]
-    return FieldElem.from_abc(*(sim._to_poly(f) for f in (*num, den)))
+    num = pair_mul((a0, b0), conj, state.wsq)
+    den = pair_mul((a1, b1), conj, state.wsq)[0]
+    return FieldElem.from_abc(*(zeta_poly(f) for f in (*num, den)))
 
 
 def assert_same_parts(prog):
