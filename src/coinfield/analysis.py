@@ -19,6 +19,7 @@ from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
 from .lang import Expr, NotInFieldError, field_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, certify_nonneg_int,
                     int_mul, int_parts, int_sub, isolate_roots, sturm_count)
+from .report import json_value
 from .scalars import Scalar, read_rational
 
 __all__ = [
@@ -171,10 +172,7 @@ class CorollaryResult:
     h: FieldElem | Infinity | None
     reason: str
 
-    def to_json(self) -> dict:
-        return {"simulable": self.simulable,
-                "h": None if self.h is None else str(self.h),
-                "reason": self.reason}
+    to_json = json_value
 
 
 def decide_real_corollary(f: RatFn) -> CorollaryResult:
@@ -225,9 +223,7 @@ class CCReport:
     witness_n: int | None
     reason: str
 
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "witness_n": self.witness_n,
-                "reason": self.reason}
+    to_json = json_value
 
 
 # A real piece num/den enters the bound checks once, as integer lists N and
@@ -342,16 +338,7 @@ class SPBEntry:
         return float(self.point) if isinstance(self.point, Fraction) \
             else self.point.approx()
 
-    def to_json(self) -> dict:
-        if isinstance(self.point, Fraction):
-            pt = str(self.point)
-        else:
-            pt = {"poly": str(self.point.g),
-                  "interval": [str(self.point.lo), str(self.point.hi)],
-                  "approx": self.point.approx()}
-        return {"point": pt, "kind": self.kind, "order": str(self.order),
-                "k": self.k, "delta": self.delta, "c": self.c,
-                "residual": self.residual}
+    to_json = json_value
 
 
 @dataclass(frozen=True)
@@ -360,10 +347,7 @@ class QCReport:
     zeros: tuple[SPBEntry, ...]
     ones: tuple[SPBEntry, ...]
 
-    def to_json(self) -> dict:
-        return {"in_qc": self.in_qc,
-                "zeros": [e.to_json() for e in self.zeros],
-                "ones": [e.to_json() for e in self.ones]}
+    to_json = json_value
 
 
 def _f_evaluator(h: FieldElem):
@@ -471,10 +455,7 @@ class QQReport:
     witness: FieldElem | Infinity | None
     reason: str
 
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict,
-                "witness": None if self.witness is None else str(self.witness),
-                "reason": self.reason}
+    to_json = json_value
 
 
 def classify_qq(f: PiecewiseFn, witness: FieldElem | None = None,
@@ -557,10 +538,7 @@ class ClassReport:
     qc: QCReport | None
     qq: QQReport
 
-    def to_json(self) -> dict:
-        return {"cc": self.cc.to_json(),
-                "qc": None if self.qc is None else self.qc.to_json(),
-                "qq": self.qq.to_json()}
+    to_json = json_value
 
 
 def classify(f: PiecewiseFn, witness: FieldElem | None = None,

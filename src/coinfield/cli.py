@@ -138,14 +138,7 @@ def cmd_run(args) -> int:
     p0 = float(scalars.read_rational(args.p0))
     res = sim.run_numeric(prog, p0, args.trials, seed=args.seed,
                           max_retries=args.max_retries)
-    out = {}
-    for key, val in res.to_json().items():
-        out[key] = val
-        if key == "node_attempts":
-            # the analytic attempts per node beside the observed ones, at
-            # the rational p0 the replay ran at
-            want = sim.expected_cost(prog, sim.rational_p0(p0)).to_json()
-            out["expected_attempts"] = want["expected_attempts"]
+    out = res.to_json()
     if args.json:
         print(json.dumps(out))
     else:

@@ -87,7 +87,10 @@ def parts_inverse(x):
 
 
 def parts_pow(x, n: int):
-    """x^n for n >= 0: A + B*w raised on integers over Z[z], over C^n."""
+    """x^n: A + B*w raised on integers over Z[z], over C^|n|, then inverted
+    when n < 0."""
+    if n < 0:
+        return parts_inverse(parts_pow(x, -n))
     if n < 2:
         return x if n else (ONE_POLY, _PZERO, ONE_POLY)
     A, B, C = x
@@ -224,7 +227,10 @@ class FieldElem:
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
             return self.inverse() ** (-n)
-        return FieldElem.from_abc(*parts_pow(self.parts, n))
+        if self.B or not self.A:
+            return FieldElem.from_abc(*parts_pow(self.parts, n))
+        # gcd(A, C) = 1 gives gcd(A^n, C^n) = 1, and C^n stays monic
+        return FieldElem.from_canonical(*parts_pow(self.parts, n))
 
     def conj(self) -> "FieldElem":
         # w is real on (0, 1), so conjugation acts on the coefficients only
@@ -292,13 +298,6 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
-
-    def to_json(self) -> dict:
-        return {"r": self.r.to_json(), "s": self.s.to_json()}
-
-    @staticmethod
-    def from_json(data: dict) -> "FieldElem":
-        return FieldElem(RatFn.from_json(data["r"]), RatFn.from_json(data["s"]))
 
 
 FE_ZERO = FieldElem(ZERO_RF)

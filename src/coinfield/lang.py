@@ -493,8 +493,14 @@ def lower(e: Expr) -> FieldElem:
     bounded from those of its operands before any common factor cancels,
     and a power is refused when its base's bound times |exponent| exceeds
     MAX_DEGREE. The operations take no gcd: lowering normalises only at the
-    base of a power, at the argument of a sqrt and once at the root."""
+    base of a power, at the argument of a sqrt and once at the root, where
+    a power of a nonzero base with B = 0 needs none."""
     _bounds(e)
+    if isinstance(e, Pow):
+        base = FieldElem.from_abc(*_parts(e.base))
+        if not base.B:
+            return base ** e.exp
+        return FieldElem.from_abc(*parts_pow(base.parts, e.exp))
     return FieldElem.from_abc(*_parts(e))
 
 
@@ -524,8 +530,7 @@ def _parts(e: Expr) -> tuple[Poly, Poly, Poly]:
     if isinstance(e, Div):
         return parts_mul(_parts(e.left), parts_inverse(_parts(e.right)))
     if isinstance(e, Pow):
-        out = parts_pow(FieldElem.from_abc(*_parts(e.base)).parts, abs(e.exp))
-        return parts_inverse(out) if e.exp < 0 else out
+        return parts_pow(FieldElem.from_abc(*_parts(e.base)).parts, e.exp)
     if isinstance(e, Sqrt):
         return _lower_sqrt(FieldElem.from_abc(*_parts(e.child))).parts
     raise TypeError(f"not an expression node: {e!r}")

@@ -420,13 +420,6 @@ class RatFn:
     def __repr__(self) -> str:
         return f"RatFn({self})"
 
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @staticmethod
-    def from_json(data: dict) -> "RatFn":
-        return RatFn(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
-
 
 ZERO_RF = RatFn(Poly())
 ONE_RF = RatFn(ONE_POLY)

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from .field import INFINITY, FieldElem, Infinity, ext_is_zero
 from .polys import zeta_poly
+from .report import json_value
 from .scalars import HALF_SQRT2, SQRT2, Scalar, to_zeta
 from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
                     static_counts, validate_program)
@@ -318,7 +319,7 @@ class CostReport:
     times its subtree is built per run; measure_probs maps each measurement
     instruction to its per-attempt success probability. A cost, attempt
     count or success probability outside the normal float range is a
-    Decimal of 17 significant digits, and to_json writes it as a string."""
+    Decimal of 17 significant digits, which to_json writes as a string."""
     p0: float
     expected_coins: float | Decimal
     expected_consts: float | Decimal
@@ -327,17 +328,7 @@ class CostReport:
     measure_probs: dict[int, float]
     static: dict
 
-    def to_json(self) -> dict:
-        return {
-            "p0": self.p0,
-            "expected_coins": _json_number(self.expected_coins),
-            "expected_consts": _json_number(self.expected_consts),
-            "success_probability": _json_number(self.success_probability),
-            "expected_attempts": {str(k): _json_number(v)
-                                  for k, v in self.expected_attempts.items()},
-            "measure_probs": {str(k): v for k, v in self.measure_probs.items()},
-            "static": dict(self.static),
-        }
+    to_json = json_value
 
 
 # 17 significant digits, as many as a float's shortest repr can need
@@ -367,14 +358,6 @@ def _weighted_sum(terms) -> float | Decimal:
     for a, n in terms:
         total = _DECIMAL.add(total, _DECIMAL.multiply(Decimal(a), n))
     return float(total) if total <= _FLOAT_MAX else total
-
-
-def _json_number(x: float | Decimal) -> float | str | None:
-    """A float as itself and NaN (no trial completed) as None; a Decimal
-    past the float range as a string such as '3.1234567890123457e+412'."""
-    if isinstance(x, Decimal):
-        return f"{x:g}"
-    return None if math.isnan(x) else x
 
 
 def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
@@ -466,13 +449,14 @@ def expected_cost(prog: CircuitProgram, p0: Fraction | float) -> CostReport:
 # those probabilities from the exact pass and replays each trial's retries
 # against them.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     """Seeded Monte Carlo outcome; the integer fields depend only on the
     program, p0, the seed, the trial count and max_retries.
 
     node_attempts maps each provenance node to its observed attempts per
-    completed trial, keyed like CostReport.expected_attempts.
+    completed trial, and expected_attempts to its analytic attempts at the
+    same rational p0, as CostReport.expected_attempts gives them.
     max_retries_seen is the most retries one measurement took within one
     entry of its node. coins_total and consts_total count completed trials;
     aborted_coins counts the coins the aborted trials spent, and
@@ -491,32 +475,12 @@ class RunResult:
     consts_total: int
     max_retries: int
     node_attempts: dict[int, float]
+    expected_attempts: dict[int, float | Decimal]
     max_retries_seen: int
     aborted_coins: int
     aborts_per_measure: dict[int, int]
 
-    def to_json(self) -> dict:
-        """The fields as JSON values; a NaN (no trial completed) becomes None."""
-        return {
-            "p0": self.p0,
-            "trials": self.trials,
-            "successes": self.successes,
-            "empirical_p0_prob": _json_number(self.empirical_p0_prob),
-            "expected_coins_analytic": _json_number(self.expected_coins_analytic),
-            "expected_coins_empirical": _json_number(self.expected_coins_empirical),
-            "seed": self.seed,
-            "aborted": self.aborted,
-            "completed": self.completed,
-            "coins_total": self.coins_total,
-            "consts_total": self.consts_total,
-            "max_retries": self.max_retries,
-            "node_attempts": {str(k): _json_number(v)
-                              for k, v in self.node_attempts.items()},
-            "max_retries_seen": self.max_retries_seen,
-            "aborted_coins": self.aborted_coins,
-            "aborts_per_measure": {str(k): v for k, v
-                                   in self.aborts_per_measure.items()},
-        }
+    to_json = json_value
 
 
 # Counter-based uniforms (SplitMix64): the draw-th number of a trial is a
@@ -712,6 +676,7 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
         max_retries=max_retries,
         node_attempts={nid: a / completed if completed else math.nan
                        for nid, a in enumerate(attempts)},
+        expected_attempts=analytic.expected_attempts,
         max_retries_seen=worst,
         aborted_coins=aborted_coins,
         aborts_per_measure=aborts_at,

@@ -292,6 +292,23 @@ def test_run_prints_expected_attempts_beside_observed(capsys):
     assert lines[at + 1] == f"expected_attempts: {json.dumps(want)}"
 
 
+def test_run_takes_one_exact_pass(capsys, monkeypatch):
+    from coinfield import sim
+    calls = []
+    real = sim._exact_pass
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sim, "_exact_pass", counted)
+    _, prog_json, _ = run_cli(capsys, "compile", "p")
+    code, out, _ = run_cli(capsys, "run", "--p0", "0.3", "--trials", "20",
+                           "--seed", "5", "-", stdin=prog_json)
+    assert code == 0 and "expected_attempts: " in out
+    assert len(calls) == 1
+
+
 def test_run_rejects_negative_seed(capsys):
     from coinfield.synth import program_to_json, worked_example_program
     prog_json = json.dumps(program_to_json(worked_example_program()))
@@ -662,3 +679,69 @@ def test_over_degree_input_is_refused_before_it_is_computed(capsys):
     code, out, err = run_cli(capsys, "decide", "1/(p+1)^100 + 1/(p+2)^100")
     assert time.perf_counter() - t0 < 0.3
     assert code == 1 and not out and "exceeds degree" in err
+
+
+# ---------------------------------------------------------------------------
+# Golden --json lines: the reports byte for byte
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, program, want", [
+    (["decide", "t + p - 1/2"], None,
+     '{"simulable": true, "diagnosis": "", "witness": {"g1": "1", '
+     '"g2": "1", "g3": "-1/2 + p", "g4": "1"}, "element": "-1/2 + p + '
+     't"}'),
+    (["corollary", "(1-2*p)^2/(1+(1-2*p)^2)"], None,
+     '{"simulable": true, "h": "1 - 2*p", "reason": "f/(1-f) is a '
+     'square via q = 1 - 2*p"}'),
+    (["classify", "p^2", "--witness", "(sqrt2*p/(1+p))*t + i*p/(1+p)"], None,
+     '{"cc": {"verdict": "yes", "witness_n": 2, "reason": "min(f,1-f) '
+     '>= min(p^2,(1-p)^2)"}, "qc": {"in_qc": true, "zeros": [{"point": '
+     '"0", "kind": "zero", "order": "2", "k": 1, "delta": 0.125, "c": '
+     '0.4999999999999998, "residual": "min of integer order 1 from A '
+     "and half-integer order 1 + 1/2 from B; the two kinds cannot "
+     'cancel"}], "ones": [{"point": "1", "kind": "one", "order": "1", '
+     '"k": 1, "delta": 0.125, "c": 7.520050125313288, "residual": "min '
+     "of integer order 1 from A and half-integer order 0 + 1/2 from B; "
+     'the two kinds cannot cancel"}]}, "qq": {"verdict": "yes", '
+     '"witness": "i*p/(1 + p) + (sqrt2*p/(1 + p))*t", "reason": '
+     '"supplied witness checks: |h|^2 = f/(1-f)"}}'),
+    (["classify", "(p^2-1/2)^2/(1+(p^2-1/2)^2)"], None,
+     '{"cc": {"verdict": "no", "witness_n": null, "reason": "interior '
+     'zero inside (0,1)"}, "qc": {"in_qc": true, "zeros": [{"point": '
+     '{"poly": "-1/2 + p^2", "interval": ["0", "1"], "approx": '
+     '0.7071067811865476}, "kind": "zero", "order": "2", "k": 1, '
+     '"delta": 0.125, "c": 0.8109708129229277, "residual": "shared '
+     "order 1 in A and B; the conjugate product vanishes to exactly 2k "
+     '= 2, so both conjugates carry order k"}], "ones": []}, "qq": '
+     '{"verdict": "yes", "witness": "1/2 - p^2", "reason": "f/(1-f) is '
+     'a square via q = 1/2 - p^2"}}'),
+    (["cost", "--p0", "3/10", "-"], "p",
+     '{"p0": 0.3, "expected_coins": 11.009174311926607, '
+     '"expected_consts": 6.385321100917432, "success_probability": '
+     '0.18166666666666664, "expected_attempts": {"0": '
+     '5.5045871559633035, "1": 5.5045871559633035, "2": '
+     '5.5045871559633035, "3": 3.192660550458716, "4": '
+     '3.192660550458716, "5": 3.192660550458716, "6": '
+     '3.192660550458716, "7": 1.0}, "measure_probs": {"3": 0.58, "8": '
+     '0.5086206896551724, "11": 0.615819209039548}, "static": '
+     '{"coins": 2, "consts": 2, "gates": 6, "measures": 3, '
+     '"registers": 4}}'),
+    (["run", "--p0", "0.5", "--trials", "1", "--max-retries", "0", "--seed",
+      "2", "-"], "p",
+     '{"p0": 0.5, "trials": 1, "successes": 0, "empirical_p0_prob": '
+     'null, "expected_coins_analytic": 9.6, '
+     '"expected_coins_empirical": null, "seed": 2, "aborted": 1, '
+     '"completed": 0, "coins_total": 0, "consts_total": 0, '
+     '"max_retries": 0, "node_attempts": {"0": null, "1": null, "2": '
+     'null, "3": null, "4": null, "5": null, "6": null, "7": null}, '
+     '"expected_attempts": {"0": 4.8, "1": 4.8, "2": 4.8, "3": 2.4, '
+     '"4": 2.4, "5": 2.4, "6": 2.4, "7": 1.0}, "max_retries_seen": 0, '
+     '"aborted_coins": 2, "aborts_per_measure": {"3": 1}}'),
+])
+def test_json_lines_are_pinned(capsys, argv, program, want):
+    # cost and run read the compiled program of `program`; the run's one
+    # trial aborts, so its NaN fields are null
+    stdin = None if program is None else run_cli(capsys, "compile", program)[1]
+    code, out, _ = run_cli(capsys, argv[0], "--json", *argv[1:], stdin=stdin)
+    assert code == 0
+    assert out == want + "\n"

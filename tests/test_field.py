@@ -360,17 +360,6 @@ def test_order_result_carries_residual():
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def test_field_elem_json_round_trip():
-    rnd = random.Random(39)
-    for _ in range(10):
-        h = random_elem(rnd)
-        assert FieldElem.from_json(h.to_json()) == h
-
-
-# ---------------------------------------------------------------------------
 # Canonical form (A + B*w)/C: property test on Gaussian-rational elements
 # ---------------------------------------------------------------------------
 

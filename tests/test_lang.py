@@ -441,6 +441,44 @@ def test_lower_normalises_at_powers_and_root(monkeypatch):
     check()
 
 
+@pytest.mark.parametrize("text, at_root", [
+    # a canonical base (A, 0, C) has gcd(A, C) = 1, so (A^n, 0, C^n) is
+    # canonical as it is raised and the root needs no normalisation
+    ("((p^2+i*p+1/3)/(p+1/5))^42", 0),
+    ("((p^2+i*p+1/3)/(p+1/5))^-42", 0),
+    # a zero base, or one with B != 0, is normalised again at the root
+    ("(p-p)^3", 1),
+    ("(p+t)^3", 1),
+    ("(p+t)^-3", 1),
+])
+def test_root_power_of_a_base_without_w_takes_no_gcd(monkeypatch, text,
+                                                     at_root):
+    calls = []
+    real = polys.canonical
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (polys, field):
+        monkeypatch.setattr(module, "canonical", counted)
+    e = parse(text)
+    lower(e)
+    # once at each power's base, p^2's p among them
+    assert len(calls) == sum(isinstance(sub, Pow) for sub in _subtrees(e)) \
+        + at_root
+    base = lower(e.base)
+    if not base:
+        return
+    for n in (-5, -1, 0, 1, 2, 5):
+        want = FieldElem.from_abc(*lang._parts(Pow(e.base, n)))
+        assert lower(Pow(e.base, n)) == want
+        calls.clear()
+        assert base ** n == want
+        if not base.B:
+            assert not calls  # nor does FieldElem.__pow__
+
+
 @pytest.mark.parametrize("text, want, top", [
     ("((p+i)*(p-i)/(p^2+1))^60", "1", 0),
     ("((1+i*t)*(1-i*t)/(1+t^2))^30", "1", 0),
