@@ -21,11 +21,13 @@ def show(tag, f, **kw):
     print(f"{'':34s} note: {rep.qq.reason}")
 
 
-# Flat piece then a ramp: fine classically (bounded away from 0 and 1), but
-# no analytic function agrees with a constant on an interval without being
-# constant, so the quantum-to-quantum route is closed.
-show("flat then ramp",
-     parse_piecewise("[0,1/2) 1/2\n[1/2,1] p/2 + 1/4"))
+# Neither set contains the other; two lines show it.
+# The tent p, then 1 - p: continuous and meeting 0 and 1 only at the ends,
+# so classically reachable (Keane and O'Brien). But |h|^2/(1 + |h|^2) is
+# real-analytic on (0, 1), and one that equals a rational piece on an
+# interval equals it everywhere, so no f with two distinct pieces is
+# reachable quantum-to-quantum.
+show("tent: p, then 1 - p", parse_piecewise("[0,1/2) p\n[1/2,1] 1 - p"))
 
 # The square of p - 1/2, renormalized into [0,1]: its interior zero kills
 # the classical polynomial bound, yet the ratio p - 1/2 is in the field, so

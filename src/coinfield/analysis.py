@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
                     sqrt_in_scalar_field, vanishing_order, w_norm)
-from .lang import Expr, NotInFieldError, field_sqrt, lower, parse
+from .lang import MAX_DEGREE, Expr, NotInFieldError, field_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, certify_nonneg_int,
                     int_mul, int_parts, int_sub, isolate_roots, sturm_count)
 from .report import json_value
@@ -86,10 +86,6 @@ class PiecewiseFn:
         if all(f == first for _, _, f in self.pieces[1:]):
             return first
         return None
-
-    def is_constant(self) -> bool:
-        first = self.pieces[0][2]
-        return first.is_constant() and self.single_ratfn() is not None
 
     def eval_exact(self, x: Fraction) -> Scalar:
         return self.piece_at(Fraction(x)).eval_exact(Fraction(x))
@@ -219,7 +215,7 @@ def check_phased_witness(h: FieldElem, f: RatFn) -> bool:
 
 @dataclass(frozen=True)
 class CCReport:
-    verdict: str            # "yes" | "no" | "no_witness_found"
+    verdict: str            # "yes" | "no"
     witness_n: int | None
     reason: str
 
@@ -253,27 +249,30 @@ def _one_minus_p_pow(n: int) -> list:
     return [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
 
 
-def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
-    """Classical-to-classical membership: continuity plus the polynomial
-    bound min(f, 1-f) >= min(p^n, (1-p)^n) for some witness n. Constant f
-    short-circuits to yes; an interior zero or one of a nonconstant f is a
-    definitive no."""
+def classify_cc(f: PiecewiseFn) -> CCReport:
+    """Classical-to-classical membership. By Keane & O'Brien (1994) a
+    nonconstant f is in CC exactly when it is continuous and
+    min(f, 1-f) >= min(p^n, (1-p)^n) for some witness n. Rational pieces
+    that meet 0 and 1 only at the ends of [0,1] have such an n, so the
+    verdict is no only for a discontinuity, a range fault or an interior
+    zero or one, and yes otherwise; witness_n is the least n up to
+    MAX_DEGREE, or None when the least n exceeds it."""
     for (a, b, f1), (_, _, f2) in zip(f.pieces, f.pieces[1:]):
         if f1.eval_exact(b) != f2.eval_exact(b):
             return CCReport("no", None, f"discontinuous at p = {b}")
     if f.range_fault:
         return CCReport("no", None, f.range_fault)
-    if f.is_constant():
+    single = f.single_ratfn()
+    if single is not None and single.is_constant():
         return CCReport("yes", None, "constant function")
 
     # interior zeros or ones are fatal for the polynomial bound
-    for x in [b for _, b, _ in f.pieces[:-1]]:
-        if 0 < x < 1:
-            v = f.eval_exact(x)
-            if not v:
-                return CCReport("no", None, f"interior zero at p = {x}")
-            if v == Scalar(1):
-                return CCReport("no", None, f"interior one at p = {x}")
+    for _, x, _ in f.pieces[:-1]:
+        v = f.eval_exact(x)
+        if not v:
+            return CCReport("no", None, f"interior zero at p = {x}")
+        if v == Scalar(1):
+            return CCReport("no", None, f"interior one at p = {x}")
     for a, b, piece in f.pieces:
         for g, what in ((piece.num, "zero"), (piece.den - piece.num, "one")):
             if g.is_zero():
@@ -301,15 +300,14 @@ def classify_cc(f: PiecewiseFn, n_max: int = 64) -> CCReport:
 
     # p^n and (1-p)^n fall as n grows, so bounded() is monotone in n: gallop
     # to the first power of two that holds, then bisect for the least n
-    not_found = CCReport("no_witness_found", None,
-                         f"no polynomial bound witness with n <= {n_max}")
-    if n_max < 1:
-        return not_found
     failed, n = 0, 1
     while not bounded(n):
-        if n >= n_max:
-            return not_found
-        failed, n = n, min(2 * n, n_max)
+        if n >= MAX_DEGREE:
+            return CCReport("yes", None,
+                            "continuous with no interior zero or one, so a "
+                            "witness n exists (Keane-O'Brien); the least "
+                            f"exceeds {MAX_DEGREE}")
+        failed, n = n, min(2 * n, MAX_DEGREE)
     while n - failed > 1:
         mid = (failed + n) // 2
         if bounded(mid):
@@ -458,38 +456,39 @@ class QQReport:
     to_json = json_value
 
 
-def classify_qq(f: PiecewiseFn, witness: FieldElem | None = None,
-                no_complex_witness: bool = False) -> QQReport:
-    """Quantum-to-quantum membership, deliberately three-valued. Yes with a
-    checked witness; no when f leaves [0,1], by the identity-theorem rule
-    (constant on a subinterval, nonconstant overall) or, for a single
-    rational piece with no real-form square root, when the caller asserts
-    no complex witness exists; unknown otherwise. A supplied witness that
-    fails its check is named in the reason, before the verdict found
-    without it."""
+def classify_qq(f: PiecewiseFn, witness: FieldElem | None = None) -> QQReport:
+    """Quantum-to-quantum membership, three-valued. Yes with a checked
+    witness; no when f leaves [0,1] or has two distinct pieces; unknown
+    for a single piece with no real-form square root or with irrational
+    coefficients. A supplied witness that fails its check is named in the
+    reason, before the verdict found without it."""
     single = f.single_ratfn()
     if witness is None:
-        return _classify_qq(f, single, no_complex_witness)
+        return _classify_qq(f, single)
     # |h|^2 is one real-analytic function on (0, 1), so by the identity
     # theorem no witness checks when f has two distinct pieces
     if single is not None and check_phased_witness(witness, single):
         return QQReport("yes", witness, "supplied witness checks: |h|^2 = f/(1-f)")
-    rep = _classify_qq(f, single, no_complex_witness)
+    rep = _classify_qq(f, single)
     return QQReport(rep.verdict, rep.witness,
                     f"supplied witness {witness} fails its check "
                     f"|h|^2 = f/(1-f); {rep.reason}")
 
 
-def _classify_qq(f: PiecewiseFn, single: RatFn | None,
-                 no_complex_witness: bool) -> QQReport:
+def _classify_qq(f: PiecewiseFn, single: RatFn | None) -> QQReport:
     """classify_qq without a supplied witness; single is f's one piece, or
     None when f has several."""
     if f.range_fault:
         return QQReport("no", None,
                         f"not a probability function: {f.range_fault}")
+    if single is None:
+        return QQReport("no", None,
+                        "pieces differ, but |h|^2/(1+|h|^2) is real-analytic "
+                        "on (0,1): equal to a rational piece on an interval, "
+                        "it equals that piece on all of (0,1)")
 
-    if f.is_constant():
-        value = f.pieces[0][2].constant_value()
+    if single.is_constant():
+        value = single.constant_value()
         if value == Scalar(1):
             return QQReport("yes", INFINITY, "constant 1: the state |0>")
         if not value:
@@ -506,24 +505,10 @@ def _classify_qq(f: PiecewiseFn, single: RatFn | None,
                         "constant coin; its ratio sqrt(f/(1-f)) lies outside "
                         "the toolkit scalar field")
 
-    if single is None:
-        for a, b, piece in f.pieces:
-            if piece.is_constant():
-                return QQReport("no", None,
-                                f"constant on [{a},{b}] but not globally: "
-                                "|h|^2 would be constant everywhere")
-        return QQReport("unknown", None,
-                        "piecewise with no constant piece: no decision rule "
-                        "applies")
-
     if single.is_rational():
         cor = _square_root_witness(single)
         if cor.simulable:
             return QQReport("yes", cor.h, cor.reason)
-        if no_complex_witness:
-            return QQReport("no", None,
-                            "no real-form witness (" + cor.reason + "); "
-                            "caller asserts no complex witness exists")
         return QQReport("unknown", None,
                         "no real-form witness (" + cor.reason + "); complex "
                         "witnesses undecided")
@@ -541,12 +526,11 @@ class ClassReport:
     to_json = json_value
 
 
-def classify(f: PiecewiseFn, witness: FieldElem | None = None,
-             no_complex_witness: bool = False) -> ClassReport:
+def classify(f: PiecewiseFn, witness: FieldElem | None = None) -> ClassReport:
     """Full classification. The QC part needs a ratio witness: the one the
     QQ decision accepted, which is the supplied witness when it checks."""
     cc = classify_cc(f)
-    qq = classify_qq(f, witness=witness, no_complex_witness=no_complex_witness)
+    qq = classify_qq(f, witness=witness)
     h = qq.witness
     qc = None
     if isinstance(h, FieldElem) and not h.is_zero():

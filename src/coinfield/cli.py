@@ -88,8 +88,7 @@ def cmd_classify(args) -> int:
     f = _f_spec(args.fspec)
     witness = (None if args.witness is None
                else lang.lower(lang.parse(args.witness)))
-    report = analysis.classify(f, witness=witness,
-                               no_complex_witness=args.no_complex_witness)
+    report = analysis.classify(f, witness=witness)
     if args.json:
         print(json.dumps(report.to_json()))
         return 0
@@ -326,9 +325,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("fspec", help="expression, or path to a piecewise file "
                                  "([a,b) expr lines)")
     p.add_argument("--witness", help="phased ratio witness expression")
-    p.add_argument("--no-complex-witness", action="store_true",
-                   help="assert no complex witness exists (turns a failed "
-                        "real square-root search into a definitive no)")
 
     p = add("compile", cmd_compile,
             help="compile a simulable ratio to a circuit program (JSON)")

@@ -13,7 +13,7 @@ from coinfield.analysis import (ONE_RF, PiecewiseFn, check_phased_witness,
                                 verify_spb)
 from coinfield.field import (FE_ZERO, FieldElem, INFINITY, fe_eval,
                              fe_mod_squared, fe_mul, w_mul, w_norm)
-from coinfield.lang import NotInFieldError, lower, parse
+from coinfield.lang import MAX_DEGREE, NotInFieldError, lower, parse
 from coinfield.polys import P as P_POLY
 from coinfield.polys import Poly, RatFn, certify_nonneg
 from coinfield.scalars import ONE, Scalar
@@ -250,17 +250,15 @@ def test_cc_constant_is_fine():
 
 
 def test_cc_witness_scales_with_flatness():
-    # p^6 hugs zero too tightly for small n
-    f = PiecewiseFn.from_ratfn(RatFn.from_poly(P_POLY ** 6))
-    small = classify_cc(f, n_max=2)
-    assert small.verdict == "no_witness_found"
-    full = classify_cc(f)
-    assert full.verdict == "yes" and full.witness_n >= 6
+    # p^m hugs zero as tightly as p^n for n >= m, so the least witness is m
+    for m in (6, 70):
+        rep = classify_cc(PiecewiseFn.from_ratfn(RatFn.from_poly(P_POLY ** m)))
+        assert rep.verdict == "yes" and rep.witness_n == m
 
 
 def test_cc_witness_matches_linear_search():
     # classify_cc gallops and bisects for the least witness n; the reference
-    # tries n = 1, 2, ... in turn on Polys through certify_nonneg
+    # tries n = 1, 2, ..., MAX_DEGREE in turn on Polys through certify_nonneg
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     half = Fraction(1, 2)
@@ -278,11 +276,9 @@ def test_cc_witness_matches_linear_search():
                     return False
         return True
 
-    def linear(f, n_max):
-        for n in range(1, n_max + 1):
-            if holds(f, n):
-                return "yes", n
-        return "no_witness_found", None
+    def linear(f):
+        return next((n for n in range(1, MAX_DEGREE + 1) if holds(f, n)),
+                    None)
 
     @st.composite
     def case(draw):
@@ -297,14 +293,15 @@ def test_cc_witness_matches_linear_search():
         cut = draw(st.sampled_from([None, Fraction(1, 4), half,
                                     Fraction(3, 4)]))
         pieces = [(0, 1, f)] if cut is None else [(0, cut, f), (cut, 1, f)]
-        return PiecewiseFn(pieces), draw(st.integers(0, 12))
+        return PiecewiseFn(pieces)
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
     @hypothesis.given(case())
-    def check(args):
-        f, n_max = args
-        rep = classify_cc(f, n_max=n_max)
-        assert (rep.verdict, rep.witness_n) == linear(f, n_max)
+    def check(f):
+        # continuous, in (0, 1) inside: in CC by Keane and O'Brien, with
+        # witness_n None only where no n <= MAX_DEGREE holds
+        rep = classify_cc(f)
+        assert (rep.verdict, rep.witness_n) == ("yes", linear(f))
 
     check()
 
@@ -387,6 +384,15 @@ def test_verify_spb_window_past_endpoint(expr):
     assert verify_spb(h, rep)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: classify_qc samples f on a 200-point grid and claims "
+    "c = 0.0648 at p = 0 with delta 1/8, but f(0.0025) = 1.8e-9 < c*p^2"))
+def test_qc_certificate_holds_at_a_near_zero_beside_the_end():
+    h = lower(parse("((-26/17 + 2*i/17)*p)/((-1/17 + 4*i/17) + p)"
+                    " + ((-2/5 - 4*i/5) + (2 - 2*i)*p)/((14/5 - 2*i/5) + p)*t"))
+    assert verify_spb(h, classify_qc(h))
+
+
 def test_qc_random_targets_verify():
     rnd = random.Random(131)
     done = 0
@@ -456,7 +462,6 @@ def test_qq_rejects_flat_then_ramp():
 def test_qq_p_squared_depends_on_complex_escape():
     f = PiecewiseFn.from_ratfn(lower(parse("p^2")).r)
     assert classify_qq(f).verdict == "unknown"
-    assert classify_qq(f, no_complex_witness=True).verdict == "no"
     w = lower(parse(PHASED_WITNESS))
     rep = classify_qq(f, witness=w)
     assert rep.verdict == "yes" and rep.witness == w
@@ -467,9 +472,11 @@ def test_qq_rejects_wrong_witness():
     assert classify_qq(f, witness=FieldElem.coin()).verdict != "yes"
 
 
-def test_qq_multi_piece_nonconstant_unknown():
+def test_qq_multi_piece_nonconstant_no():
+    # |h|^2/(1+|h|^2) is real-analytic on (0, 1): it cannot follow p/2 on
+    # one interval and p^2/2 + 1/8 on the next
     f = parse_piecewise("[0,1/2) p/2\n[1/2,1] p^2/2 + 1/8")
-    assert classify_qq(f).verdict == "unknown"
+    assert classify_qq(f).verdict == "no"
 
 
 @pytest.mark.parametrize("text", [
@@ -507,6 +514,74 @@ def test_classify_certifies_range_once(monkeypatch, text):
 def test_qq_irrational_constant():
     rep = classify_qq(PiecewiseFn.from_ratfn(lower(parse("sqrt2/2")).r))
     assert rep.verdict == "yes" and rep.witness is None
+
+
+def test_splitting_a_piece_changes_no_verdict():
+    # a breakpoint between two equal pieces leaves f as it was, so every
+    # CC, QC and QQ verdict and witness must stay
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    root = st.builds(Fraction, st.integers(-4, 8), st.integers(1, 4)).filter(
+        lambda z: z != 1)
+
+    @st.composite
+    def case(draw):
+        # u = q^2 and q^2 p/(1-p) give QQ members, (p + a) q^2 mostly not;
+        # a root of q inside (0, 1) is an interior zero of f
+        c = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        q = "*".join([str(c)] + [f"(p - ({z}))" for z in
+                                 draw(st.lists(root, max_size=2))])
+        u = draw(st.sampled_from([f"({q})^2", f"({q})^2*p/(1 - p)",
+                                  f"(p + {c})*({q})^2"]))
+        f = lower(parse(f"({u})/(1 + {u})")).r
+        cut = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3),
+                                    Fraction(1, 2), Fraction(3, 4)]))
+        return f, cut
+
+    @hypothesis.settings(max_examples=15, deadline=None, database=None)
+    @hypothesis.given(case())
+    def check(args):
+        f, cut = args
+        whole = classify(PiecewiseFn.from_ratfn(f))
+        split = classify(PiecewiseFn(((0, cut, f), (cut, 1, f))))
+        assert (split.cc.verdict, split.cc.witness_n) == \
+            (whole.cc.verdict, whole.cc.witness_n)
+        assert split.qq == whole.qq and split.qc == whole.qc
+
+    check()
+
+
+def test_two_distinct_pieces_are_in_cc_not_qq():
+    # a continuous f inside (0, 1) is in CC (Keane and O'Brien); with two
+    # distinct rational pieces it is not in QQ, since |h|^2/(1+|h|^2) is
+    # real-analytic on (0, 1) and would have to follow both pieces
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    eighths = st.builds(Fraction, st.integers(1, 7), st.just(8))
+
+    @st.composite
+    def case(draw):
+        # alpha + b (p - cut)/(1 + d p) with |b| < min(alpha, 1 - alpha)
+        # stays inside (0, 1) and takes the value alpha at the cut
+        cut, alpha = draw(eighths), draw(eighths)
+        room = min(alpha, 1 - alpha)
+
+        def piece():
+            b = room * Fraction(draw(st.integers(-7, 7)), 8)
+            return f"{alpha} + ({b})*(p - {cut})/(1 + {draw(st.integers(0, 2))}*p)"
+
+        f = parse_piecewise(f"[0,{cut}) {piece()}\n[{cut},1] {piece()}")
+        hypothesis.assume(f.single_ratfn() is None)
+        return f
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(case())
+    def check(f):
+        rep = classify(f)
+        assert rep.cc.verdict == "yes" and rep.cc.witness_n is not None
+        assert rep.qq.verdict == "no" and rep.qc is None
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,18 @@ def test_classify_names_a_witness_for_a_piecewise_function(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[-1] == (
         "QQ: no  [supplied witness t fails its check |h|^2 = f/(1-f); "
-        "constant on [0,1/2] but not globally: |h|^2 would be constant "
-        "everywhere]")
+        "pieces differ, but |h|^2/(1+|h|^2) is real-analytic on (0,1): "
+        "equal to a rational piece on an interval, it equals that piece on "
+        "all of (0,1)]")
+
+
+def test_classify_tent_is_in_cc_not_qq(tmp_path, capsys):
+    spec = tmp_path / "tent.txt"
+    spec.write_text("[0,1/2) p\n[1/2,1] 1 - p\n")
+    code, out, _ = run_cli(capsys, "classify", str(spec))
+    assert code == 0
+    cc, qc, qq = out.splitlines()
+    assert cc.startswith("CC: yes (witness n=1)") and qq.startswith("QQ: no ")
 
 
 def test_classify_json_matches_library(capsys):
@@ -388,12 +398,14 @@ def test_long_literal_gets_a_verdict(capsys, argv):
 
 def test_huge_coefficient_classify_gets_a_verdict(capsys):
     # h = 10^400 p: its coefficients overflow a float, so the QC grid scales
-    # A, B and C first; f/(1-f) = 10^800 p^2 leaves no CC witness n <= 64
+    # A, B and C first; 1 - f = 1/(1 + 10^800 p^2) needs a CC witness
+    # n > 128, which exists by Keane and O'Brien
     f = f"(({BIG}*p)^2)/(1+({BIG}*p)^2)"
     code, out, err = run_cli(capsys, "classify", f)
     assert code == 0 and not err
     cc, qc, qq = out.splitlines()
-    assert cc == "CC: no_witness_found  [no polynomial bound witness with n <= 64]"
+    assert cc == ("CC: yes  [continuous with no interior zero or one, so a "
+                  "witness n exists (Keane-O'Brien); the least exceeds 128]")
     assert qc == "QC: yes  [zeros: 0 order 2 k=1; ones: none]"
     assert qq.startswith(f"QQ: yes (witness {BIG}*p)")
 
@@ -410,7 +422,7 @@ def _fresh_env():
 
 def test_reused_parser_matches_fresh_processes(capsys):
     # main() builds its parser once per process; a flag from one call must
-    # not reach the next
+    # not reach the next, and a flag the parser does not know is refused
     import subprocess
     f = "(p+1)/(p+2)"
     witness = "(t + 1/sqrt2 + i*(t - 1/sqrt2))/(t + i)"
@@ -427,7 +439,7 @@ def test_reused_parser_matches_fresh_processes(capsys):
     assert here == fresh
     verdicts = [json.loads(out)["qq"]["verdict"] for _, out in here[:2]]
     assert verdicts == ["yes", "unknown"]
-    assert here[2][1].splitlines()[-1].startswith("QQ: no ")
+    assert here[2] == (1, "")
 
 
 def test_run_json_without_completed_trials_is_valid(capsys):
