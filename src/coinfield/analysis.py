@@ -36,9 +36,9 @@ __all__ = [
 def read_real_ratfn(text: str) -> RatFn:
     """The real rational function of p that an expression lowers to."""
     h = lower(parse(text))
-    if not h.s.is_zero() or not h.r.is_real():
-        raise ValueError("not a real rational function of p")
-    return h.r
+    if h.B.is_zero() and (r := h.r).is_real():
+        return r
+    raise ValueError("not a real rational function of p")
 
 
 class PiecewiseFn:
@@ -67,7 +67,7 @@ class PiecewiseFn:
                 raise ValueError(f"piece on [{a},{b}] has a pole")
         self.pieces = pieces
         self.range_fault = next(filter(None, (
-            _range_fault(a, b, *int_parts((f.num, f.den)))
+            _range_fault(a, b, *_positive_parts(f, a))
             for a, b, f in pieces)), None)
 
     @staticmethod
@@ -222,16 +222,24 @@ class CCReport:
     to_json = json_value
 
 
-# A real piece num/den enters the bound checks once, as integer lists N and
-# D with num/den = N/D at one positive scale, so every sign condition below
-# is certify_nonneg_int on an integer product: g/den >= 0 iff g*D >= 0.
+# A real piece enters the bound checks as integer lists N and D with f = N/D
+# and D > 0 on the closed piece, where PiecewiseFn has proved D root-free; so
+# g/D >= 0 iff g >= 0, and each check has the degree of the piece itself.
+
+def _positive_parts(f: RatFn, lo: Fraction) -> list[list]:
+    """[N, D] for the piece f from lo: D keeps its sign at lo throughout."""
+    num, den = int_parts((f.num, f.den))
+    if f.den.eval_exact(lo) < 0:
+        return [[-c for c in num], [-c for c in den]]
+    return [num, den]
+
 
 def _range_fault(lo: Fraction, hi: Fraction, num: list, den: list
                  ) -> str | None:
     """Where f = num/den leaves [0,1] on [lo, hi], or None if it does not."""
-    if not certify_nonneg_int(int_mul(num, den), lo, hi):
+    if not certify_nonneg_int(num, lo, hi):
         return f"f < 0 somewhere on [{lo},{hi}]"
-    if not certify_nonneg_int(int_mul(int_sub(den, num), den), lo, hi):
+    if not certify_nonneg_int(int_sub(den, num), lo, hi):
         return f"f > 1 somewhere on [{lo},{hi}]"
     return None
 
@@ -240,9 +248,8 @@ def _bound_holds(num: list, den: list, bound_den: list, lo: Fraction,
                  hi: Fraction) -> bool:
     """f - bound >= 0 and (1 - f) - bound >= 0 on [lo, hi], for f = num/den
     and bound_den = bound * den."""
-    return certify_nonneg_int(int_mul(int_sub(num, bound_den), den), lo, hi) \
-        and certify_nonneg_int(
-            int_mul(int_sub(int_sub(den, num), bound_den), den), lo, hi)
+    return certify_nonneg_int(int_sub(num, bound_den), lo, hi) \
+        and certify_nonneg_int(int_sub(int_sub(den, num), bound_den), lo, hi)
 
 
 def _one_minus_p_pow(n: int) -> list:
@@ -284,8 +291,7 @@ def classify_cc(f: PiecewiseFn) -> CCReport:
                                 f"interior {what} inside ({a},{b})")
 
     half = Fraction(1, 2)
-    pieces = [(a, b, *int_parts((piece.num, piece.den)))
-              for a, b, piece in f.pieces]
+    pieces = [(a, b, *_positive_parts(piece, a)) for a, b, piece in f.pieces]
 
     def bounded(n: int) -> bool:
         for a, b, num, den in pieces:
@@ -348,19 +354,21 @@ class QCReport:
     to_json = json_value
 
 
-def _f_evaluator(h: FieldElem):
-    """x -> f(x) = |h(x)|^2/(1 + |h(x)|^2) in floats; 1.0 at a pole of h
-    and where |h(x)|^2 passes the float range."""
+def _f_evaluator(h: FieldElem, kind: str):
+    """x -> f(x) = |h(x)|^2/(1 + |h(x)|^2) in floats for kind "zero", and
+    x -> 1 - f(x) = 1/(1 + |h(x)|^2) for kind "one", which 1.0 - f(x) would
+    round to 0 once |h(x)|^2 passes 2^53. At a pole of h and where |h(x)|^2
+    passes the float range, f is 1 and 1 - f is 0."""
     h_at = h.evaluator()
 
     def f(x: float) -> float:
         try:
             m = abs(h_at(x)) ** 2
         except (ZeroDivisionError, OverflowError):
-            return 1.0
-        if math.isinf(m):
-            return 1.0
-        return m / (1.0 + m)
+            m = math.inf
+        if kind == "one":
+            return 1.0 / (1.0 + m)
+        return 1.0 if math.isinf(m) else m / (1.0 + m)
 
     return f
 
@@ -394,7 +402,6 @@ def classify_qc(h: FieldElem) -> QCReport:
 
     positions = [float(z) if isinstance(z, Fraction) else z.approx()
                  for z, _, _ in found]
-    f_at = _f_evaluator(h)
     zeros: list[SPBEntry] = []
     ones: list[SPBEntry] = []
     for i, (z, n, residual) in enumerate(found):
@@ -402,6 +409,8 @@ def classify_qc(h: FieldElem) -> QCReport:
         others = [abs(x - q) for j, q in enumerate(positions) if j != i]
         delta = min(0.125, min(others) / 2) if others else 0.125
         k = math.ceil(abs(n))
+        kind = "zero" if n > 0 else "one"
+        f_at = _f_evaluator(h, kind)
         grid_lo = max(0.0, x - delta)
         grid_hi = min(1.0, x + delta)
         vals = []
@@ -409,25 +418,22 @@ def classify_qc(h: FieldElem) -> QCReport:
             p = grid_lo + (j + 0.5) * (grid_hi - grid_lo) / 200
             if abs(p - x) < 1e-12:
                 continue
-            fv = f_at(p)
-            if n < 0:
-                fv = 1.0 - fv
-            vals.append(fv / abs(p - x) ** (2 * k))
+            vals.append(f_at(p) / abs(p - x) ** (2 * k))
         c = min(vals) / 2
-        entry = SPBEntry(z, "zero" if n > 0 else "one", 2 * abs(n), k,
-                         delta, c, residual)
+        entry = SPBEntry(z, kind, 2 * abs(n), k, delta, c, residual)
         (zeros if n > 0 else ones).append(entry)
     return QCReport(True, tuple(zeros), tuple(ones))
 
 
 def verify_spb(h: FieldElem, report: QCReport) -> bool:
     """Independent re-check of an SPB certificate: recompute each vanishing
-    order exactly and test the lower bound on a fresh grid."""
-    f_at = _f_evaluator(h)
+    order exactly and test the lower bound on a fresh grid. A bound with
+    c <= 0 or delta <= 0 says nothing, and is refused."""
     for entry in report.zeros + report.ones:
+        f_at = _f_evaluator(h, entry.kind)
         res = vanishing_order(h, entry.point)
         want = entry.order if entry.kind == "zero" else -entry.order
-        if 2 * res.order != want:
+        if 2 * res.order != want or not (entry.c > 0 and entry.delta > 0):
             return False
         x = entry.position()
         grid_lo = max(0.0, x - entry.delta)
@@ -437,10 +443,7 @@ def verify_spb(h: FieldElem, report: QCReport) -> bool:
             # the window may reach an end of [0, 1], where h is not defined
             if abs(p - x) < 1e-12 or not 0 < p < 1:
                 continue
-            fv = f_at(p)
-            if entry.kind == "one":
-                fv = 1.0 - fv
-            if fv + 1e-15 < entry.c * abs(p - x) ** (2 * entry.k):
+            if f_at(p) + 1e-15 < entry.c * abs(p - x) ** (2 * entry.k):
                 return False
     return True
 

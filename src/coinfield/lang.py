@@ -386,7 +386,7 @@ def _sign_fix(q: RatFn) -> RatFn:
 
 
 def _lower_sqrt(child: FieldElem) -> FieldElem:
-    if not child.s.is_zero():
+    if not child.B.is_zero():
         raise NotInFieldError(
             "sqrt argument must be a rational function of p alone "
             "(no t component)")

@@ -732,46 +732,41 @@ def squarefree_decompose(f: Poly) -> tuple[Scalar, list[tuple[Poly, int]]]:
 class SquareTest:
     """Outcome of testing a rational function f for being an exact square.
     Without odd-multiplicity factors, half is the q with monic numerator
-    and denominator and f = lc_ratio * q^2, and root is sqrt(lc_ratio) * q
-    when lc_ratio is a rational square."""
-    root: "RatFn | None"
+    and denominator and f = lc_ratio * q^2."""
     odd_factors: tuple[Poly, ...]
-    lc_ratio: Fraction | None
+    lc_ratio: Fraction
     half: "RatFn | None"
-
-    @property
-    def is_square(self) -> bool:
-        return self.root is not None
 
 
 def square_test(f: RatFn) -> SquareTest:
-    """Test f = q^2 for a rational function q over the plain rationals."""
+    """The odd-multiplicity factors of f over the plain rationals, and the
+    q with f = lc_ratio * q^2 when there are none."""
     if not f.is_rational():
         raise ValueError("square detection supports rational coefficients only")
     if f.is_zero():
-        return SquareTest(ZERO_RF, (), Fraction(0), ZERO_RF)
+        return SquareTest((), Fraction(0), ZERO_RF)
     ln, nf = squarefree_decompose(f.num)
     ld, df = squarefree_decompose(f.den)
     odd = tuple(piece for g, m in nf + df if m % 2 == 1
                 for piece in split_rational_roots(g))
     lc_ratio = ln.as_fraction() / ld.as_fraction()
     if odd:
-        return SquareTest(None, odd, lc_ratio, None)
+        return SquareTest(odd, lc_ratio, None)
     num = den = ONE_POLY
     for g, m in nf:
         num = num * g ** (m // 2)
     for g, m in df:
         den = den * g ** (m // 2)
-    half = RatFn(num, den)
-    lcroot = sqrt_fraction(lc_ratio)
-    root = None if lcroot is None else half * lcroot
-    assert root is None or root * root == f
-    return SquareTest(root, (), lc_ratio, half)
+    return SquareTest((), lc_ratio, RatFn(num, den))
 
 
 def is_square(f: RatFn) -> RatFn | None:
     """The rational-function square root of f, or None if no exact root exists."""
-    return square_test(f).root
+    res = square_test(f)
+    lcroot = None if res.half is None else sqrt_fraction(res.lc_ratio)
+    root = None if lcroot is None else res.half * lcroot
+    assert root is None or root * root == f
+    return root
 
 
 # -- Sturm sequences and certified sign conditions -------------------------

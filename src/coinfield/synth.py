@@ -48,11 +48,9 @@ class Gate:
 @dataclass(frozen=True)
 class Measure:
     """Measure reg, keep the given outcome; on the other outcome rebuild the
-    provenance subtree rooted at node, which must be the node that emits
-    the measurement."""
+    provenance subtree rooted at the node that emits the measurement."""
     reg: int
     keep: int
-    node: int
 
 
 Instr = AllocCoin | AllocConst | Gate | Measure
@@ -61,7 +59,6 @@ Instr = AllocCoin | AllocConst | Gate | Measure
 @dataclass(frozen=True)
 class ProvNode:
     """Provenance node: a macro invocation and what it emitted, in order."""
-    id: int
     kind: str
     items: tuple[tuple[str, int], ...]  # ("child", node_id) | ("instr", index)
 
@@ -69,10 +66,15 @@ class ProvNode:
 @dataclass(frozen=True)
 class CircuitProgram:
     instructions: tuple[Instr, ...]
-    registers: int
     output: int
-    nodes: tuple[ProvNode, ...]  # dense ids: nodes[k].id == k
+    nodes: tuple[ProvNode, ...]  # node k is nodes[k]
     root: int
+
+    @property
+    def registers(self) -> int:
+        """One more than the highest register an allocation names."""
+        return 1 + max((i.reg for i in self.instructions
+                        if isinstance(i, (AllocCoin, AllocConst))), default=-1)
 
     def __str__(self) -> str:
         return json.dumps(program_to_json(self), indent=2)
@@ -80,23 +82,22 @@ class CircuitProgram:
 
 # -- program construction --------------------------------------------------
 
-def _shift_instr(ins: Instr, reg_off: int, node_off: int) -> Instr:
+def _shift_instr(ins: Instr, reg_off: int) -> Instr:
     if isinstance(ins, AllocCoin):
         return AllocCoin(ins.reg + reg_off)
     if isinstance(ins, AllocConst):
         return AllocConst(ins.value, ins.reg + reg_off)
     if isinstance(ins, Gate):
         return Gate(ins.name, tuple(r + reg_off for r in ins.regs))
-    return Measure(ins.reg + reg_off, ins.keep, ins.node + node_off)
+    return Measure(ins.reg + reg_off, ins.keep)
 
 
 def _node(kind: str, operands: list[CircuitProgram], fresh: int,
           body) -> CircuitProgram:
     """The one builder of a provenance node. The operand programs sit side
     by side as its children, then come fresh new registers and the node's
-    own instructions: body(regs, node) returns (output, instructions), with
-    regs the operands' outputs followed by the fresh registers and node the
-    new node's id, which each of its measurements names."""
+    own instructions: body(regs) returns (output, instructions), with regs
+    the operands' outputs followed by the fresh registers."""
     instrs: list[Instr] = []
     nodes: list[ProvNode] = []
     items: list[tuple[str, int]] = []
@@ -105,64 +106,62 @@ def _node(kind: str, operands: list[CircuitProgram], fresh: int,
     for prog in operands:
         instr_off = len(instrs)
         node_off = len(nodes)
-        instrs.extend(_shift_instr(i, reg_off, node_off) for i in prog.instructions)
+        instrs.extend(_shift_instr(i, reg_off) for i in prog.instructions)
         for node in prog.nodes:
             nodes.append(ProvNode(
-                node.id + node_off, node.kind,
+                node.kind,
                 tuple((tag, ref + (node_off if tag == "child" else instr_off))
                       for tag, ref in node.items)))
         items.append(("child", prog.root + node_off))
         regs.append(prog.output + reg_off)
         reg_off += prog.registers
-    root = len(nodes)
-    output, own = body(regs + list(range(reg_off, reg_off + fresh)), root)
+    output, own = body(regs + list(range(reg_off, reg_off + fresh)))
     items.extend(("instr", k) for k in range(len(instrs), len(instrs) + len(own)))
     instrs.extend(own)
-    nodes.append(ProvNode(root, kind, tuple(items)))
-    return CircuitProgram(tuple(instrs), reg_off + fresh, output, tuple(nodes),
-                          root)
+    nodes.append(ProvNode(kind, tuple(items)))
+    return CircuitProgram(tuple(instrs), output, tuple(nodes), len(nodes) - 1)
 
 
 def coin_program() -> CircuitProgram:
     """A single fresh coin; ratio t."""
-    return _node("coin", [], 1, lambda regs, _: (regs[0], [AllocCoin(regs[0])]))
+    return _node("coin", [], 1, lambda regs: (regs[0], [AllocCoin(regs[0])]))
 
 
 def const_program(a: Scalar | int | Fraction) -> CircuitProgram:
     """The constant coin (a|0> + |1>)/norm; ratio a."""
     a = a if isinstance(a, Scalar) else Scalar(a)
     return _node("const", [], 1,
-                 lambda regs, _: (regs[0], [AllocConst(a, regs[0])]))
+                 lambda regs: (regs[0], [AllocConst(a, regs[0])]))
 
 
 def emit_inv(x: CircuitProgram) -> CircuitProgram:
     """X on the output register: ratio h -> 1/h."""
     return _node("inv", [x], 0,
-                 lambda regs, _: (regs[0], [Gate("X", (regs[0],))]))
+                 lambda regs: (regs[0], [Gate("X", (regs[0],))]))
 
 
 def emit_mul(x: CircuitProgram, y: CircuitProgram) -> CircuitProgram:
     """CNOT then postselect the second register on |0>: ratio h1*h2."""
-    def body(regs, node):
+    def body(regs):
         xo, yo = regs
-        return xo, [Gate("CNOT", (xo, yo)), Measure(yo, 0, node)]
+        return xo, [Gate("CNOT", (xo, yo)), Measure(yo, 0)]
     return _node("mul", [x, y], 0, body)
 
 
 def emit_add(x: CircuitProgram, y: CircuitProgram) -> CircuitProgram:
     """B then postselect the first register on |0>, leaving sqrt2/(h1+h2);
     an X and a sqrt2 constant-multiplication land exactly on h1+h2."""
-    def body(regs, node):
+    def body(regs):
         xo, yo, co = regs
-        return yo, [Gate("B", (xo, yo)), Measure(xo, 0, node), Gate("X", (yo,)),
-                    Gate("CNOT", (yo, co)), Measure(co, 0, node)]
+        return yo, [Gate("B", (xo, yo)), Measure(xo, 0), Gate("X", (yo,)),
+                    Gate("CNOT", (yo, co)), Measure(co, 0)]
     return _node("add", [x, y, const_program(SQRT2)], 0, body)
 
 
 def emit_neg(x: CircuitProgram) -> CircuitProgram:
     """H, X, H on the output register, which is Z: ratio h -> -h with no
     postselection."""
-    return _node("neg", [x], 0, lambda regs, _: (
+    return _node("neg", [x], 0, lambda regs: (
         regs[0], [Gate(name, (regs[0],)) for name in ("H", "X", "H")]))
 
 
@@ -250,10 +249,10 @@ def compile(h: FieldElem | Infinity) -> CircuitProgram:
 def worked_example_program() -> CircuitProgram:
     """The two-coin protocol ending at ratio 2p-1: CNOT both coins,
     postselect the second on |0>, then H and X on the survivor."""
-    def body(regs, node):
+    def body(regs):
         a, b = regs
         return a, [AllocCoin(a), AllocCoin(b), Gate("CNOT", (a, b)),
-                   Measure(b, 0, node), Gate("H", (a,)), Gate("X", (a,))]
+                   Measure(b, 0), Gate("H", (a,)), Gate("X", (a,))]
     return _node("protocol", [], 2, body)
 
 
@@ -268,9 +267,6 @@ def _provenance(prog: CircuitProgram) -> tuple[list[int], dict[int, range]]:
     nodes = prog.nodes
     if not 0 <= prog.root < len(nodes):
         raise ValueError("provenance root out of range")
-    for k, node in enumerate(nodes):
-        if node.id != k:
-            raise ValueError("provenance ids must be dense and ordered")
     owner: list[int] = []
     span: dict[int, range] = {}
 
@@ -313,8 +309,8 @@ def validate_program(prog: CircuitProgram) -> None:
         if isinstance(ins, (AllocCoin, AllocConst)):
             if ins.reg in live or ins.reg in retired:
                 raise ValueError(f"register {ins.reg} allocated twice")
-            if not 0 <= ins.reg < prog.registers:
-                raise ValueError(f"register {ins.reg} out of range")
+            if ins.reg < 0:
+                raise ValueError(f"negative register {ins.reg}")
             live.add(ins.reg)
             alloc_at[ins.reg] = idx
             group[ins.reg] = {ins.reg}
@@ -337,16 +333,13 @@ def validate_program(prog: CircuitProgram) -> None:
                 raise ValueError(f"measurement of dead register {ins.reg}")
             if ins.keep not in (0, 1):
                 raise ValueError("measurement keeps outcome 0 or 1")
-            # a miss restarts the node that emits the measurement
-            if ins.node != owner[idx]:
-                raise ValueError(
-                    f"measurement {idx} must name its emitting node {owner[idx]}")
-            # every register the measured one may be entangled with must be
-            # rebuilt too, so its allocation must sit inside the same subtree
+            # a miss restarts the node that emits the measurement; every
+            # register the measured one may be entangled with must be rebuilt
+            # too, so its allocation must sit inside that node's subtree
             for r in group[ins.reg]:
-                if r in live and alloc_at[r] not in span[ins.node]:
-                    raise ValueError(
-                        f"rebuild subtree of node {ins.node} misses register {r}")
+                if r in live and alloc_at[r] not in span[owner[idx]]:
+                    raise ValueError(f"rebuild subtree of node {owner[idx]} "
+                                     f"misses register {r}")
             live.discard(ins.reg)
             retired.add(ins.reg)
     if live != {prog.output}:
@@ -376,17 +369,15 @@ def program_to_json(prog: CircuitProgram) -> dict:
         elif isinstance(ins, Gate):
             rec = {"op": "gate", "name": ins.name, "regs": list(ins.regs)}
         else:
-            rec = {"op": "measure", "reg": ins.reg, "keep": ins.keep,
-                   "node": ins.node}
+            rec = {"op": "measure", "reg": ins.reg, "keep": ins.keep}
         rec["emitted_by"] = owner[idx]
         instrs.append(rec)
     return {
-        "registers": prog.registers,
         "output": prog.output,
         "instructions": instrs,
         "provenance": {
             "root": prog.root,
-            "nodes": [{"id": n.id, "kind": n.kind,
+            "nodes": [{"kind": n.kind,
                        "items": [[tag, ref] for tag, ref in n.items]}
                       for n in prog.nodes],
         },
@@ -406,8 +397,16 @@ def _str(x) -> str:
     return x
 
 
+def _dropped(rec: dict, key: str) -> None:
+    """Older files carry the derived registers, node ids and measurement
+    nodes: such a value must still be an integer, and is not read."""
+    if key in rec:
+        _int(rec[key])
+
+
 def program_from_json(data: dict) -> CircuitProgram:
     try:
+        _dropped(data, "registers")
         instrs: list[Instr] = []
         for rec in data["instructions"]:
             op = _str(rec["op"])
@@ -420,16 +419,17 @@ def program_from_json(data: dict) -> CircuitProgram:
                 instrs.append(Gate(_str(rec["name"]),
                                    tuple(_int(r) for r in rec["regs"])))
             elif op == "measure":
-                instrs.append(Measure(_int(rec["reg"]), _int(rec["keep"]),
-                                      _int(rec["node"])))
+                _dropped(rec, "node")
+                instrs.append(Measure(_int(rec["reg"]), _int(rec["keep"])))
             else:
                 raise ValueError(f"unknown instruction op {op!r}")
-        nodes = tuple(ProvNode(_int(n["id"]), _str(n["kind"]),
+        for n in data["provenance"]["nodes"]:
+            _dropped(n, "id")
+        nodes = tuple(ProvNode(_str(n["kind"]),
                                tuple((_str(tag), _int(ref))
                                      for tag, ref in n["items"]))
                       for n in data["provenance"]["nodes"])
-        prog = CircuitProgram(tuple(instrs), _int(data["registers"]),
-                              _int(data["output"]), nodes,
+        prog = CircuitProgram(tuple(instrs), _int(data["output"]), nodes,
                               _int(data["provenance"]["root"]))
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed program record: {err}") from err

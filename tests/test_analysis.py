@@ -372,6 +372,11 @@ def test_verify_spb_catches_tampering():
     greedy = dataclasses.replace(rep, zeros=(dataclasses.replace(
         rep.zeros[0], c=rep.zeros[0].c * 1000),))
     assert not verify_spb(h, greedy)
+    # a bound with c = 0 or delta = 0 holds for any f and certifies nothing
+    for field in ("c", "delta"):
+        vacuous = dataclasses.replace(rep, zeros=(dataclasses.replace(
+            rep.zeros[0], **{field: 0.0}),))
+        assert not verify_spb(h, vacuous)
 
 
 @pytest.mark.parametrize("expr", ["-i/4 + i*t",                  # zero at 1/17
@@ -382,6 +387,46 @@ def test_verify_spb_window_past_endpoint(expr):
     rep = classify_qc(h)
     assert rep.zeros and rep.zeros[0].position() < rep.zeros[0].delta
     assert verify_spb(h, rep)
+
+
+@pytest.mark.parametrize("expr", ["1/(1/8 - 3/4*p + 3/2*p^2 - p^3)",
+                                  "1/(p-1/2)^3", "1/p^4"])
+def test_qc_bound_at_a_pole_is_not_vacuous(expr):
+    # near a pole of h, 1 - f = 1/(1 + |h|^2) is far below float epsilon;
+    # computed as 1.0 - f it read 0 and gave c = 0
+    h = lower(parse(expr))
+    rep = classify_qc(h)
+    assert rep.ones and all(e.c > 0.49 for e in rep.ones)
+    assert verify_spb(h, rep)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: classify_qc evaluates h = (p-1/2)^40 in floats from its "
+    "expanded coefficients, so near 1/2 it samples rounding noise; it claims "
+    "c = 3.56e32 with delta 1/8, but exactly f(5/8) = 5.66e-73 < "
+    "c*(1/8)^80 = 2.01e-40"))
+def test_qc_certificate_holds_exactly_at_a_high_order_zero():
+    h = lower(parse("(p-1/2)^40"))
+    entry, = classify_qc(h).zeros
+    x = entry.point + Fraction(1, 8)
+    m = h.r.eval_exact(x).as_fraction() ** 2
+    assert m / (1 + m) >= Fraction(entry.c) * (x - entry.point) ** (2 * entry.k)
+
+
+@pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason=(
+    "ROADMAP item 2: for f = (p-1/2)^128/(1+(p-1/2)^128), (p - z)^(2k) "
+    "underflows to 0 on classify_qc's grid"))
+def test_qc_certifies_a_zero_of_order_128():
+    h = lower(parse("(p-1/2)^64"))
+    assert verify_spb(h, classify_qc(h))
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "ROADMAP item 2: two zeros 1e-13 apart give a window of 5e-14, inside "
+    "which classify_qc skips every grid point as within 1e-12 of the zero"))
+def test_qc_certifies_zeros_closer_than_the_grid_skip():
+    h = lower(parse("(p - 1/2)*(p - 1/2 - 1/10^13)"))
+    assert verify_spb(h, classify_qc(h))
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -508,18 +508,18 @@ def _cnot_chain_json(n: int) -> str:
                                  ProvNode)
     instrs = tuple(AllocCoin(r) for r in range(n)) \
         + tuple(Gate("CNOT", (r, r + 1)) for r in range(n - 1)) \
-        + tuple(Measure(r, 0, 0) for r in range(1, n))
-    node = ProvNode(0, "protocol", tuple(("instr", k) for k in range(len(instrs))))
-    return _program_json(CircuitProgram(instrs, n, 0, (node,), 0))
+        + tuple(Measure(r, 0) for r in range(1, n))
+    node = ProvNode("protocol", tuple(("instr", k) for k in range(len(instrs))))
+    return _program_json(CircuitProgram(instrs, 0, (node,), 0))
 
 
 def _ancestor_measure_json() -> str:
     from coinfield.synth import (AllocCoin, CircuitProgram, Gate, Measure,
                                  ProvNode)
-    instrs = (AllocCoin(0), AllocCoin(1), Gate("CNOT", (0, 1)), Measure(1, 0, 0))
-    nodes = (ProvNode(0, "root", (("instr", 0), ("child", 1))),
-             ProvNode(1, "inner", (("instr", 1), ("instr", 2), ("instr", 3))))
-    return _program_json(CircuitProgram(instrs, 2, 0, nodes, 0))
+    instrs = (AllocCoin(0), AllocCoin(1), Gate("CNOT", (0, 1)), Measure(1, 0))
+    nodes = (ProvNode("root", (("instr", 0), ("child", 1))),
+             ProvNode("inner", (("instr", 1), ("instr", 2), ("instr", 3))))
+    return _program_json(CircuitProgram(instrs, 0, nodes, 0))
 
 
 def _first(op):
@@ -712,7 +712,7 @@ def test_over_degree_input_is_refused_before_it_is_computed(capsys):
      '0.4999999999999998, "residual": "min of integer order 1 from A '
      "and half-integer order 1 + 1/2 from B; the two kinds cannot "
      'cancel"}], "ones": [{"point": "1", "kind": "one", "order": "1", '
-     '"k": 1, "delta": 0.125, "c": 7.520050125313288, "residual": "min '
+     '"k": 1, "delta": 0.125, "c": 7.52005012531329, "residual": "min '
      "of integer order 1 from A and half-integer order 0 + 1/2 from B; "
      'the two kinds cannot cancel"}]}, "qq": {"verdict": "yes", '
      '"witness": "i*p/(1 + p) + (sqrt2*p/(1 + p))*t", "reason": '

@@ -101,16 +101,17 @@ def test_square_test_reports_odd_factors():
     # p^2 / (1 - p^2) leaves the two linear factors of the denominator unmatched
     u = RatFn(P * P, Poly((ONE, Scalar(0), Scalar(-1))))
     res = square_test(u)
-    assert res.root is None
+    assert res.half is None and is_square(u) is None
     want = {P - Poly.const(ONE), P + Poly.const(ONE)}
     assert set(res.odd_factors) == want
 
 
 def test_square_test_accepts_square():
     u = RatFn(P * P, Poly.const(Scalar(4)))
-    res = square_test(u)
-    assert res.root is not None
-    assert res.root * res.root == u
+    assert square_test(u).odd_factors == ()
+    root = is_square(u)
+    assert root is not None
+    assert root * root == u
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,8 @@ def test_gcd_and_squarefree_match_sympy(sqrt2):
         (ln, num), (ld, den) = (to_sympy(part).sqf_list()
                                 for part in (u.num, u.den))
         even = all(m % 2 == 0 for _, m in num + den)
-        assert res.is_square == (even and sympy.sqrt(ln / ld).is_rational)
+        root = is_square(u)
+        assert (root is not None) == (even and sympy.sqrt(ln / ld).is_rational)
         odd = to_sympy(Poly.const(ONE))
         for piece in res.odd_factors:
             odd = odd * to_sympy(piece)
@@ -443,9 +445,9 @@ def test_gcd_and_squarefree_match_sympy(sqrt2):
         for w, m in num + den:
             want = want * w.monic() ** (m % 2)
         assert odd == want
-        if res.is_square:
-            assert res.root * res.root == u
-        assert square_test(u * u).root ** 2 == u * u
+        if root is not None:
+            assert root * root == u
+        assert is_square(u * u) ** 2 == u * u
 
     check()
 

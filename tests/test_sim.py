@@ -122,9 +122,9 @@ def test_compile_round_trip_random():
 
 def test_postselecting_impossible_branch_raises():
     prog = CircuitProgram(
-        (AllocConst(Scalar(0), 0), AllocConst(Scalar(1), 1), Measure(0, 0, 0)),
-        2, 1,
-        (ProvNode(0, "leaf", (("instr", 0), ("instr", 1), ("instr", 2))),), 0)
+        (AllocConst(Scalar(0), 0), AllocConst(Scalar(1), 1), Measure(0, 0)),
+        1,
+        (ProvNode("leaf", (("instr", 0), ("instr", 1), ("instr", 2))),), 0)
     with pytest.raises(PostselectionError):
         run_symbolic(prog)
 
@@ -238,8 +238,8 @@ def test_deep_gate_chain_keeps_probability():
     # each H doubles the integer amplitudes and no measurement divides the
     # growth out, so the kept and total masses pass 10^600
     instrs = ((AllocCoin(0), AllocCoin(1), Gate("CNOT", (0, 1)))
-              + (Gate("H", (1,)),) * 2101 + (Gate("B", (0, 1)), Measure(1, 0, 0)))
-    prog = CircuitProgram(instrs, 2, 0, (ProvNode(0, "leaf", tuple(
+              + (Gate("H", (1,)),) * 2101 + (Gate("B", (0, 1)), Measure(1, 0)))
+    prog = CircuitProgram(instrs, 0, (ProvNode("leaf", tuple(
         ("instr", k) for k in range(len(instrs)))),), 0)
     rep = expected_cost(prog, Fraction(3, 10))
     assert abs(rep.measure_probs[len(instrs) - 1] - 0.46252272915132475) <= 1e-12
@@ -255,8 +255,8 @@ def test_keep_probability_one_with_vanishing_conjugate(tmp_path):
     # coins on registers 0 and 1, H on 1, keep outcome 0 of register 1: at
     # p0 = 1/2 the kept mass x + y*w0 is 1 while its conjugate twin x - y*w0
     # is 0; only the latter may read as a zero mass
-    instrs = (AllocCoin(0), AllocCoin(1), Gate("H", (1,)), Measure(1, 0, 0))
-    prog = CircuitProgram(instrs, 2, 0, (ProvNode(0, "leaf", tuple(
+    instrs = (AllocCoin(0), AllocCoin(1), Gate("H", (1,)), Measure(1, 0))
+    prog = CircuitProgram(instrs, 0, (ProvNode("leaf", tuple(
         ("instr", k) for k in range(len(instrs)))),), 0)
     assert expected_cost(prog, Fraction(1, 2)).measure_probs == {3: 1.0}
     path = tmp_path / "prog.json"
@@ -336,9 +336,9 @@ def test_cost_matches_node_recursion():
 
     def node_prob(nid):
         out = 1.0
-        for idx, ins in enumerate(prog.instructions):
-            if isinstance(ins, Measure) and ins.node == nid:
-                out *= probs[idx]
+        for kind, ref in prog.nodes[nid].items:
+            if kind == "instr" and isinstance(prog.instructions[ref], Measure):
+                out *= probs[ref]
         return out
 
     def subtree(nid):
@@ -355,9 +355,9 @@ def test_cost_matches_node_recursion():
 
 def test_cost_of_impossible_postselection_raises():
     prog = CircuitProgram(
-        (AllocConst(Scalar(0), 0), AllocConst(Scalar(1), 1), Measure(0, 0, 0)),
-        2, 1,
-        (ProvNode(0, "leaf", (("instr", 0), ("instr", 1), ("instr", 2))),), 0)
+        (AllocConst(Scalar(0), 0), AllocConst(Scalar(1), 1), Measure(0, 0)),
+        1,
+        (ProvNode("leaf", (("instr", 0), ("instr", 1), ("instr", 2))),), 0)
     with pytest.raises(PostselectionError):
         expected_cost(prog, Fraction(1, 2))
 
@@ -794,9 +794,9 @@ def cnot_chain(n):
     but the first measured."""
     instrs = tuple(AllocCoin(r) for r in range(n)) \
         + tuple(Gate("CNOT", (r, r + 1)) for r in range(n - 1)) \
-        + tuple(Measure(r, 0, 0) for r in range(1, n))
-    node = ProvNode(0, "protocol", tuple(("instr", k) for k in range(len(instrs))))
-    return CircuitProgram(instrs, n, 0, (node,), 0)
+        + tuple(Measure(r, 0) for r in range(1, n))
+    node = ProvNode("protocol", tuple(("instr", k) for k in range(len(instrs))))
+    return CircuitProgram(instrs, 0, (node,), 0)
 
 
 def test_group_width_is_bounded():
