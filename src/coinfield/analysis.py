@@ -190,7 +190,7 @@ def _square_root_witness(f: RatFn) -> CorollaryResult:
     if f.is_zero():
         return CorollaryResult(True, FE_ZERO,
                                "f is identically 0: the zero ratio, state |1>")
-    u = f / (ONE_RF - f)
+    u = RatFn(f.num, f.den - f.num)
     try:
         h = field_sqrt(u)
     except NotInFieldError as err:
@@ -207,7 +207,7 @@ def check_phased_witness(h: FieldElem, f: RatFn) -> bool:
         raise ValueError("probability functions are real")
     if f == ONE_RF:
         return False
-    u = f / (ONE_RF - f)
+    u = RatFn(f.num, f.den - f.num)
     return fe_mod_squared(h) == FieldElem(u)
 
 
@@ -374,12 +374,8 @@ def _f_evaluator(h: FieldElem, kind: str):
 
 
 def _candidate_points(h: FieldElem):
-    a, b, c = h.A, h.B, h.C
-    # |A + B*w|^2 * |A - B*w|^2 = n * conj(n) with n = A^2 - B^2*w^2
-    n = w_norm((a, b))
-    q_num = n * n.conj()
-    q_den = c * c.conj()
-    rationals, points = isolate_roots((q_num * q_den).real_part(), 0, 1)
+    # f is 0 or 1 only where n = (A + B*w)(A - B*w) or C vanishes
+    rationals, points = isolate_roots(w_norm((h.A, h.B)) * h.C, 0, 1)
     cands: list[Fraction | AlgebraicPoint] = [Fraction(0), Fraction(1)]
     cands.extend(z for z in rationals if 0 < z < 1)
     cands.extend(points)

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import analysis, lang, scalars, sim, synth
 from .field import FieldElem, Infinity
@@ -37,14 +38,14 @@ def _ast_json(e: lang.Expr):
 
 
 def _read_program(path: str | None) -> synth.CircuitProgram:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
     return synth.program_from_json(json.loads(text))
 
 
 def _f_spec(spec: str) -> analysis.PiecewiseFn:
     """A probability function, from a piecewise file or a single expression."""
     if os.path.exists(spec):
-        return analysis.parse_piecewise(open(spec).read())
+        return analysis.parse_piecewise(Path(spec).read_text())
     return analysis.PiecewiseFn.from_ratfn(analysis.read_real_ratfn(spec))
 
 
@@ -214,7 +215,7 @@ def _fixture_rows():
     def row_eq1():
         h = lang.lower(lang.parse("p - 1/2"))
         u = lang.lower(lang.parse("(p-1/2)^2")).r
-        f = analysis.PiecewiseFn.from_ratfn(u / (analysis.ONE_RF + u))
+        f = analysis.PiecewiseFn.from_ratfn(analysis.RatFn(u.num, u.den + u.num))
         cc = analysis.classify_cc(f)
         qq = analysis.classify_qq(f)
         return cc.verdict == "no" and qq.verdict == "yes" \

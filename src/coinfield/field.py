@@ -420,10 +420,10 @@ def vanishing_order_at_point(h: FieldElem, pt: Fraction | AlgebraicPoint
             m = min(pt, 1 - pt)
             pt = AlgebraicPoint(Poly((-pt, 1)), pt - m / 2, pt + m / 2)
         # decide which of A + B*w, A - B*w carries the excess: compare their
-        # moduli near the point via the sign of V = 2*Re(A*conj(B))
-        V = (A * B.conj() + A.conj() * B).real_part()
+        # moduli near the point via the sign of V = Re(A*conj(B))
+        V = (A * B.conj()).real_part()
         assert not V.is_zero(), "equal moduli would force p_ord == 2k"
-        allowed = 1 if pt.is_root_of(V) else 0
+        allowed = 1 if multiplicity(V, pt) else 0
         while sturm_count(V, pt.lo, pt.hi) > allowed:
             pt.refine()
         below, above = (V.eval_exact(pt.point_beside(side)).sign()

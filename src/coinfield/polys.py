@@ -4,7 +4,8 @@ Provides the canonical-form arithmetic every decision procedure builds on:
 gcd, squarefree decomposition, exact square detection, Sturm-sequence root
 counting on intervals, and certified nonnegativity. The real-root layer runs
 on a private integer core: a real polynomial becomes a primitive polynomial
-over Z, or over Z[sqrt2] when it has a sqrt2 part, once at entry.
+over Z, or over Z[sqrt2] when it has a sqrt2 part, once at entry, and a
+complex one becomes gcd(Re f, Im f), which has its real roots.
 """
 
 from __future__ import annotations
@@ -431,11 +432,11 @@ ONE_RF = RatFn(ONE_POLY)
 # trailing zeros, over Z, or over Z[sqrt2] (_Z2 entries) for a polynomial
 # with a sqrt2 part. A real Poly enters once, through _to_int, as a primitive
 # positive multiple of itself, so signs and roots are those of the Poly, and
-# leaves through _from_int as a monic Poly. Every gcd is primitive, so by
-# Gauss's lemma every exact quotient stays integral. int_parts brings several
-# Polys in at one common positive scale, for callers that combine them with
-# int_mul and int_sub before certify_nonneg_int; canonical() takes its real
-# gcds here.
+# leaves through _from_int as a monic Poly; a complex Poly enters through
+# _real_core. Every gcd is primitive, so by Gauss's lemma every exact
+# quotient stays integral. int_parts brings several Polys in at one common
+# positive scale, for callers that combine them with int_mul and int_sub
+# before certify_nonneg_int; canonical() takes its real gcds here.
 
 
 class _Z2:
@@ -905,51 +906,47 @@ class AlgebraicPoint:
                     return u
         raise AssertionError("no rational point found beside the root")
 
-    def _is_root(self, q: list) -> bool:
-        shared = _gcd(self._f, q)
-        return len(shared) > 1 and _root_counter(shared)(self.lo, self.hi) >= 1
-
-    def is_root_of(self, q: Poly) -> bool:
-        """Does q (real coefficients) vanish at this point?"""
-        return self._is_root(_to_int(q, "root test requires real coefficients"))
-
-    def multiplicity_in(self, q: Poly) -> int | None:
-        """Multiplicity of this point as a root of real q; None means q == 0."""
-        if q.is_zero():
-            return None
-        qi = _to_int(q, "root test requires real coefficients")
+    def _multiplicity(self, q: list) -> int:
+        """Multiplicity of this point as a root of nonzero integer list q."""
         m = 0
-        while len(qi) > 1 and self._is_root(qi):
-            m += 1
-            qi = _deriv(qi)
+        while len(q) > 1 and _root_counter(_gcd(self._f, q))(self.lo, self.hi):
+            m, q = m + 1, _deriv(q)
         return m
 
     def __repr__(self) -> str:
         return f"AlgebraicPoint({self.g}, ({self.lo}, {self.hi}))"
 
 
+def _real_core(f: Poly) -> list:
+    """gcd(Re f, Im f) as an integer list, or the nonzero part when one part
+    is zero, for nonzero f: a real point is a root of f exactly when it is
+    one of both parts, so its real roots, with multiplicities, are f's."""
+    re, im = f.real_part(), f.imag_part()
+    if not (re and im):
+        return _to_int(re or im, "")
+    return _gcd(*int_parts((re, im)))
+
+
 def multiplicity(f: Poly, at: Fraction | AlgebraicPoint) -> int | None:
     """The multiplicity of the real point at as a root of f, whose
-    coefficients may be complex: the least over the nonzero real and
-    imaginary parts of f. None for f = 0."""
-    parts = [g for g in (f.real_part(), f.imag_part()) if g]
-    if not parts:
+    coefficients may be complex. None for f = 0."""
+    if f.is_zero():
         return None
     if isinstance(at, AlgebraicPoint):
-        return min(at.multiplicity_in(g) for g in parts)
-    return min(_deflate(_to_int(g, ""), Fraction(at))[0] for g in parts)
+        return at._multiplicity(_real_core(f))
+    return _deflate(_real_core(f), Fraction(at))[0]
 
 
 def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
                   ) -> tuple[list[Fraction], list[AlgebraicPoint]]:
-    """Distinct real roots of f in (a, b): exact rational roots, plus
-    AlgebraicPoint handles for the irrational ones."""
+    """Distinct real roots of f in (a, b), for complex f too: exact rational
+    roots, plus AlgebraicPoint handles for the irrational ones."""
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("need a <= b")
     if f.is_zero():
         raise ValueError("root isolation on the zero polynomial")
-    fs = _sqf(_to_int(f, "root isolation requires real coefficients"))
+    fs = _sqf(_real_core(f))
     fs = _deflate(_deflate(fs, a)[1], b)[1]
     exact, fs = _peel_rational_roots(fs, a, b)
     if len(fs) <= 1:

@@ -1,9 +1,11 @@
 """Command line wiring: exit codes, JSON output, file and stdin plumbing."""
 
+import gc
 import io
 import json
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -184,6 +186,20 @@ def test_compile_then_simulate_via_file(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, "simulate", str(path))
     assert code2 == 0
     assert out2.strip() == "ratio: 1 - 2*p"
+
+
+def test_file_reads_close_their_files(tmp_path, capsys):
+    _, prog_json, _ = run_cli(capsys, "compile", "p")
+    prog = tmp_path / "prog.json"
+    prog.write_text(prog_json)
+    tent = tmp_path / "tent.txt"
+    tent.write_text("[0,1/2) p\n[1/2,1] 1 - p\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(capsys, "cost", "--p0", "3/10", str(prog))[0] == 0
+        assert run_cli(capsys, "classify", str(tent))[0] == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_simulate_json(capsys):
@@ -749,6 +765,19 @@ def test_over_degree_input_is_refused_before_it_is_computed(capsys):
      '"expected_attempts": {"0": 4.8, "1": 4.8, "2": 4.8, "3": 2.4, '
      '"4": 2.4, "5": 2.4, "6": 2.4, "7": 1.0}, "max_retries_seen": 0, '
      '"aborted_coins": 2, "aborts_per_measure": {"3": 1}}'),
+    # a complex witness: the zero is named by p^2 - 1/2 from the real core
+    # (p^2 - 1/2)^2 of n = A^2, without the factor p^2 + 1 of |n|^2
+    (["classify", "((p^2-1/2)^2*(p^2+1))/(1+(p^2-1/2)^2*(p^2+1))",
+      "--witness", "(p^2-1/2)*(p+i)"], None,
+     '{"cc": {"verdict": "no", "witness_n": null, "reason": "interior '
+     'zero inside (0,1)"}, "qc": {"in_qc": true, "zeros": [{"point": '
+     '{"poly": "-1/2 + p^2", "interval": ["0", "1"], "approx": '
+     '0.7071067811865476}, "kind": "zero", "order": "2", "k": 1, '
+     '"delta": 0.125, "c": 1.0771797493338395, "residual": "shared '
+     "order 1 in A and B; the conjugate product vanishes to exactly 2k "
+     '= 2, so both conjugates carry order k"}], "ones": []}, "qq": '
+     '{"verdict": "yes", "witness": "-1/2*i - 1/2*p + i*p^2 + p^3", '
+     '"reason": "supplied witness checks: |h|^2 = f/(1-f)"}}'),
 ])
 def test_json_lines_are_pinned(capsys, argv, program, want):
     # cost and run read the compiled program of `program`; the run's one

@@ -13,7 +13,8 @@ from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, ONE_MINUS_P,
                              fe_mod_squared, fe_mul, sqrt_in_scalar_field,
                              vanishing_order, vanishing_order_at_point, w_norm)
 from coinfield.lang import lower, parse
-from coinfield.polys import P, Poly, RatFn, isolate_roots, poly_gcd
+from coinfield.polys import (P, Poly, RatFn, isolate_roots, multiplicity,
+                             poly_gcd)
 from coinfield.scalars import HALF_SQRT2, ONE, SQRT2, Scalar
 
 
@@ -342,6 +343,39 @@ def test_vanishing_order_takes_algebraic_points():
                 seen += 1
                 assert vanishing_order(h, pt) == vanishing_order_at_point(h, pt)
     assert seen >= 4
+
+
+def test_candidate_points_match_the_conjugate_products():
+    # the reference is the construction the real core replaced: the roots
+    # of |n|^2*|C|^2, n = A^2 - B^2*p*(1-p); a point may keep a smaller
+    # defining polynomial, but it is the same point
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from test_acceptance import _random_elem
+    factors = [lower(parse(e)) for e in
+               ("1", "p - 1/2", "t - 1", "p^2 - 1/2", "t - 1 - sqrt2",
+                "(i*p + 1/3)*(p - 2/5)", "1/((p - 1/3)*(p^2 - 1/3))")]
+
+    def key(z):
+        return z if isinstance(z, Fraction) else (z.lo, z.hi, z.approx())
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rnd = random.Random(seed)
+        h = _random_elem(rnd) * factors[rnd.randrange(len(factors))]
+        hypothesis.assume(h)
+        n = w_norm((h.A, h.B))
+        rat, alg = isolate_roots(
+            (n * n.conj() * h.C * h.C.conj()).real_part(), 0, 1)
+        want = [Fraction(0), Fraction(1)] + [z for z in rat if 0 < z < 1] + alg
+        got = _candidate_points(h)
+        assert [key(z) for z in got] == [key(z) for z in want]
+        for z, ref in zip(got, want):
+            if not isinstance(z, Fraction):
+                assert multiplicity(ref.g, z) == 1
+
+    check()
 
 
 def test_vanishing_order_rejects_bad_input():

@@ -174,7 +174,7 @@ def test_isolate_roots_mixed():
     assert len(alg) == 1
     pt = alg[0]
     assert abs(pt.approx() - 0.5 ** 0.5) < 1e-9
-    assert pt.is_root_of(f)
+    assert multiplicity(f, pt) == 1
     with pytest.raises(ValueError):
         isolate_roots(f, 1, 0)
 
@@ -250,8 +250,8 @@ def test_algebraic_point_queries():
     rat, alg = isolate_roots(g, 1, 2)
     assert rat == [] and len(alg) == 1
     pt = alg[0]
-    assert pt.multiplicity_in(g * g) == 2
-    assert pt.multiplicity_in(P) == 0
+    assert multiplicity(g * g, pt) == 2
+    assert multiplicity(P, pt) == 0
 
 
 def complex_poly(rnd, deg):
@@ -272,12 +272,55 @@ def test_multiplicity_of_rational_and_algebraic_points():
         z = Fraction(rnd.randint(-4, 4), rnd.randint(1, 4))
         if f and f.eval_exact(z):
             assert multiplicity(f * Poly((Scalar(-z), ONE)) ** k, z) == k
-        if f and not any(pt.is_root_of(g) for g in (f.real_part(), f.imag_part()) if g):
+        if f and multiplicity(f, pt) == 0:
             assert multiplicity(f * golden ** k, pt) == k
     assert multiplicity(Poly(), Fraction(1, 3)) is None
     assert multiplicity(Poly(), pt) is None
     # a root of the real part alone does not count
     assert multiplicity(Poly((Scalar(-1, 0, 1), ONE)), Fraction(1)) == 0
+
+
+def planted_complex_poly(rnd):
+    """A complex polynomial with Gaussian and sqrt2 coefficients: planted
+    rational roots, quadratic ones (from (p - a)^2 - b and from p - c*sqrt2)
+    in (0, 1), to multiplicity 1 or 2, times a random complex cofactor."""
+    f = Poly()
+    while not f:
+        f = complex_poly(rnd, rnd.randint(0, 3))
+    for _ in range(rnd.randint(0, 2)):
+        f = f * Poly((-Fraction(rnd.randint(1, 9), 10), 1)) ** rnd.randint(1, 2)
+    for _ in range(rnd.randint(0, 2)):
+        a, b = Fraction(rnd.randint(2, 8), 10), Fraction(rnd.randint(1, 3), 100)
+        planted = rnd.choice((Poly((a * a - b, -2 * a, 1)),
+                              Poly((Scalar(0, -Fraction(rnd.randint(1, 7), 10)), 1))))
+        f = f * planted ** rnd.randint(1, 2)
+    return f
+
+
+def test_real_roots_of_a_complex_poly_match_its_conjugate_product():
+    # the reference is the rule the real core replaced: the real roots of f
+    # are those of f*conj(f), and a point's multiplicity in f is the least
+    # over the nonzero real and imaginary parts
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def key(pt):
+        return (pt.lo, pt.hi, pt.approx())
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rnd = random.Random(seed)
+        f = planted_complex_poly(rnd)
+        rat, alg = isolate_roots(f, 0, 1)
+        ref_rat, ref_alg = isolate_roots((f * f.conj()).real_part(), 0, 1)
+        assert rat == ref_rat
+        assert [key(pt) for pt in alg] == [key(pt) for pt in ref_alg]
+        parts = [g for g in (f.real_part(), f.imag_part()) if g]
+        for z in rat + alg + [Fraction(rnd.randint(0, 10), 10)]:
+            assert multiplicity(f, z) == min(multiplicity(g, z) for g in parts)
+
+    check()
 
 
 def test_poly_json_round_trip():
