@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polys import (ONE_POLY, AlgebraicPoint, Poly, RatFn, ZERO_RF,
-                    canonical, multiplicity, sturm_count, zeta_parts,
-                    zeta_poly)
+                    canonical, multiplicity, zeta_parts, zeta_poly)
 from .scalars import Scalar, sqrt_fraction
 from .zpoly import Z0, Z1, ZNEG1, pair_pow
 
@@ -225,10 +224,10 @@ class FieldElem:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FieldElem":
-        if n < 0:
-            return self.inverse() ** (-n)
         if self.B or not self.A:
             return FieldElem.from_abc(*parts_pow(self.parts, n))
+        if n < 0:
+            return self.inverse() ** -n
         # gcd(A, C) = 1 gives gcd(A^n, C^n) = 1, and C^n stays monic
         return FieldElem.from_canonical(*parts_pow(self.parts, n))
 
@@ -423,11 +422,7 @@ def vanishing_order_at_point(h: FieldElem, pt: Fraction | AlgebraicPoint
         # moduli near the point via the sign of V = Re(A*conj(B))
         V = (A * B.conj()).real_part()
         assert not V.is_zero(), "equal moduli would force p_ord == 2k"
-        allowed = 1 if multiplicity(V, pt) else 0
-        while sturm_count(V, pt.lo, pt.hi) > allowed:
-            pt.refine()
-        below, above = (V.eval_exact(pt.point_beside(side)).sign()
-                        for side in (-1, 1))
+        below, above = pt.signs_beside(V)
         n = p_ord - k if (below < 0 and above < 0) else k
         why = (f"conjugate product vanishes to order {p_ord} > 2k = {2 * k}; "
                f"the modulus-comparison sign ({below}, {above}) assigns the "

@@ -497,10 +497,7 @@ def lower(e: Expr) -> FieldElem:
     a power of a nonzero base with B = 0 needs none."""
     _bounds(e)
     if isinstance(e, Pow):
-        base = FieldElem.from_abc(*_parts(e.base))
-        if not base.B:
-            return base ** e.exp
-        return FieldElem.from_abc(*parts_pow(base.parts, e.exp))
+        return FieldElem.from_abc(*_parts(e.base)) ** e.exp
     return FieldElem.from_abc(*_parts(e))
 
 

@@ -10,7 +10,6 @@ complex one becomes gcd(Re f, Im f), which has its real roots.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -851,60 +850,69 @@ def _peel_rational_roots(f: list, a: Fraction, b: Fraction
 
 
 class AlgebraicPoint:
-    """A real algebraic number held exactly: a squarefree real polynomial with
-    exactly one root in the open isolating interval (lo, hi), which never
-    has a root of it at an end."""
+    """A real algebraic number held exactly, as a value: a squarefree integer
+    polynomial with exactly one root in the open isolating interval
+    (lo, hi), which never has a root of it at an end. Nothing changes a
+    point once it is built; refine returns a narrower one."""
 
-    __slots__ = ("g", "lo", "hi", "_f")
+    __slots__ = ("_f", "lo", "hi")
 
     def __init__(self, g: Poly, lo: Fraction, hi: Fraction):
         f = _sqf(_to_int(g, "defining polynomial must be real"))
-        self._f, self.lo, self.hi = f, Fraction(lo), Fraction(hi)
-        if _sign_at(f, self.lo) * _sign_at(f, self.hi) >= 0:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if _sign_at(f, lo) * _sign_at(f, hi) >= 0:
             raise ValueError("interval endpoints must straddle a sign change")
-        if _root_counter(f)(self.lo, self.hi) != 1:
+        if _root_counter(f)(lo, hi) != 1:
             raise ValueError("interval must isolate exactly one root")
-        self.g = _from_int(f)
+        self._f, self.lo, self.hi = f, lo, hi
 
     @staticmethod
     def _of(f: list, lo: Fraction, hi: Fraction) -> "AlgebraicPoint":
         """The point of squarefree f that (lo, hi) isolates, unchecked."""
         pt = AlgebraicPoint.__new__(AlgebraicPoint)
-        pt._f, pt.lo, pt.hi, pt.g = f, lo, hi, _from_int(f)
+        pt._f, pt.lo, pt.hi = f, lo, hi
         return pt
 
+    @property
+    def g(self) -> Poly:
+        """The defining polynomial."""
+        return _from_int(self._f)
+
     def approx(self) -> float:
-        pt = copy.copy(self)
+        pt = self
         for _ in range(80):
             if pt.hi - pt.lo < Fraction(1, 10 ** 18):
                 break
-            pt.refine()
+            pt = pt.refine()
         return float((pt.lo + pt.hi) / 2)
 
-    def refine(self) -> None:
-        mid = (self.lo + self.hi) / 2
-        s = _sign_at(self._f, mid)
+    def refine(self) -> "AlgebraicPoint":
+        """The same point on the half of the interval that holds it, or on
+        the middle half when the midpoint is the point itself."""
+        f, lo, hi = self._f, self.lo, self.hi
+        mid = (lo + hi) / 2
+        s = _sign_at(f, mid)
         if not s:
-            # the isolated root turned out to be mid itself; keep it interior
-            width = (self.hi - self.lo) / 4
-            self.lo, self.hi = mid - width, mid + width
-            return
-        if s * _sign_at(self._f, self.lo) > 0:
-            self.lo = mid
-        else:
-            self.hi = mid
+            return AlgebraicPoint._of(f, (lo + mid) / 2, (mid + hi) / 2)
+        if s * _sign_at(f, lo) > 0:
+            return AlgebraicPoint._of(f, mid, hi)
+        return AlgebraicPoint._of(f, lo, mid)
 
-    def point_beside(self, side: int) -> Fraction:
-        """A rational point strictly between the root and lo (side < 0) or
-        hi (side > 0)."""
-        end_sign = _sign_at(self._f, self.lo if side < 0 else self.hi)
-        for denom in (16, 256, 4096, 65536):
-            ks = range(1, denom) if side < 0 else range(denom - 1, 0, -1)
-            for k in ks:
-                u = self.lo + (self.hi - self.lo) * Fraction(k, denom)
-                if _sign_at(self._f, u) == end_sign:
-                    return u
-        raise AssertionError("no rational point found beside the root")
+    def signs_beside(self, v: Poly) -> tuple[int, int]:
+        """The signs of nonzero real v just below and just above the point,
+        read at the 1/16 points of a narrower copy whose interval holds no
+        other root of v (v*f has one root in it) and whose 1/16 points lie
+        on either side of the point."""
+        v, f, pt = _to_int(v, "signs require real coefficients"), self._f, self
+        vf = int_mul(v, f)
+        while _count_open(vf, pt.lo, pt.hi) > 1:
+            pt = pt.refine()
+        while True:
+            step = (pt.hi - pt.lo) / 16
+            below, above = pt.lo + step, pt.hi - step
+            if _sign_at(f, below) == _sign_at(f, pt.lo) == -_sign_at(f, above):
+                return _sign_at(v, below), _sign_at(v, above)
+            pt = pt.refine()
 
     def _multiplicity(self, q: list) -> int:
         """Multiplicity of this point as a root of nonzero integer list q."""

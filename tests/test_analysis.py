@@ -1,12 +1,14 @@
 """Classification of coin functions and the supporting decision procedures."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from coinfield.analysis import (ONE_RF, PiecewiseFn, check_phased_witness,
+from coinfield.analysis import (ONE_RF, PiecewiseFn, _candidate_points,
+                                check_phased_witness,
                                 classify, classify_cc, classify_qc,
                                 classify_qq, decide_qq_ratio,
                                 decide_real_corollary, parse_piecewise,
@@ -356,6 +358,27 @@ def test_qc_algebraic_special_point():
     assert not isinstance(pts[0].point, Fraction)
     assert abs(pts[0].position() - 0.5 ** 0.5) < 1e-9
     assert verify_spb(h, rep)
+
+
+def test_qc_report_names_each_point_by_its_isolating_interval():
+    # h vanishes where t = 1 + sqrt2, and its conjugate does not, so the
+    # order there is read from a sign beside the point; neither that nor
+    # verify_spb may move the interval the report prints
+    from test_acceptance import _random_elem
+    factor = lower(parse("t - 1 - sqrt2"))
+    for seed in range(6):
+        h = _random_elem(random.Random(seed)) * factor
+        rep = classify_qc(h)
+        text = json.dumps(rep.to_json())
+        assert verify_spb(h, rep)
+        assert json.dumps(rep.to_json()) == text
+        assert json.dumps(classify_qc(h).to_json()) == text
+        isolated = {str(z.g): [str(z.lo), str(z.hi)]
+                    for z in _candidate_points(h) if not isinstance(z, Fraction)}
+        printed = [e["point"] for e in rep.to_json()["zeros"]
+                   if isinstance(e["point"], dict)]
+        assert printed
+        assert all(isolated[e["poly"]] == e["interval"] for e in printed)
 
 
 def test_qc_rejects_degenerate():

@@ -13,8 +13,8 @@ from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, ONE_MINUS_P,
                              fe_mod_squared, fe_mul, sqrt_in_scalar_field,
                              vanishing_order, vanishing_order_at_point, w_norm)
 from coinfield.lang import lower, parse
-from coinfield.polys import (P, Poly, RatFn, isolate_roots, multiplicity,
-                             poly_gcd)
+from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, isolate_roots,
+                             multiplicity, poly_gcd)
 from coinfield.scalars import HALF_SQRT2, ONE, SQRT2, Scalar
 
 
@@ -343,6 +343,35 @@ def test_vanishing_order_takes_algebraic_points():
                 seen += 1
                 assert vanishing_order(h, pt) == vanishing_order_at_point(h, pt)
     assert seen >= 4
+
+
+def test_vanishing_order_leaves_the_point_unchanged():
+    # random h times t - 1 - sqrt2, which vanishes at p = 1/2 + sqrt2/4 and
+    # not its conjugate: such a point takes the excess branch, which reads
+    # the sign of Re(A*conj(B)) beside it
+    from test_acceptance import _random_elem
+    factor = lower(parse("t - 1 - sqrt2"))
+    points = 0
+    for seed in range(100):
+        h = _random_elem(random.Random(seed)) * factor
+        for pt in _candidate_points(h):
+            if not isinstance(pt, Fraction):
+                interval = (pt.lo, pt.hi)
+                first = vanishing_order(h, pt)
+                assert (pt.lo, pt.hi) == interval
+                assert vanishing_order(h, pt) == first
+                points += 1
+    assert points >= 90
+
+
+def test_vanishing_order_at_a_point_near_an_end_of_its_interval():
+    # the root lies 10^-11 above lo of an interval of width about 1/7
+    h = lower(parse("t - 1 - sqrt2"))
+    (pt,) = [z for z in _candidate_points(h) if not isinstance(z, Fraction)]
+    tight = AlgebraicPoint(pt.g, Fraction(pt.approx()) - Fraction(1, 10 ** 11), 1)
+    res = vanishing_order_at_point(h, tight)
+    assert res.order == 1 and "(-1, -1)" in res.residual
+    assert res == vanishing_order(h, pt)
 
 
 def test_candidate_points_match_the_conjugate_products():

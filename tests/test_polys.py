@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, _canonical_euclid,
                              is_square, multiplicity, poly_gcd, rational_roots,
                              split_rational_roots, square_test,
                              squarefree_decompose, sturm_count)
-from coinfield.scalars import ONE, SQRT2, Scalar
+from coinfield.scalars import ONE, SQRT2, Scalar, sqrt_fraction
 
 
 def rational_poly(rnd, deg, span=5):
@@ -386,6 +387,75 @@ def test_root_layer_matches_sympy():
         for piece in split_rational_roots(f.monic()):
             prod = prod * piece
         assert prod == f.monic()
+
+    check()
+
+
+def test_refine_returns_a_narrower_point_and_keeps_the_original():
+    (pt,) = isolate_roots(P * P - Poly.const(Scalar(Fraction(1, 2))), 0, 1)[1]
+    lo, hi = pt.lo, pt.hi
+    narrower = pt.refine()
+    assert (pt.lo, pt.hi) == (lo, hi)
+    assert lo <= narrower.lo < narrower.hi <= hi
+    assert narrower.hi - narrower.lo == (hi - lo) / 2
+    assert narrower.g == pt.g
+    assert narrower.lo ** 2 < Fraction(1, 2) < narrower.hi ** 2
+    pt.approx()
+    assert (pt.lo, pt.hi) == (lo, hi)
+    # a midpoint that is the point itself stays inside the narrower interval
+    third = AlgebraicPoint(P - Poly.const(Scalar(Fraction(1, 3))),
+                           Fraction(1, 6), Fraction(1, 2)).refine()
+    assert (third.lo, third.hi) == (Fraction(1, 4), Fraction(5, 12))
+
+
+def _bracket_sqrt(q: Fraction, scale: int) -> tuple[Fraction, Fraction]:
+    """Rationals x < sqrt(q) < y with y - x = 1/scale, for non-square q."""
+    n = math.isqrt(q.numerator * scale * scale // q.denominator)
+    return Fraction(n, scale), Fraction(n + 1, scale)
+
+
+def test_signs_beside_matches_exact_evaluation():
+    # the reference evaluates v exactly at rationals within 10^-30 of the
+    # point; the planted roots are rationals k/12 and square roots of
+    # non-square k/12, which lie at least 1/288 apart, so no other root of
+    # v lies that close
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    eps = Fraction(1, 10 ** 30)
+    small = st.builds(Fraction, st.integers(1, 11), st.just(12))
+    nonsquare = st.builds(Fraction, st.integers(1, 11), st.just(12)) \
+        .filter(lambda q: sqrt_fraction(q) is None)
+
+    def linear(z):
+        return Poly((Scalar(-z), ONE))
+
+    def quadratic(q):
+        return P * P - Poly.const(Scalar(q))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.booleans(), small, nonsquare,
+                      st.lists(small, max_size=4), st.lists(nonsquare, max_size=2),
+                      st.integers(0, 3), st.sampled_from([-1, 1]),
+                      small, small)
+    def check(rational, z, q, roots, quads, mult, sign, left, right):
+        if rational:
+            pt = AlgebraicPoint(linear(z), z - left / 2, z + right / 2)
+            below, above = z - eps, z + eps
+            at = linear(z)
+        else:
+            (pt,) = isolate_roots(quadratic(q), 0, 1)[1]
+            lo, hi = _bracket_sqrt(q, 10 ** 31)
+            below, above = lo - eps, hi + eps
+            at = quadratic(q)
+        v = Poly.const(Scalar(sign)) * at ** mult
+        for r in roots:
+            v = v * linear(r)
+        for s in quads:
+            v = v * quadratic(s)
+        want = tuple(v.eval_exact(x).sign() for x in (below, above))
+        assert pt.signs_beside(v) == want
+        assert pt.signs_beside(v * v) == (1, 1)
+        assert pt.signs_beside(-v) == tuple(-s for s in want)
 
     check()
 
