@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
-                    sqrt_in_scalar_field, vanishing_order, w_norm)
+                    sqrt_in_scalar_field, vanishing_order)
 from .lang import MAX_DEGREE, Expr, NotInFieldError, field_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, certify_nonneg_int,
-                    int_mul, int_parts, int_sub, isolate_roots, sturm_count)
+                    int_mul, int_parts, int_sub, isolate_roots, sturm_count,
+                    zeta_parts)
 from .report import json_value
 from .scalars import Scalar, read_rational
+from .zpoly import pair_norm, pmul
 
 __all__ = [
     "read_real_ratfn", "PiecewiseFn", "parse_piecewise", "RatioDecision",
@@ -375,7 +377,8 @@ def _f_evaluator(h: FieldElem, kind: str):
 
 def _candidate_points(h: FieldElem):
     # f is 0 or 1 only where n = (A + B*w)(A - B*w) or C vanishes
-    rationals, points = isolate_roots(w_norm((h.A, h.B)) * h.C, 0, 1)
+    A, B, C = zeta_parts(*h.parts)[0]
+    rationals, points = isolate_roots(pmul(pair_norm((A, B)), C), 0, 1)
     cands: list[Fraction | AlgebraicPoint] = [Fraction(0), Fraction(1)]
     cands.extend(z for z in rationals if 0 < z < 1)
     cands.extend(points)

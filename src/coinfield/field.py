@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import (ONE_POLY, AlgebraicPoint, Poly, RatFn, ZERO_RF,
+from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF,
                     canonical, multiplicity, zeta_parts, zeta_poly)
 from .scalars import Scalar, sqrt_fraction
-from .zpoly import Z0, Z1, ZNEG1, pair_pow
+from .zpoly import padd, pair_norm, parts_pow, pmul, zconj
 
 # t^2 = p/(1-p); w = sqrt(p(1-p)) = t*(1-p) is the polynomial-friendly twin
 TAU = RatFn(Poly((0, 1)), Poly((1, -1)))
@@ -22,7 +22,6 @@ W_SQUARED = Poly((0, 1, -1))
 
 ONE_MINUS_P = Poly((1, -1))
 _PZERO = Poly()
-_W_SQUARED_Z = [Z0, Z1, ZNEG1]  # p(1-p) over Z[z]
 
 # Above this many bits a coefficient is scaled down before it becomes a
 # float: a Horner sum of a few hundred terms below 2^961 at |x| < 1 stays
@@ -50,53 +49,6 @@ def w_norm(a):
     nonzero for a nonzero pair, because w is not in the coefficient field."""
     a0, a1 = a
     return a0 * a0 - a1 * a1 * W_SQUARED
-
-
-# -- parts: (A, B, C) meaning (A + B*w)/C, as the operations compute them ----
-#
-# These formulas take no gcd, so their parts may share a common factor; a
-# FieldElem is the parts brought to canonical form by one from_abc.
-
-def parts_add(x, y):
-    """x + y over the product of the denominators, or over their common one
-    when they are equal."""
-    (a1, b1, c1), (a2, b2, c2) = x, y
-    if c1 == c2:
-        return a1 + a2, b1 + b2, c1
-    return (_times(a1, c2) + _times(a2, c1), _times(b1, c2) + _times(b2, c1),
-            _times(c1, c2))
-
-
-def parts_mul(x, y):
-    (a1, b1, c1), (a2, b2, c2) = x, y
-    return (*w_mul((a1, b1), (a2, b2)), _times(c1, c2))
-
-
-def parts_inverse(x):
-    """1/x: C*(A - B*w) over A^2 - B^2*p(1-p), or C/A when B is zero, which
-    is C*(1/a) over 1 when A is a constant a."""
-    A, B, C = x
-    if not B:
-        if not A:
-            raise ZeroDivisionError("inverse of the zero element")
-        if A.is_constant():
-            return C * A.coeffs[0].inverse(), B, ONE_POLY
-        return C, B, A
-    return _times(C, A), -_times(C, B), w_norm((A, B))
-
-
-def parts_pow(x, n: int):
-    """x^n: A + B*w raised on integers over Z[z], over C^|n|, then inverted
-    when n < 0."""
-    if n < 0:
-        return parts_inverse(parts_pow(x, -n))
-    if n < 2:
-        return x if n else (ONE_POLY, _PZERO, ONE_POLY)
-    A, B, C = x
-    (a, b), den = zeta_parts(A, B)
-    den **= n
-    return (*(zeta_poly(f, den) for f in pair_pow((a, b), n, _W_SQUARED_Z)),
-            C ** n)
 
 
 class Infinity:
@@ -169,7 +121,9 @@ class FieldElem:
 
     @property
     def r(self) -> RatFn:
-        """The rational part A/C."""
+        """The rational part A/C; with B = 0, gcd(A, C) = 1 and C is monic."""
+        if not self.B:
+            return RatFn.from_canonical(self.A, self.C)
         return RatFn(self.A, self.C)
 
     @property
@@ -196,9 +150,16 @@ class FieldElem:
         return not self.is_zero()
 
     # -- field operations --------------------------------------------------
+    # each formula takes no gcd; one from_abc brings its parts to canonical form
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        return FieldElem.from_abc(*parts_add(self.parts, other.parts))
+        # over the product of the denominators, or their common one
+        (a1, b1, c1), (a2, b2, c2) = self.parts, other.parts
+        if c1 == c2:
+            return FieldElem.from_abc(a1 + a2, b1 + b2, c1)
+        return FieldElem.from_abc(_times(a1, c2) + _times(a2, c1),
+                                  _times(b1, c2) + _times(b2, c1),
+                                  _times(c1, c2))
 
     def __neg__(self) -> "FieldElem":
         return FieldElem.from_canonical(-self.A, -self.B, self.C)
@@ -207,7 +168,8 @@ class FieldElem:
         return self + (-other)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        return FieldElem.from_abc(*parts_mul(self.parts, other.parts))
+        return FieldElem.from_abc(*w_mul((self.A, self.B), (other.A, other.B)),
+                                  _times(self.C, other.C))
 
     def inverse(self) -> "FieldElem":
         # C/(A + B*w) = C*(A - B*w) / (A^2 - B^2*w^2)
@@ -218,18 +180,21 @@ class FieldElem:
             # gcd(A, C) = 1 in canonical form, so C/A only needs A monic
             linv = A.leading.inverse()
             return FieldElem.from_canonical(C * linv, B, A * linv)
-        return FieldElem.from_abc(*parts_inverse(self.parts))
+        return FieldElem.from_abc(_times(C, A), -_times(C, B), w_norm((A, B)))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FieldElem":
-        if self.B or not self.A:
-            return FieldElem.from_abc(*parts_pow(self.parts, n))
-        if n < 0:
+        if not self.B and self.A and n < 0:
             return self.inverse() ** -n
+        # raised on integers; for n >= 0 the parts are (A + B*w)^n over C^n
+        x, den = zeta_parts(*self.parts)
+        parts = (zeta_poly(f, den ** abs(n)) for f in parts_pow(x, n))
+        if self.B or not self.A:
+            return FieldElem.from_abc(*parts)
         # gcd(A, C) = 1 gives gcd(A^n, C^n) = 1, and C^n stays monic
-        return FieldElem.from_canonical(*parts_pow(self.parts, n))
+        return FieldElem.from_canonical(*parts)
 
     def conj(self) -> "FieldElem":
         # w is real on (0, 1), so conjugation acts on the coefficients only
@@ -405,9 +370,9 @@ def vanishing_order_at_point(h: FieldElem, pt: Fraction | AlgebraicPoint
     two is the shared order k of A and B, since w is nonzero at the point."""
     if h.is_zero():
         raise ValueError("vanishing order of the zero element")
-    A, B, C = h.A, h.B, h.C
+    A, B, C = zeta_parts(*h.parts)[0]
     k = min(multiplicity(f, pt) for f in (A, B) if f)
-    p_ord = multiplicity(w_norm((A, B)), pt)
+    p_ord = multiplicity(pair_norm((A, B)), pt)
     ordC = multiplicity(C, pt)
     if p_ord == 2 * k:
         n = k
@@ -419,10 +384,11 @@ def vanishing_order_at_point(h: FieldElem, pt: Fraction | AlgebraicPoint
             m = min(pt, 1 - pt)
             pt = AlgebraicPoint(Poly((-pt, 1)), pt - m / 2, pt + m / 2)
         # decide which of A + B*w, A - B*w carries the excess: compare their
-        # moduli near the point via the sign of V = Re(A*conj(B))
-        V = (A * B.conj()).real_part()
-        assert not V.is_zero(), "equal moduli would force p_ord == 2k"
-        below, above = pt.signs_beside(V)
+        # moduli near the point via the sign of V = 2*Re(A*conj(B))
+        V = pmul(A, [zconj(c) for c in B])
+        V = padd(V, [zconj(c) for c in V])
+        assert V, "equal moduli would force p_ord == 2k"
+        below, above = pt.signs_beside(zeta_poly(V))
         n = p_ord - k if (below < 0 and above < 0) else k
         why = (f"conjugate product vanishes to order {p_ord} > 2k = {2 * k}; "
                f"the modulus-comparison sign ({below}, {above}) assigns the "

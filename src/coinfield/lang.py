@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import (FieldElem, parts_add, parts_inverse, parts_mul, parts_pow,
-                    sqrt_in_scalar_field)
-from .polys import ONE_POLY, ZERO_RF, Poly, RatFn, square_test
-from .scalars import MAX_DIGITS, Scalar
+from .field import FieldElem, sqrt_in_scalar_field
+from .polys import ZERO_RF, Poly, RatFn, square_test, zeta_parts, zeta_poly
+from .scalars import MAX_DIGITS
+from .zpoly import (Z0, Z1, ZNEG1, parts_add, parts_inverse, parts_mul,
+                    parts_pow, pscale)
 
 __all__ = [
     "Expr", "RationalConst", "I", "Sqrt2", "P", "T", "Add", "Sub", "Mul",
@@ -497,39 +498,46 @@ def lower(e: Expr) -> FieldElem:
     a power of a nonzero base with B = 0 needs none."""
     _bounds(e)
     if isinstance(e, Pow):
-        return FieldElem.from_abc(*_parts(e.base)) ** e.exp
-    return FieldElem.from_abc(*_parts(e))
+        return _elem(_parts(e.base)) ** e.exp
+    return _elem(_parts(e))
 
 
-_ZERO = Poly()
-_LEAVES = {I: (Poly((Scalar(0, 0, 1),)), _ZERO, ONE_POLY),
-           Sqrt2: (Poly((Scalar(0, 1),)), _ZERO, ONE_POLY),
-           P: (Poly((0, 1)), _ZERO, ONE_POLY),
-           T: (_ZERO, ONE_POLY, Poly((1, -1)))}  # t = w/(1-p)
+def _elem(x) -> FieldElem:
+    """The element of integer parts x, normalised once."""
+    return FieldElem.from_abc(*(zeta_poly(f) for f in x))
 
 
-def _parts(e: Expr) -> tuple[Poly, Poly, Poly]:
+_LEAVES = {I: ([(0, 0, 1, 0)], [], [Z1]),
+           Sqrt2: ([(0, 1, 0, -1)], [], [Z1]),  # sqrt2 = z - z^3
+           P: ([Z0, Z1], [], [Z1]),
+           T: ([], [Z1], [Z1, ZNEG1])}  # t = w/(1-p)
+
+
+def _parts(e: Expr) -> tuple[list, list, list]:
     """The parts (A, B, C) of e, meaning (A + B*w)/C with w = sqrt(p(1-p)),
-    as the field's part formulas compute them, without dividing out a
-    common factor. A power's base is brought to canonical form first, so a
-    base that cancels collapses before it is raised, and it is raised
-    before it is inverted; so every part stays within _bounds(e)."""
+    as zpoly lists over Z[z], without dividing out a common factor. A
+    power's base is brought to canonical form first, so a base that cancels
+    collapses before it is raised, and it is raised before it is inverted;
+    so every part stays within _bounds(e)."""
     leaf = _LEAVES.get(type(e))
     if leaf is not None:
         return leaf
     if isinstance(e, RationalConst):
-        return Poly.const(e.value), _ZERO, ONE_POLY
+        n, d = e.value.numerator, e.value.denominator
+        return [(n, 0, 0, 0)] if n else [], [], [(d, 0, 0, 0)]
     if isinstance(e, (Add, Sub)):
         x, (a, b, c) = _parts(e.left), _parts(e.right)
-        return parts_add(x, (-a, -b, c) if isinstance(e, Sub) else (a, b, c))
+        if isinstance(e, Sub):
+            a, b = pscale(ZNEG1, a), pscale(ZNEG1, b)
+        return parts_add(x, (a, b, c))
     if isinstance(e, Mul):
         return parts_mul(_parts(e.left), _parts(e.right))
     if isinstance(e, Div):
         return parts_mul(_parts(e.left), parts_inverse(_parts(e.right)))
     if isinstance(e, Pow):
-        return parts_pow(FieldElem.from_abc(*_parts(e.base)).parts, e.exp)
+        return parts_pow(zeta_parts(*_elem(_parts(e.base)).parts)[0], e.exp)
     if isinstance(e, Sqrt):
-        return _lower_sqrt(FieldElem.from_abc(*_parts(e.child))).parts
+        return tuple(zeta_parts(*_lower_sqrt(_elem(_parts(e.child))).parts)[0])
     raise TypeError(f"not an expression node: {e!r}")
 
 

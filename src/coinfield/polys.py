@@ -5,7 +5,7 @@ gcd, squarefree decomposition, exact square detection, Sturm-sequence root
 counting on intervals, and certified nonnegativity. The real-root layer runs
 on a private integer core: a real polynomial becomes a primitive polynomial
 over Z, or over Z[sqrt2] when it has a sqrt2 part, once at entry, and a
-complex one becomes gcd(Re f, Im f), which has its real roots.
+complex one, or a zpoly list, becomes gcd(Re f, Im f), with its real roots.
 """
 
 from __future__ import annotations
@@ -312,6 +312,13 @@ class RatFn:
             raise ZeroDivisionError("rational function with zero denominator")
         self.den, self.num = canonical(den, num)
 
+    @staticmethod
+    def from_canonical(num: Poly, den: Poly) -> "RatFn":
+        """num/den for coprime num and monic den, taken as they are."""
+        f = object.__new__(RatFn)
+        f.num, f.den = num, den
+        return f
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -431,11 +438,11 @@ ONE_RF = RatFn(ONE_POLY)
 # trailing zeros, over Z, or over Z[sqrt2] (_Z2 entries) for a polynomial
 # with a sqrt2 part. A real Poly enters once, through _to_int, as a primitive
 # positive multiple of itself, so signs and roots are those of the Poly, and
-# leaves through _from_int as a monic Poly; a complex Poly enters through
-# _real_core. Every gcd is primitive, so by Gauss's lemma every exact
-# quotient stays integral. int_parts brings several Polys in at one common
-# positive scale, for callers that combine them with int_mul and int_sub
-# before certify_nonneg_int; canonical() takes its real gcds here.
+# leaves through _from_int as a monic Poly; a complex Poly or a zpoly list
+# enters through _real_core. Every gcd is primitive, so by Gauss's lemma
+# every exact quotient stays integral. int_parts brings several Polys in at
+# one common positive scale, for callers that combine them with int_mul and
+# int_sub before certify_nonneg_int; canonical() takes its real gcds here.
 
 
 class _Z2:
@@ -925,34 +932,40 @@ class AlgebraicPoint:
         return f"AlgebraicPoint({self.g}, ({self.lo}, {self.hi}))"
 
 
-def _real_core(f: Poly) -> list:
-    """gcd(Re f, Im f) as an integer list, or the nonzero part when one part
-    is zero, for nonzero f: a real point is a root of f exactly when it is
-    one of both parts, so its real roots, with multiplicities, are f's."""
-    re, im = f.real_part(), f.imag_part()
+def _real_core(f) -> list:
+    """gcd(Re f, Im f) as an integer list, or the nonzero part, for a nonzero
+    Poly or zpoly list f: a real point is a root of f exactly when it is one
+    of both parts, so it has f's real roots, with their multiplicities."""
+    if isinstance(f, Poly):
+        re, im = int_parts((f.real_part(), f.imag_part()))
+    else:
+        # 2*f = (2*c0 + (c1 - c3)*sqrt2) + i*(2*c2 + (c1 + c3)*sqrt2)
+        s2 = any(c1 or c3 for _, c1, _, c3 in f)
+        re = _trim([_Z2(2 * c0, c1 - c3) if s2 else c0 for c0, c1, _, c3 in f])
+        im = _trim([_Z2(2 * c2, c1 + c3) if s2 else c2 for _, c1, c2, c3 in f])
     if not (re and im):
-        return _to_int(re or im, "")
-    return _gcd(*int_parts((re, im)))
+        return _primitive(re or im)
+    return _gcd(re, im)
 
 
-def multiplicity(f: Poly, at: Fraction | AlgebraicPoint) -> int | None:
-    """The multiplicity of the real point at as a root of f, whose
-    coefficients may be complex. None for f = 0."""
-    if f.is_zero():
+def multiplicity(f, at: Fraction | AlgebraicPoint) -> int | None:
+    """The multiplicity of the real point at as a root of f (a Poly or a
+    list over Z[z]), complex or real. None for f = 0."""
+    if not f:
         return None
     if isinstance(at, AlgebraicPoint):
         return at._multiplicity(_real_core(f))
     return _deflate(_real_core(f), Fraction(at))[0]
 
 
-def isolate_roots(f: Poly, a: Fraction | int, b: Fraction | int
+def isolate_roots(f, a: Fraction | int, b: Fraction | int
                   ) -> tuple[list[Fraction], list[AlgebraicPoint]]:
-    """Distinct real roots of f in (a, b), for complex f too: exact rational
-    roots, plus AlgebraicPoint handles for the irrational ones."""
+    """Distinct real roots of f (a Poly or a list over Z[z]) in (a, b): exact
+    rational roots, plus AlgebraicPoint handles for the irrational ones."""
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("need a <= b")
-    if f.is_zero():
+    if not f:
         raise ValueError("root isolation on the zero polynomial")
     fs = _sqf(_real_core(f))
     fs = _deflate(_deflate(fs, a)[1], b)[1]

@@ -11,8 +11,8 @@ unnormalised and integral: H and B act as sqrt2 times the gate, a constant
 coin is prepared times its denominator, and each measurement divides the
 group by its integer content. One gcd, zpoly.gcd, serves both places that
 divide out a shared polynomial factor: a group past degree 24 after a
-measurement, and run_symbolic's rationalised (A + B*w)/C, which it then
-makes monic and turns into Polys only to build its result.
+measurement, and run_symbolic's ratio (A + B*w)/C from zpoly's part
+formulas, which it then makes monic and turns into Polys only at the end.
 
 The pass runs in one of two modes on the same code. run_symbolic works on
 polynomials in p with w^2 = p - p^2. At a rational bias p0 = n/d, the pass
@@ -42,6 +42,7 @@ from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
 from .zpoly import (Z0 as _Z0, Z1 as _Z1, ZNEG1 as _ZNEG1,
                     content as _pcontent, exquo as _exquo, gcd as _gcd,
                     padd as _padd, pair_mul as _pair_mul, pscale as _pscale,
+                    parts_inverse as _parts_inverse, parts_mul as _parts_mul,
                     zconj as _zconj, zinv as _zinv, zmul as _zmul)
 
 __all__ = [
@@ -295,12 +296,10 @@ def run_symbolic(prog: CircuitProgram) -> FieldElem | Infinity:
     (a0, b0), (a1, b1) = state.group_of[prog.output].amps
     if not (a1 or b1):
         return INFINITY
-    # (a0 + b0*w)/(a1 + b1*w), rationalised by the conjugate a1 - b1*w
-    conj = (a1, _pscale(_ZNEG1, b1))
-    num = _pair_mul((a0, b0), conj, state.wsq)
-    den = _pair_mul((a1, b1), conj, state.wsq)[0]
-    # the canonical form: the gcd divided out, then den made monic
-    parts = (den, *num)
+    # the parts of (a0 + b0*w)/(a1 + b1*w), by the integer part formulas
+    A, B, C = _parts_mul((a0, b0, [_Z1]), _parts_inverse((a1, b1, [_Z1])))
+    # the canonical form: the gcd divided out, then C made monic
+    parts = (C, A, B)
     g = _gcd(parts)
     if len(g) > 1:
         parts = _exquo(parts, g)[0]

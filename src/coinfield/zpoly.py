@@ -1,5 +1,5 @@
 """Dense polynomials over Z[z], z = exp(i*pi/4): the integer kernel of the
-simulator's exact pass.
+simulator's exact pass and of lowering.
 
 An element of Z[z] is an int 4-tuple (c0, c1, c2, c3) meaning
 c0 + c1*z + c2*z^2 + c3*z^3, with z^4 = -1. A polynomial in p is a list of
@@ -22,6 +22,7 @@ import math
 Z0 = (0, 0, 0, 0)
 Z1 = (1, 0, 0, 0)
 ZNEG1 = (-1, 0, 0, 0)
+W_SQUARED = [Z0, Z1, ZNEG1]  # w^2 = p(1 - p)
 
 
 def zmul(x, y):
@@ -104,6 +105,45 @@ def pair_pow(x, n: int, wsq):
         if n:
             x = pair_mul(x, x, wsq)
     return out
+
+
+def pair_norm(x):
+    """(a0 + a1*w)(a0 - a1*w) = a0^2 - a1^2*p(1-p) for a pair x."""
+    a0, a1 = x
+    return padd(pmul(a0, a0), pmul(pmul(a1, a1), [Z0, ZNEG1, Z1]))
+
+
+# parts (A, B, C) mean (A + B*w)/C; these formulas take no gcd
+
+def parts_add(x, y):
+    (a1, b1, c1), (a2, b2, c2) = x, y
+    if c1 == c2:
+        return padd(a1, a2), padd(b1, b2), c1
+    return (padd(pmul(a1, c2), pmul(a2, c1)),
+            padd(pmul(b1, c2), pmul(b2, c1)), pmul(c1, c2))
+
+
+def parts_mul(x, y):
+    (a1, b1, c1), (a2, b2, c2) = x, y
+    return (*pair_mul((a1, b1), (a2, b2), W_SQUARED), pmul(c1, c2))
+
+
+def parts_inverse(x):
+    """C*(A - B*w) over A^2 - B^2*p(1-p), or C/A when B is zero."""
+    a, b, c = x
+    if not b:
+        if not a:
+            raise ZeroDivisionError("inverse of the zero element")
+        return c, b, a
+    return pmul(c, a), pscale(ZNEG1, pmul(c, b)), pair_norm((a, b))
+
+
+def parts_pow(x, n: int):
+    """x^n, by pair_pow over C^|n|, then inverted when n < 0."""
+    if n < 0:
+        return parts_inverse(parts_pow(x, -n))
+    a, b, c = x
+    return (*pair_pow((a, b), n, W_SQUARED), pair_pow((c, []), n, [])[0])
 
 
 def content(f) -> int:

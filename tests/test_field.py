@@ -130,6 +130,37 @@ def test_inverse_without_w_part_matches_general_formula():
     check()
 
 
+def test_rational_part_without_w_takes_no_gcd(monkeypatch):
+    # with B = 0, gcd(A, C) = gcd(A, B, C) = 1 and C is monic, so r is A/C
+    # as it stands: the same RatFn that the gcd normalisation builds
+    from coinfield import polys
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    calls = []
+    real = polys.canonical
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rnd = random.Random(seed)
+        x, y = (FieldElem(random_ratfn(rnd, deg=3)) for _ in range(2))
+        for h in (x, x * y, x + y, x * y.conj()):
+            assert not h.B
+            want = RatFn(h.A, h.C)
+            with monkeypatch.context() as m:
+                m.setattr(polys, "canonical", counted)
+                calls.clear()
+                got = h.r
+                assert not calls
+            assert (got.num, got.den) == (want.num, want.den)
+
+    check()
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         fe_inv(FE_ZERO)
@@ -405,6 +436,64 @@ def test_candidate_points_match_the_conjugate_products():
                 assert multiplicity(ref.g, z) == 1
 
     check()
+
+
+def _poly_order(h, pt):
+    """The vanishing order at an interior point, read from the Poly
+    construction: k, the order of A^2 - B^2*p*(1-p), and the signs of
+    Re(A*conj(B)) beside the point; None for the signs when P = 2k."""
+    A, B, C = h.parts
+    k = min(multiplicity(f, pt) for f in (A, B) if f)
+    p_ord = multiplicity(w_norm((A, B)), pt)
+    n, signs = k, None
+    if p_ord > 2 * k:
+        if isinstance(pt, Fraction):
+            m = min(pt, 1 - pt)
+            pt = AlgebraicPoint(Poly((-pt, 1)), pt - m / 2, pt + m / 2)
+        signs = pt.signs_beside((A * B.conj()).real_part())
+        if signs == (-1, -1):
+            n = p_ord - k
+    return n - multiplicity(C, pt), signs
+
+
+def test_integer_parts_match_the_poly_construction():
+    # _candidate_points and vanishing_order_at_point build n*C and
+    # V = Re(A*conj(B)) on integer parts over Z[z]; the reference builds
+    # them on Polys. The planted factors reach interior rational points
+    # (p - 1/2), algebraic points (p^2 - 1/2), and the excess branch, where
+    # A + B*w vanishes and its conjugate does not (t - 1 - sqrt2)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from test_acceptance import _random_elem
+    factors = [lower(parse(e)) for e in
+               ("p - 1/2", "p^2 - 1/2", "t - 1 - sqrt2",
+                "(p - 1/2)^2*(t - 1 - sqrt2)/(p^2 - 1/2)")]
+    seen = {"rational": 0, "algebraic": 0, "excess": 0}
+
+    def key(z):
+        return z if isinstance(z, Fraction) else (z.lo, z.hi, z.g)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rnd = random.Random(seed)
+        h = _random_elem(rnd) * factors[rnd.randrange(len(factors))]
+        hypothesis.assume(h)
+        rat, alg = isolate_roots(w_norm((h.A, h.B)) * h.C, 0, 1)
+        want = [Fraction(0), Fraction(1)] + [z for z in rat if 0 < z < 1] + alg
+        got = _candidate_points(h)
+        assert [key(z) for z in got] == [key(z) for z in want]
+        for z in got[2:]:
+            order, signs = _poly_order(h, z)
+            res = vanishing_order_at_point(h, z)
+            assert res.order == order
+            if signs is not None:
+                assert f"{signs}" in res.residual
+                seen["excess"] += 1
+            seen["rational" if isinstance(z, Fraction) else "algebraic"] += 1
+
+    check()
+    assert min(seen.values()) >= 5, seen
 
 
 def test_vanishing_order_rejects_bad_input():
