@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF,
-                    canonical, multiplicity, zeta_parts, zeta_poly)
+from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, canonical,
+                    multiplicity, zeta_canonical, zeta_parts, zeta_poly)
 from .scalars import Scalar, sqrt_fraction
 from .zpoly import padd, pair_norm, parts_pow, pmul, zconj
 
@@ -102,6 +102,14 @@ class FieldElem:
         return FieldElem.from_canonical(A, B, C)
 
     @staticmethod
+    def from_zeta(A: list, B: list, C: list) -> "FieldElem":
+        """The element (A + B*w)/C of zpoly lists, nonzero C, brought to
+        canonical form on integers by one zeta_canonical."""
+        parts = zeta_canonical(C, A, B)
+        C, A, B = (zeta_poly(f, parts[0][-1][0]) for f in parts)
+        return FieldElem.from_canonical(A, B, C)
+
+    @staticmethod
     def from_canonical(A: Poly, B: Poly, C: Poly) -> "FieldElem":
         """The element (A + B*w)/C from parts already in canonical form,
         taken as they are."""
@@ -124,12 +132,12 @@ class FieldElem:
         """The rational part A/C; with B = 0, gcd(A, C) = 1 and C is monic."""
         if not self.B:
             return RatFn.from_canonical(self.A, self.C)
-        return RatFn(self.A, self.C)
+        return _ratfn(self.A, self.C)
 
     @property
     def s(self) -> RatFn:
         """The t coefficient B*(1-p)/C."""
-        return RatFn(self.B * ONE_MINUS_P, self.C)
+        return _ratfn(self.B * ONE_MINUS_P, self.C) if self.B else ZERO_RF
 
     @property
     def parts(self) -> tuple[Poly, Poly, Poly]:
@@ -190,11 +198,11 @@ class FieldElem:
             return self.inverse() ** -n
         # raised on integers; for n >= 0 the parts are (A + B*w)^n over C^n
         x, den = zeta_parts(*self.parts)
-        parts = (zeta_poly(f, den ** abs(n)) for f in parts_pow(x, n))
+        xs = parts_pow(x, n)
         if self.B or not self.A:
-            return FieldElem.from_abc(*parts)
+            return FieldElem.from_zeta(*xs)
         # gcd(A, C) = 1 gives gcd(A^n, C^n) = 1, and C^n stays monic
-        return FieldElem.from_canonical(*parts)
+        return FieldElem.from_canonical(*(zeta_poly(f, den ** n) for f in xs))
 
     def conj(self) -> "FieldElem":
         # w is real on (0, 1), so conjugation acts on the coefficients only
@@ -264,6 +272,13 @@ class FieldElem:
         return f"FieldElem({self})"
 
 
+def _ratfn(num: Poly, den: Poly) -> RatFn:
+    """num/den in canonical form, normalised on integers."""
+    c, a = zeta_canonical(*reversed(zeta_parts(num, den)[0]))
+    n = c[-1][0]
+    return RatFn.from_canonical(zeta_poly(a, n), zeta_poly(c, n))
+
+
 FE_ZERO = FieldElem(ZERO_RF)
 FE_ONE = FieldElem(RatFn.const(1))
 
@@ -313,16 +328,6 @@ def sqrt_in_scalar_field(q: Fraction) -> Scalar | None:
 
 
 # -- vanishing orders ------------------------------------------------------
-
-def ext_is_zero(a: Scalar, b: Scalar, z: Fraction) -> bool:
-    """Is a + b*sqrt(z(1-z)) zero? Exact, whether or not the root lies in the field."""
-    q = z * (1 - z)
-    w0 = sqrt_in_scalar_field(q)
-    if w0 is not None:
-        return not (a + b * w0)
-    # w0 irrational over the scalar field: a + b*w0 = 0 forces a = b = 0
-    return (not a) and (not b)
-
 
 @dataclass(frozen=True)
 class OrderResult:

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElem, sqrt_in_scalar_field
-from .polys import ZERO_RF, Poly, RatFn, square_test, zeta_parts, zeta_poly
+from .field import ONE_MINUS_P, FieldElem, sqrt_in_scalar_field
+from .polys import Poly, RatFn, square_test, zeta_canonical, zeta_parts
 from .scalars import MAX_DIGITS
 from .zpoly import (Z0, Z1, ZNEG1, parts_add, parts_inverse, parts_mul,
                     parts_pow, pscale)
@@ -401,8 +401,11 @@ def _lower_sqrt(child: FieldElem) -> FieldElem:
     res = square_test(u * _TAU_INV) if via_t else direct
     scale = None if res.half is None else sqrt_in_scalar_field(res.lc_ratio)
     if scale is not None:
-        root = RatFn.const(scale) * _sign_fix(res.half)
-        return FieldElem(ZERO_RF, root) if via_t else FieldElem(root)
+        q = _sign_fix(res.half)
+        if not via_t:  # scale*q stays canonical
+            return FieldElem.from_canonical(q.num * scale, Poly(), q.den)
+        return FieldElem.from_zeta(*zeta_parts(
+            Poly(), q.num * scale, q.den * ONE_MINUS_P)[0])
     odd = tuple(f.sign_normalized() for f in direct.odd_factors)
     detail = ", ".join(str(f) for f in odd) if odd else "leading coefficient not a square"
     raise NotInFieldError(
@@ -498,13 +501,8 @@ def lower(e: Expr) -> FieldElem:
     a power of a nonzero base with B = 0 needs none."""
     _bounds(e)
     if isinstance(e, Pow):
-        return _elem(_parts(e.base)) ** e.exp
-    return _elem(_parts(e))
-
-
-def _elem(x) -> FieldElem:
-    """The element of integer parts x, normalised once."""
-    return FieldElem.from_abc(*(zeta_poly(f) for f in x))
+        return FieldElem.from_zeta(*_parts(e.base)) ** e.exp
+    return FieldElem.from_zeta(*_parts(e))
 
 
 _LEAVES = {I: ([(0, 0, 1, 0)], [], [Z1]),
@@ -535,9 +533,11 @@ def _parts(e: Expr) -> tuple[list, list, list]:
     if isinstance(e, Div):
         return parts_mul(_parts(e.left), parts_inverse(_parts(e.right)))
     if isinstance(e, Pow):
-        return parts_pow(zeta_parts(*_elem(_parts(e.base)).parts)[0], e.exp)
+        c, b, a = zeta_canonical(*reversed(_parts(e.base)))
+        return parts_pow((a, b, c), e.exp)
     if isinstance(e, Sqrt):
-        return tuple(zeta_parts(*_lower_sqrt(_elem(_parts(e.child))).parts)[0])
+        root = _lower_sqrt(FieldElem.from_zeta(*_parts(e.child)))
+        return tuple(zeta_parts(*root.parts)[0])
     raise TypeError(f"not an expression node: {e!r}")
 
 

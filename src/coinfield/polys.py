@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .scalars import (ONE, ZERO, Scalar, from_zeta, sqrt2_sign, sqrt_fraction,
                       to_zeta)
-from .zpoly import pair_pow
+from .zpoly import Z1, exquo, gcd, normal, pair_pow
 
 
 class Poly:
@@ -302,6 +302,16 @@ def _canonical_real(den: Poly, nums: tuple[Poly, ...]) -> tuple[Poly, ...]:
     return tuple(_from_int(f, lc) if f else Poly() for f in parts)
 
 
+def zeta_canonical(den: list, *nums: list) -> list[list]:
+    """canonical() on zpoly lists: (den, *nums) over their zpoly gcd, in
+    zpoly's normal form, so the Polys are zeta_poly(f, n), n = lc(den)."""
+    if not any(nums):
+        return [[Z1], *nums]
+    parts = (den, *nums)
+    g = gcd(parts)
+    return normal(*(exquo(parts, g)[0] if len(g) > 1 else parts))
+
+
 class RatFn:
     """Rational function num/den in canonical form: coprime, monic denominator."""
 
@@ -363,7 +373,7 @@ class RatFn:
         return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RatFn":
-        return RatFn(-self.num, self.den)
+        return RatFn.from_canonical(-self.num, self.den)
 
     def __sub__(self, other: "RatFn") -> "RatFn":
         return self + (-other)
@@ -764,7 +774,8 @@ def square_test(f: RatFn) -> SquareTest:
         num = num * g ** (m // 2)
     for g, m in df:
         den = den * g ** (m // 2)
-    return SquareTest((), lc_ratio, RatFn(num, den))
+    # monic factors of the coprime num and den of f
+    return SquareTest((), lc_ratio, RatFn.from_canonical(num, den))
 
 
 def is_square(f: RatFn) -> RatFn | None:

@@ -9,10 +9,10 @@ the integer kernel zpoly does all their arithmetic. Global factors cancel
 in the final ratio and in every keep probability, so states are kept
 unnormalised and integral: H and B act as sqrt2 times the gate, a constant
 coin is prepared times its denominator, and each measurement divides the
-group by its integer content. One gcd, zpoly.gcd, serves both places that
-divide out a shared polynomial factor: a group past degree 24 after a
-measurement, and run_symbolic's ratio (A + B*w)/C from zpoly's part
-formulas, which it then makes monic and turns into Polys only at the end.
+group by its integer content, and by zpoly.gcd past degree 24.
+run_symbolic builds its ratio (A + B*w)/C by zpoly's part formulas and
+takes the one canonical form of integer parts, polys.zeta_canonical, so
+it turns into Polys only at the end.
 
 The pass runs in one of two modes on the same code. run_symbolic works on
 polynomials in p with w^2 = p - p^2. At a rational bias p0 = n/d, the pass
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 
-from .field import INFINITY, FieldElem, Infinity, ext_is_zero
-from .polys import zeta_poly
+from .field import INFINITY, FieldElem, Infinity
 from .report import json_value
 from .scalars import HALF_SQRT2, SQRT2, Scalar, to_zeta
 from .synth import (AllocCoin, AllocConst, CircuitProgram, Gate, Measure,
@@ -43,7 +42,7 @@ from .zpoly import (Z0 as _Z0, Z1 as _Z1, ZNEG1 as _ZNEG1,
                     content as _pcontent, exquo as _exquo, gcd as _gcd,
                     padd as _padd, pair_mul as _pair_mul, pscale as _pscale,
                     parts_inverse as _parts_inverse, parts_mul as _parts_mul,
-                    zconj as _zconj, zinv as _zinv, zmul as _zmul)
+                    zconj as _zconj, zmul as _zmul)
 
 __all__ = [
     "PostselectionError", "gate_matrix", "run_symbolic",
@@ -77,17 +76,6 @@ def gate_matrix(name: str) -> tuple[tuple[Scalar, ...], ...]:
 
 class PostselectionError(ValueError):
     """The kept measurement branch has amplitude identically zero."""
-
-
-def _content(amps) -> int:
-    """The gcd of every integer in a group's amplitudes."""
-    g = 0
-    for pair in amps:
-        for f in pair:
-            g = math.gcd(g, _pcontent(f))
-            if g == 1:
-                return 1
-    return g
 
 
 def _int_gate(mat):
@@ -132,7 +120,7 @@ class _SymState:
     With p0 = None the amplitudes are polynomials in p; at a rational p0 they
     are their values there, each group's up to one factor that cancels."""
 
-    __slots__ = ("group_of", "p0", "wsq", "coin", "w_fix")
+    __slots__ = ("group_of", "p0", "wsq", "coin", "w_fix", "w_root")
 
     def __init__(self, p0: Fraction | None):
         self.group_of: dict[int, _SymGroup] = {}
@@ -145,7 +133,12 @@ class _SymState:
             n, d = p0.numerator, p0.denominator
             self.wsq = [(n * (d - n), 0, 0, 0)]
             self.coin = (([], [_Z1]), ([(d - n, 0, 0, 0)], []))
-            self.w_fix = math.isqrt((n * (d - n)) << (2 * _FIX))
+            m = n * (d - n)
+            self.w_fix = math.isqrt(m << (2 * _FIX))
+            # W = sqrt(m) as (r0, r1), r0 + r1*sqrt2, for m = k^2 or 2k^2
+            k, j = math.isqrt(m), math.isqrt(2 * m)
+            self.w_root = ((k, 0) if k * k == m else
+                           (0, j // 2) if j * j == 2 * m else None)
 
     def alloc_coin(self, reg: int) -> None:
         self.group_of[reg] = _SymGroup((reg,), list(self.coin))
@@ -191,8 +184,9 @@ class _SymState:
                 acc_a = acc_b = []
                 for j, m in row:
                     a, b = old[j]
-                    acc_a = _padd(acc_a, _pscale(m, a))
-                    acc_b = _padd(acc_b, _pscale(m, b))
+                    if m != _Z1:
+                        a, b = _pscale(m, a), _pscale(m, b)
+                    acc_a, acc_b = _padd(acc_a, a), _padd(acc_b, b)
                 amps[base + o] = (acc_a, acc_b)
 
     def _kept(self, grp: _SymGroup, reg: int, keep: int) -> list[bool]:
@@ -223,7 +217,7 @@ class _SymState:
             if len(g) > 1:
                 flat = _exquo(flat, g)[0]
                 amps = list(zip(flat[0::2], flat[1::2]))
-        g = _content(amps)
+        g = _pcontent(c for pair in amps for f in pair for c in f)
         if g > 1:
             amps = [tuple([tuple(x // g for x in c) for c in f] for f in pair)
                     for pair in amps]
@@ -249,10 +243,8 @@ class _SymState:
         kept = [sum(col) for col in zip(*(m for m, k in zip(
             masses, self._kept(grp, reg, keep)) if k))]
         total = [sum(col) for col in zip(*masses)]
-        x0, x1, y0, y1 = kept
-        d = self.p0.denominator
         # the kept mass is x + y*W with W = d*sqrt(p0(1 - p0))
-        if ext_is_zero(Scalar(x0, x1), Scalar(d * y0, d * y1), self.p0):
+        if _ext_is_zero(kept, self.w_root):
             return 0.0
         # each mass times 2^_FIX, as an integer within a few units of it;
         # an int quotient is a float at any size, so no depth overflows
@@ -260,6 +252,15 @@ class _SymState:
                        + ((y1 * _SQRT2_FIX * self.w_fix) >> _FIX)
                        for x0, x1, y0, y1 in (kept, total))
         return min(1.0, max(0.0, kept / total))
+
+
+def _ext_is_zero(mass, root) -> bool:
+    """Is x + y*W zero, x = x0 + x1*sqrt2 and y = y0 + y1*sqrt2 from mass,
+    and W = r0 + r1*sqrt2 from root, or irrational over Q(sqrt2) if None?"""
+    x0, x1, y0, y1 = mass
+    r0, r1 = root or (0, 0)
+    return not (x0 + y0 * r0 + 2 * y1 * r1 or x1 + y0 * r1 + y1 * r0
+                or root is None and (y0 or y1))
 
 
 def _exact_pass(prog: CircuitProgram, p0: Fraction | None
@@ -297,15 +298,8 @@ def run_symbolic(prog: CircuitProgram) -> FieldElem | Infinity:
     if not (a1 or b1):
         return INFINITY
     # the parts of (a0 + b0*w)/(a1 + b1*w), by the integer part formulas
-    A, B, C = _parts_mul((a0, b0, [_Z1]), _parts_inverse((a1, b1, [_Z1])))
-    # the canonical form: the gcd divided out, then C made monic
-    parts = (C, A, B)
-    g = _gcd(parts)
-    if len(g) > 1:
-        parts = _exquo(parts, g)[0]
-    m, n = _zinv(parts[0][-1])
-    C, A, B = (zeta_poly(_pscale(m, f), n) for f in parts)
-    return FieldElem.from_canonical(A, B, C)
+    return FieldElem.from_zeta(
+        *_parts_mul((a0, b0, [_Z1]), _parts_inverse((a1, b1, [_Z1]))))
 
 
 # -- expected cost ---------------------------------------------------------

@@ -147,7 +147,7 @@ def parts_pow(x, n: int):
 
 
 def content(f) -> int:
-    """The gcd of every integer in f, 0 for f = []."""
+    """The gcd of every integer in f, an iterable of tuples; 0 for none."""
     g = 0
     for c in f:
         g = math.gcd(g, *c)
@@ -156,14 +156,16 @@ def content(f) -> int:
     return g
 
 
-def _normal(f):
-    """The integral multiple of f/lc(f) whose integers have gcd 1, for
-    nonzero f; its leading coefficient is a positive integer."""
-    m, _ = zinv(f[-1])
+def normal(*fs):
+    """The integral multiples of the lists over the leading coefficient of
+    the first, which is nonzero, whose integers together have gcd 1; the
+    first then has a positive integer leading coefficient."""
+    m, _ = zinv(fs[0][-1])
     if m != Z1:
-        f = pscale(m, f)
-    g = content(f)
-    return f if g == 1 else [tuple(x // g for x in c) for c in f]
+        fs = [pscale(m, g) for g in fs]
+    k = content(c for g in fs for c in g)
+    return [g if k == 1 else [tuple(x // k for x in c) for c in g]
+            for g in fs]
 
 
 def _divide(f, g):
@@ -216,13 +218,13 @@ def gcd(polys):
         if not f:
             continue
         if not g:
-            g = _normal(f)
+            g = normal(f)[0]
             continue
         if len(f) == 1 or len(g) == 1:
             return [Z1]
         if len(f) > len(g):
             f, g = g, f
-        f = _normal(f)
+        f = normal(f)[0]
         while True:
             r = _divide(g, f)[1]
             if not r:
@@ -230,7 +232,7 @@ def gcd(polys):
                 break
             if len(r) == 1:
                 return [Z1]
-            g, f = f, _normal(r)
+            g, f = f, normal(r)[0]
     return g
 
 

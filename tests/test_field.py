@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from coinfield import polys
 from coinfield.analysis import _candidate_points
 from coinfield.field import (FE_ONE, FE_ZERO, FieldElem, ONE_MINUS_P,
                              TAU, W_SQUARED, fe_add, fe_conj, fe_eval, fe_inv,
@@ -509,6 +510,26 @@ def test_order_result_carries_residual():
     form = FieldElem.coin()
     res = vanishing_order(form, 0)
     assert isinstance(res.residual, str) and res.residual
+
+
+def test_views_and_printing_take_no_euclidean_gcd(monkeypatch):
+    # r, s and str() of an element with complex B != 0 normalise on
+    # integers, not by the Euclidean gcd over the scalar field
+    h = lower(parse("(1/3 + i*p/7 + sqrt2*p^2/5)^3/(t + 1/2)^2"))
+    assert h.B and not h.B.is_real() and h.C.degree > 0
+    calls = []
+    real = polys.poly_gcd
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(polys, "poly_gcd", counted)
+    r, s, text = h.r, h.s, str(h)
+    assert not calls
+    monkeypatch.undo()
+    assert (r, s) == (RatFn(h.A, h.C), RatFn(h.B * ONE_MINUS_P, h.C))
+    assert text.startswith(f"{r} + ") and str(s) in text
 
 
 # ---------------------------------------------------------------------------

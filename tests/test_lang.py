@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from coinfield import field, lang, polys
-from coinfield.field import FE_ONE, FieldElem, TAU, fe_add, fe_eval, fe_mul
+from coinfield.field import (FE_ONE, ONE_MINUS_P, FieldElem, TAU, fe_add,
+                             fe_eval, fe_mul)
 from coinfield.lang import (MAX_DEGREE, Add, DegreeLimitError, Div, Expr, I,
                             Mul, NotInFieldError, P, ParseError, Pow, RationalConst,
                             Sqrt, Sqrt2, Sub, T, eval_expr_numeric, field_sqrt,
                             lower, parse, print_expr)
 from coinfield.polys import P as P_POLY
-from coinfield.polys import Poly, RatFn
+from coinfield.polys import Poly, RatFn, zeta_poly
 from coinfield.scalars import MAX_DIGITS, ONE, Scalar
 from coinfield.zpoly import Z1
 
@@ -397,6 +398,39 @@ def test_lower_matches_eager_oracle():
     check()
 
 
+def _refuse_euclid(*args):
+    raise AssertionError("reached polys._canonical_euclid")
+
+
+def test_lower_and_views_match_the_fraction_path(monkeypatch):
+    # lower, then h.r and h.s, with the Euclidean canonical form refused,
+    # against that form on the same parts: the root normalisation on
+    # integers, and the views against RatFn's own normalisation
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def check(e):
+        with monkeypatch.context() as m:
+            m.setattr(polys, "_canonical_euclid", _refuse_euclid)
+            got = _outcome(lower, e)
+            if not isinstance(got, FieldElem):
+                return
+            views = got.r, got.s
+        parts = (zeta_poly(f) for f in lang._parts(e))
+        assert got.parts == FieldElem.from_abc(*parts).parts
+        assert views == (RatFn(got.A, got.C), RatFn(got.B * ONE_MINUS_P, got.C))
+
+    for text in ("sqrt((1-2*p)^2)", "sqrt(p/(1-p))", "sqrt(p*(1-p))",
+                 "sqrt(1/2)", "sqrt(p^2/2)", "sqrt(-p^2/(1+p)^2)",
+                 "sqrt(2*p/(1-p))", "sqrt(-2*p^3*(1-p)^3)"):
+        check(parse(text))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_trees())
+    def check_trees(e):
+        check(e)
+    check_trees()
+
+
 def test_parts_stay_within_bounds():
     # every subtree's parts, before the root normalisation, have degrees
     # within _bounds of that subtree, so MAX_DEGREE bounds the work done
@@ -416,17 +450,26 @@ def test_parts_stay_within_bounds():
     check()
 
 
+def _count_normalisations(monkeypatch) -> list:
+    """A list that gains an entry at each call of polys.canonical or of
+    polys.zeta_canonical, its counterpart on integer parts."""
+    calls = []
+    for name in ("canonical", "zeta_canonical"):
+        real = getattr(polys, name)
+
+        def counted(*args, real=real):
+            calls.append(1)
+            return real(*args)
+
+        for module in (polys, field, lang):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_lower_normalises_at_powers_and_root(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
-    calls = []
-    real = polys.canonical
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    for module in (polys, field):
-        monkeypatch.setattr(module, "canonical", counted)
+    calls = _count_normalisations(monkeypatch)
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(_trees())
@@ -461,15 +504,7 @@ def test_lower_normalises_at_powers_and_root(monkeypatch):
 ])
 def test_root_power_of_a_base_without_w_takes_no_gcd(monkeypatch, text,
                                                      at_root):
-    calls = []
-    real = polys.canonical
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    for module in (polys, field):
-        monkeypatch.setattr(module, "canonical", counted)
+    calls = _count_normalisations(monkeypatch)
     e = parse(text)
     lower(e)
     # once at each power's base, p^2's p among them
@@ -479,7 +514,8 @@ def test_root_power_of_a_base_without_w_takes_no_gcd(monkeypatch, text,
     if not base:
         return
     for n in (-5, -1, 0, 1, 2, 5):
-        want = lang._elem(lang._parts(Pow(e.base, n)))
+        want = FieldElem.from_abc(*(zeta_poly(f)
+                                    for f in lang._parts(Pow(e.base, n))))
         assert lower(Pow(e.base, n)) == want
         calls.clear()
         assert base ** n == want

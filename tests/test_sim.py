@@ -14,7 +14,7 @@ import pytest
 from coinfield import sim
 from coinfield.cli import main
 from coinfield.field import (FE_ONE, FieldElem, INFINITY, TAU, fe_eval, fe_inv,
-                             fe_mod_squared, fe_mul)
+                             fe_mod_squared, fe_mul, sqrt_in_scalar_field)
 from coinfield.lang import lower, parse
 from coinfield.polys import P as P_POLY
 from coinfield.polys import Poly, RatFn, zeta_poly
@@ -276,6 +276,41 @@ def test_keep_probability_one_with_vanishing_conjugate(tmp_path):
     path.write_text(json.dumps(program_to_json(prog)))
     assert main(["cost", "--p0", "1/2", str(path)]) == 0
     assert main(["run", "--p0", "0.5", "--trials", "10", str(path)]) == 0
+
+
+def _ext_is_zero_reference(a: Scalar, b: Scalar, z: Fraction) -> bool:
+    """Is a + b*sqrt(z(1-z)) zero? Exact in Scalars, whether or not the root
+    lies in the scalar field."""
+    w0 = sqrt_in_scalar_field(z * (1 - z))
+    if w0 is not None:
+        return not (a + b * w0)
+    return (not a) and (not b)
+
+
+@pytest.mark.parametrize("p0, root", [
+    (Fraction(1, 2), (1, 0)),      # W = sqrt(1*1) = 1
+    (Fraction(1, 3), (0, 1)),      # W = sqrt(1*2) = sqrt2
+    (Fraction(3, 10), None),       # W = sqrt(3*7), not in Q(sqrt2)
+])
+def test_kept_mass_zero_test_matches_scalar_reference(p0, root):
+    # the kept mass x + y*W, x = x0 + x1*sqrt2 and y = y0 + y1*sqrt2, with
+    # W = d*sqrt(p0(1 - p0)): random masses, and zeros planted as x = -y*W,
+    # or as x = y = 0 where W is irrational
+    d = p0.denominator
+    assert sim._SymState(p0).w_root == root
+    rnd = random.Random(11)
+    zeros = 0
+    for _ in range(400):
+        x0, x1, y0, y1 = (rnd.randint(-3, 3) for _ in range(4))
+        if rnd.random() < 0.3:
+            r0, r1 = root or (0, 0)
+            y0, y1 = (y0, y1) if root else (0, 0)
+            x0, x1 = -(y0 * r0 + 2 * y1 * r1), -(y0 * r1 + y1 * r0)
+        got = sim._ext_is_zero((x0, x1, y0, y1), root)
+        zeros += got
+        assert got == _ext_is_zero_reference(
+            Scalar(x0, x1), Scalar(d * y0, d * y1), p0)
+    assert zeros >= 80
 
 
 def test_worked_example_cost():

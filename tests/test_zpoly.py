@@ -1,6 +1,7 @@
 """The Z[z] polynomial kernel, z = exp(i*pi/4): gcd, exact quotient and
-norm inverse against the Fraction arithmetic of polys, and run_symbolic's
-canonical form against FieldElem.from_abc."""
+norm inverse against the Fraction arithmetic of polys, the canonical form
+of integer parts against the Euclidean one, and run_symbolic's canonical
+form against FieldElem.from_abc."""
 
 import random
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from coinfield import sim
 from coinfield.field import FieldElem
 from coinfield.lang import lower, parse
-from coinfield.polys import Poly, poly_gcd, zeta_poly
+from coinfield.polys import (Poly, _canonical_euclid, poly_gcd, zeta_canonical,
+                             zeta_poly)
 from coinfield.scalars import from_zeta
 from coinfield.synth import compile
 from coinfield.zpoly import (Z1, content, exquo, gcd, pair_mul, pmul, zinv,
@@ -140,6 +142,47 @@ def test_exact_quotient_times_divisor_is_the_dividend():
         exquo([[Z1, Z1]], [Z1, (0, 0, 1, 0)])
 
 
+# coefficient shapes over Z[z]: Gaussian a + b*i, real a + b*sqrt2
+# (sqrt2 = z - z^3), plain integers, and any element
+_SHAPES = {"gaussian": lambda a, b, c, d: (a, 0, b, 0),
+           "sqrt2": lambda a, b, c, d: (a, b, 0, -b),
+           "integer": lambda a, b, c, d: (a, 0, 0, 0),
+           "zeta": lambda a, b, c, d: (a, b, c, d)}
+
+
+def _trim(cs):
+    while cs and cs[-1] == (0, 0, 0, 0):
+        cs = cs[:-1]
+    return cs
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_zeta_canonical_matches_euclid(shape):
+    # the parts share a planted factor g; the canonical form is unique, so
+    # the integer routine must give the Euclidean path's Polys part for part
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    small = st.integers(-4, 4)
+    coeff = st.builds(_SHAPES[shape], small, small, small, small)
+    poly = st.lists(coeff, max_size=4).map(_trim)
+    nonzero = poly.filter(bool)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(nonzero, st.lists(poly, min_size=1, max_size=2), nonzero)
+    def check(den, nums, g):
+        hypothesis.assume(any(nums))
+        den, nums = pmul(den, g), [pmul(f, g) for f in nums]
+        got = zeta_canonical(den, *nums)
+        n = got[0][-1]
+        assert n[0] > 0 and n[1:] == (0, 0, 0)
+        assert content([c for f in got for c in f]) == 1
+        want = _canonical_euclid(to_poly(den), tuple(map(to_poly, nums)))
+        assert [zeta_poly(f, n[0]) for f in got] == list(want)
+        assert zeta_canonical(den, []) == [[Z1], []]
+
+    check()
+
+
 def from_abc_oracle(prog):
     """The output ratio by the Fraction path: the rationalised parts of the
     exact pass as Polys, brought to canonical form by FieldElem.from_abc."""
@@ -151,8 +194,16 @@ def from_abc_oracle(prog):
     return FieldElem.from_abc(*(zeta_poly(f) for f in (*num, den)))
 
 
+def _refuse_euclid(*args):
+    raise AssertionError("reached polys._canonical_euclid")
+
+
 def assert_same_parts(prog):
-    got, want = sim.run_symbolic(prog), from_abc_oracle(prog)
+    # run_symbolic normalises on integers alone
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("coinfield.polys._canonical_euclid", _refuse_euclid)
+        got = sim.run_symbolic(prog)
+    want = from_abc_oracle(prog)
     assert (got.A, got.B, got.C) == (want.A, want.B, want.C)
     assert str(got.A) == str(want.A) and str(got.C) == str(want.C)
 
