@@ -14,7 +14,7 @@ from fractions import Fraction
 from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, canonical,
                     multiplicity, zeta_canonical, zeta_parts, zeta_poly)
 from .scalars import Scalar, sqrt_fraction
-from .zpoly import padd, pair_norm, parts_pow, pmul, zconj
+from .zpoly import Z1, ZNEG1, padd, pair_norm, parts_pow, pmul, zconj
 
 # t^2 = p/(1-p); w = sqrt(p(1-p)) = t*(1-p) is the polynomial-friendly twin
 TAU = RatFn(Poly((0, 1)), Poly((1, -1)))
@@ -132,12 +132,22 @@ class FieldElem:
         """The rational part A/C; with B = 0, gcd(A, C) = 1 and C is monic."""
         if not self.B:
             return RatFn.from_canonical(self.A, self.C)
-        return _ratfn(self.A, self.C)
+        return _ratfn(*self.zeta_view())
 
     @property
     def s(self) -> RatFn:
         """The t coefficient B*(1-p)/C."""
-        return _ratfn(self.B * ONE_MINUS_P, self.C) if self.B else ZERO_RF
+        return _ratfn(*self.zeta_view(s=True)) if self.B else ZERO_RF
+
+    def zeta_view(self, s: bool = False) -> tuple[list, list]:
+        """r, or s when asked, in canonical form as zpoly lists (num, den):
+        the Polys are zeta_poly(num, n) and zeta_poly(den, n), n = lc(den).
+        With B = 0 the view takes no gcd."""
+        if not self.B:
+            return ([], [Z1]) if s else zeta_parts(self.A, self.C)[0]
+        (num, den), _ = zeta_parts(self.B if s else self.A, self.C)
+        den, num = zeta_canonical(den, pmul(num, [Z1, ZNEG1]) if s else num)
+        return num, den
 
     @property
     def parts(self) -> tuple[Poly, Poly, Poly]:
@@ -272,11 +282,10 @@ class FieldElem:
         return f"FieldElem({self})"
 
 
-def _ratfn(num: Poly, den: Poly) -> RatFn:
-    """num/den in canonical form, normalised on integers."""
-    c, a = zeta_canonical(*reversed(zeta_parts(num, den)[0]))
-    n = c[-1][0]
-    return RatFn.from_canonical(zeta_poly(a, n), zeta_poly(c, n))
+def _ratfn(num: list, den: list) -> RatFn:
+    """The RatFn of a canonical zpoly view (num, den)."""
+    n = den[-1][0]
+    return RatFn.from_canonical(zeta_poly(num, n), zeta_poly(den, n))
 
 
 FE_ZERO = FieldElem(ZERO_RF)

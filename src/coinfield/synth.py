@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .field import INFINITY, FieldElem, Infinity
-from .polys import Poly
-from .scalars import SQRT2, Scalar
+from .scalars import SQRT2, ZERO, Scalar, from_zeta
+from .zpoly import Z0, padd
 
 __all__ = [
     "AllocCoin", "AllocConst", "Gate", "Measure", "ProvNode", "CircuitProgram",
@@ -70,7 +71,7 @@ class CircuitProgram:
     nodes: tuple[ProvNode, ...]  # node k is nodes[k]
     root: int
 
-    @property
+    @cached_property
     def registers(self) -> int:
         """One more than the highest register an allocation names."""
         return 1 + max((i.reg for i in self.instructions
@@ -97,7 +98,8 @@ def _node(kind: str, operands: list[CircuitProgram], fresh: int,
     """The one builder of a provenance node. The operand programs sit side
     by side as its children, then come fresh new registers and the node's
     own instructions: body(regs) returns (output, instructions), with regs
-    the operands' outputs followed by the fresh registers."""
+    the operands' outputs followed by the fresh registers. The first
+    operand sits at offset 0, so its instructions and nodes are reused."""
     instrs: list[Instr] = []
     nodes: list[ProvNode] = []
     items: list[tuple[str, int]] = []
@@ -106,12 +108,14 @@ def _node(kind: str, operands: list[CircuitProgram], fresh: int,
     for prog in operands:
         instr_off = len(instrs)
         node_off = len(nodes)
-        instrs.extend(_shift_instr(i, reg_off) for i in prog.instructions)
-        for node in prog.nodes:
-            nodes.append(ProvNode(
-                node.kind,
-                tuple((tag, ref + (node_off if tag == "child" else instr_off))
-                      for tag, ref in node.items)))
+        if not nodes:
+            instrs.extend(prog.instructions)
+            nodes.extend(prog.nodes)
+        else:
+            instrs.extend(_shift_instr(i, reg_off) for i in prog.instructions)
+            nodes.extend(ProvNode(node.kind, tuple(
+                (tag, ref + (node_off if tag == "child" else instr_off))
+                for tag, ref in node.items)) for node in prog.nodes)
         items.append(("child", prog.root + node_off))
         regs.append(prog.output + reg_off)
         reg_off += prog.registers
@@ -165,10 +169,6 @@ def emit_neg(x: CircuitProgram) -> CircuitProgram:
         regs[0], [Gate(name, (regs[0],)) for name in ("H", "X", "H")]))
 
 
-# p = (q + 1)/2 as a polynomial in q = 2p - 1
-_P_IN_Q = Poly((Fraction(1, 2), Fraction(1, 2)))
-
-
 def construct_p() -> CircuitProgram:
     """Coin ratio t to ratio p = s/(1 + s), s = t^2 = p/(1-p): square the
     coin, invert, add 1, invert."""
@@ -176,43 +176,49 @@ def construct_p() -> CircuitProgram:
     return emit_inv(emit_add(prog, const_program(1)))           # p
 
 
-def _horner(g: Poly, leaf: CircuitProgram) -> CircuitProgram:
-    """Program with ratio g(x), x the ratio of leaf, evaluated innermost
-    coefficient first; multiplications by 1 and additions of 0 are skipped,
-    and a leading coefficient -1 is compiled as -g followed by emit_neg."""
-    if g.is_constant():
-        return const_program(g.constant_value())
-    coeffs = g.coeffs
+def _horner(coeffs, leaf: CircuitProgram) -> CircuitProgram:
+    """Program with ratio sum_k coeffs[k]*x^k, x the ratio of leaf, for
+    Scalar coefficients with a nonzero top, evaluated innermost coefficient
+    first; multiplications by 1 and additions of 0 are skipped, and a
+    leading coefficient -1 is compiled as the negated coefficients followed
+    by emit_neg."""
     top = coeffs[-1]
+    if len(coeffs) == 1:
+        return const_program(top)
     if top == Scalar(-1):
-        return emit_neg(_horner(-g, leaf))
+        return emit_neg(_horner([-c for c in coeffs], leaf))
     acc = None if top == Scalar(1) else const_program(top)
-    for k in range(len(coeffs) - 2, -1, -1):
+    for c in reversed(coeffs[:-1]):
         acc = leaf if acc is None else emit_mul(acc, leaf)
-        if coeffs[k]:
-            acc = emit_add(acc, const_program(coeffs[k]))
+        if c:
+            acc = emit_add(acc, const_program(c))
     return acc
 
 
-def _poly_program(g: Poly) -> CircuitProgram:
-    """Program with ratio g(p). Each Horner step postselects, so the basis
-    with fewer nonzero coefficients wins: g(p) over construct_p, or g
-    rewritten exactly as G(q) over the two-coin protocol's q = 2p - 1; a
-    tie goes to q, the cheaper leaf (3.45 coins at p = 3/10 against 11.0)."""
-    in_q = Poly()
-    for c in reversed(g.coeffs):
-        in_q = in_q * _P_IN_Q + Poly.const(c)
-    if sum(map(bool, in_q.coeffs)) <= sum(map(bool, g.coeffs)):
-        return _horner(in_q, worked_example_program())
-    return _horner(g, construct_p())
+def _poly_program(g: list, n: int) -> CircuitProgram:
+    """Program with ratio g(p)/n for a zpoly list g. Each Horner step
+    postselects, so the basis with fewer nonzero coefficients wins: g(p)
+    over construct_p, or 2^d*G(q) = sum_k g_k*2^(d-k)*(q + 1)^k over the
+    two-coin protocol's q = 2p - 1, exact on integers; a tie goes to q, the
+    cheaper leaf (3.45 coins at p = 3/10 against 11.0)."""
+    in_q: list = []
+    for k, c in enumerate(reversed(g)):
+        in_q = padd(padd([Z0, *in_q], in_q), [tuple(x << k for x in c)])
+    if sum(c != Z0 for c in in_q) <= sum(c != Z0 for c in g):
+        g, n, leaf = in_q, n << len(g) - 1, worked_example_program()
+    else:
+        leaf = construct_p()
+    return _horner([from_zeta(c, n) if c != Z0 else ZERO for c in g], leaf)
 
 
-def _ratfn_program(num: Poly, den: Poly) -> CircuitProgram:
+def _ratfn_program(num: list, den: list) -> CircuitProgram:
+    """Program with ratio num/den for a canonical zpoly view (num, den)."""
+    n = den[-1][0]
     parts: list[CircuitProgram] = []
-    if not num.is_one():
-        parts.append(_poly_program(num))
-    if not den.is_one():
-        parts.append(emit_inv(_poly_program(den)))
+    if num != [den[-1]]:
+        parts.append(_poly_program(num, n))
+    if len(den) > 1:
+        parts.append(emit_inv(_poly_program(den, n)))
     if not parts:
         return const_program(1)
     prog = parts[0]
@@ -228,17 +234,13 @@ def compile(h: FieldElem | Infinity) -> CircuitProgram:
         return emit_inv(const_program(0))
     if h.is_zero():
         return const_program(0)
-    r, s = h.r, h.s
-    r_prog = None
-    if not r.is_zero():
-        r_prog = _ratfn_program(r.num, r.den)
+    (rn, rd), (sn, sd) = h.zeta_view(), h.zeta_view(s=True)
+    r_prog = _ratfn_program(rn, rd) if rn else None
     s_prog = None
-    if not s.is_zero():
+    if sn:
         coin = coin_program()
-        if s.num.is_one() and s.den.is_one():
-            s_prog = coin
-        else:
-            s_prog = emit_mul(_ratfn_program(s.num, s.den), coin)
+        # canonical lists are equal only when both are the constant n
+        s_prog = coin if sn == sd else emit_mul(_ratfn_program(sn, sd), coin)
     if r_prog is None:
         return s_prog
     if s_prog is None:

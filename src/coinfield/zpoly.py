@@ -74,6 +74,11 @@ def pscale(m, f):
 
 
 def pmul(f, g):
+    """f*g; a one-term factor is a scale, and [Z1] returns the other list."""
+    if len(f) == 1 or len(g) == 1:
+        if len(g) != 1:
+            f, g = g, f
+        return f if g[0] == Z1 else pscale(g[0], f)
     if not f or not g:
         return []
     n = len(f) + len(g) - 1

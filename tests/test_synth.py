@@ -6,17 +6,23 @@ from fractions import Fraction
 
 import pytest
 
+from coinfield import synth
 from coinfield.field import FieldElem, INFINITY
 from coinfield.lang import lower, parse
-from coinfield.polys import Poly, RatFn
+from coinfield.polys import Poly, RatFn, zeta_parts
 from coinfield.scalars import SQRT2, Scalar
 from coinfield.sim import expected_cost, run_symbolic
-from coinfield.synth import (_P_IN_Q, AllocCoin, AllocConst, CircuitProgram,
-                             Gate, Measure, ProvNode, _horner, coin_program,
-                             compile, const_program, construct_p, emit_add,
-                             emit_inv, emit_mul, emit_neg, program_from_json,
-                             program_to_json, static_counts, validate_program,
-                             worked_example_program)
+from coinfield.synth import (AllocCoin, AllocConst, CircuitProgram, Gate,
+                             Measure, ProvNode, _horner, _poly_program,
+                             coin_program, compile, const_program, construct_p,
+                             emit_add, emit_inv, emit_mul, emit_neg,
+                             program_from_json, program_to_json, static_counts,
+                             validate_program, worked_example_program)
+
+
+# p = (q + 1)/2 as a polynomial in q = 2p - 1: the independent reference for
+# the q-basis rewrite, which compile runs on integers
+_P_IN_Q = Poly((Fraction(1, 2), Fraction(1, 2)))
 
 
 def random_target(rnd):
@@ -233,10 +239,89 @@ def test_the_chosen_basis_is_the_cheaper(text, basis):
     for c in reversed(g.coeffs):
         in_q = in_q * _P_IN_Q + Poly.const(c)
     costs = {b: expected_cost(prog, Fraction(3, 10)).expected_coins
-             for b, prog in (("p", _horner(g, construct_p())),
-                             ("q", _horner(in_q, worked_example_program())))}
+             for b, prog in (("p", _horner(g.coeffs, construct_p())),
+                             ("q", _horner(in_q.coeffs, worked_example_program())))}
     chosen = expected_cost(compile(lower(parse(text))), Fraction(3, 10))
     assert chosen.expected_coins == costs[basis] < costs[{"p": "q", "q": "p"}[basis]]
+
+
+def old_poly_program(g: Poly) -> CircuitProgram:
+    """The q-basis rewrite as a Poly Horner with p = (q + 1)/2, then the same
+    basis rule: the reference for the integer rewrite."""
+    in_q = Poly()
+    for c in reversed(g.coeffs):
+        in_q = in_q * _P_IN_Q + Poly.const(c)
+    if sum(map(bool, in_q.coeffs)) <= sum(map(bool, g.coeffs)):
+        return _horner(in_q.coeffs, worked_example_program())
+    return _horner(g.coeffs, construct_p())
+
+
+def test_integer_rewrite_matches_the_poly_horner():
+    # Gaussian and sqrt2 coefficients, a leading +-1 and ties in the
+    # nonzero counts (1 + p is 3/2 + q/2) all reach both routes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    scalar = st.one_of(
+        st.sampled_from([Scalar(0), Scalar(1), Scalar(-1)]),
+        st.builds(Scalar, rational, st.just(0), rational),       # Gaussian
+        st.builds(Scalar, rational, rational))                     # sqrt2
+    top = st.one_of(st.sampled_from([Scalar(1), Scalar(-1)]), scalar)
+    poly = st.tuples(st.lists(scalar, max_size=8), top).map(
+        lambda t: Poly((*t[0], t[1]))).filter(lambda g: not g.is_zero())
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(poly)
+    @hypothesis.example(Poly((1, 1)))
+    @hypothesis.example(Poly((-1, 2)))
+    @hypothesis.example(Poly((Scalar(0, 0, 1), 0, -1)))
+    def check(g):
+        (ints,), n = zeta_parts(g)
+        assert program_to_json(_poly_program(ints, n)) \
+            == program_to_json(old_poly_program(g))
+
+    check()
+
+
+def shift_count(h) -> int:
+    calls = []
+    real = synth._shift_instr
+
+    def counted(ins, reg_off):
+        calls.append(1)
+        return real(ins, reg_off)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(synth, "_shift_instr", counted)
+        compile(h)
+    return len(calls)
+
+
+def test_compile_builds_each_instruction_a_bounded_number_of_times():
+    # the Horner accumulator is always the first operand, which keeps its
+    # instructions; only the later operands are shifted
+    counts = {d: shift_count(lower(parse(f"(1+p)^{d} + (1+p)^{d // 2}*t")))
+              for d in (32, 64)}
+    assert counts[64] <= 1300
+    assert counts[64] <= 2.2 * counts[32]
+    x = construct_p()
+    prog = emit_mul(x, worked_example_program())
+    assert all(a is b for a, b in zip(prog.instructions, x.instructions))
+    assert all(a is b for a, b in zip(prog.nodes, x.nodes))
+
+
+def test_compile_does_no_poly_arithmetic(monkeypatch):
+    targets = [lower(parse(t)) for t in (
+        "(1+p)^12 + (1-p)^6*t", "(p + i)/(p^2 + 1/3) + sqrt2*t/(1 + p)",
+        "(p^3 + t)^3", "1 - 2*p")]
+
+    def refuse(*args):
+        raise AssertionError("compile reached Poly.__mul__")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    for h in targets:
+        validate_program(compile(h))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,35 @@ def test_norm_inverse():
     assert zinv((-4, 0, 0, 0)) == ((-1, 0, 0, 0), 4)
 
 
+def naive_product(f, g):
+    """f*g by the schoolbook convolution with zmul, trailing zeros dropped."""
+    out = [(0, 0, 0, 0)] * (len(f) + len(g))
+    for j, a in enumerate(f):
+        for k, b in enumerate(g):
+            out[j + k] = tuple(x + y for x, y in zip(out[j + k], zmul(a, b)))
+    while out and out[-1] == (0, 0, 0, 0):
+        out.pop()
+    return out
+
+
+def test_pmul_matches_the_naive_convolution():
+    # a one-term factor on either side is a scale and [Z1] returns the other
+    # list itself; the lists are shared, so neither operand may change
+    rnd = random.Random(29)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 4), (4, 1), (1, 1), (3, 5)]
+    for _ in range(40):
+        for lf, lg in shapes:
+            f = rand_poly(rnd, lf - 1) if lf else []
+            g = rand_poly(rnd, lg - 1) if lg else []
+            for f, g in ((f, g), ([Z1], g), (f, [Z1]), ([], g), (f, [])):
+                saved = (list(f), list(g))
+                assert pmul(f, g) == naive_product(f, g)
+                assert (f, g) == saved
+    f = rand_poly(rnd, 3)
+    assert pmul([Z1], f) is f and pmul(f, [Z1]) is f
+    assert pmul([], f) == pmul(f, []) == [] == pmul([], [])
+
+
 def test_gcd_of_products_with_a_common_factor():
     rnd = random.Random(11)
     for _ in range(150):
