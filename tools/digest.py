@@ -13,6 +13,13 @@ The groups:
   group runs each command as written, the JSON group with --json on its
   last coinfield stage.
 - fixtures: `coinfield fixtures`.
+- real_side: a fixed list of commands on the real side of the toolkit, in
+  text and with --json: `decide "sqrt(c*q^2*s)"` for each of five shapes
+  s (1, p/(1-p), (1-p)/p, p*(p-1), 1/(p*(p-1))), each c in
+  {1, 4/9, 2, 1/2, -1, -2, 3} and q = (1-2p)/(p+2) or p*(p-1); then
+  `corollary` and `classify` on piecewise files (a tent, a V, the
+  flat-ramp figure, a jump, a range fault, a zero, a one and a constant
+  zero piece at or between breakpoints) and on single expressions.
 - workload.<name>: the first 10 items of each benchmark workload's timed
   stream at seed 7, each reduced by the workload's own condense and digest
   (perfbench/workloads.py), as the benchmark compares a traced pass with a
@@ -45,6 +52,23 @@ from coinfield import cli  # noqa: E402
 DIGESTS = os.path.join(ROOT, "tools", "digest.json")
 SEED = 7
 ITEMS = 10
+
+SQRT_SHAPES = ("", "*p/(1-p)", "*(1-p)/p", "*p*(p-1)", "/(p*(p-1))")
+SQRT_CS = ("1", "4/9", "2", "1/2", "-1", "-2", "3")
+SQRT_QS = ("(1-2*p)/(p+2)", "p*(p-1)")
+PIECEWISE = {
+    "tent.txt": "[0,1/2) p\n[1/2,1] 1 - p\n",
+    "v.txt": "[0,1/2) 3/4 - p\n[1/2,1] p - 1/4\n",
+    "fig1.txt": "[0,1/2) 1/2\n[1/2,1] p/2 + 1/4\n",
+    "jump.txt": "[0,1/2) p\n[1/2,1] p/2\n",
+    "range.txt": "[0,1/2) p\n[1/2,1] 2*p - 1/2\n",
+    "zero_at_break.txt": "[0,1/2) 1/2 - p\n[1/2,1] p - 1/2\n",
+    "one_at_break.txt": "[0,1/2) 1/2 + p\n[1/2,1] 3/2 - p\n",
+    "zero_inside.txt": "[0,1/2) (1/4 - p)^2\n[1/2,1] p^2 - 3/16\n",
+    "zero_piece.txt": "[0,1/3) 0\n[1/3,1] 3/2*p - 1/2\n",
+}
+REAL_EXPRS = ("p", "p^2", "(p-1/3)^2/(1 + (p-1/3)^2)",
+              "p^3*(1-p)/(1 + p^3*(1-p))", "2*p", "1/2")
 
 
 def _cli(argv: list[str], stdin: str) -> tuple[int, str, str]:
@@ -94,6 +118,26 @@ def readme_groups() -> dict[str, str]:
     return out
 
 
+def real_side_group() -> str:
+    """The real_side group: each command in text and with --json."""
+    commands = [["decide", f"sqrt(({c})*({q})^2{shape})"]
+                for q in SQRT_QS for shape in SQRT_SHAPES for c in SQRT_CS]
+    for spec in (*PIECEWISE, *REAL_EXPRS):
+        commands += [["corollary", spec], ["classify", spec]]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in PIECEWISE.items():
+                with open(name, "w") as f:
+                    f.write(text)
+            return workloads._digest(*((argv, _cli(argv, ""),
+                                        _cli(argv + ["--json"], ""))
+                                       for argv in commands))
+        finally:
+            os.chdir(here)
+
+
 def workload_groups() -> dict[str, str]:
     out = {}
     for name, cls in workloads.WORKLOADS.items():
@@ -112,6 +156,7 @@ def workload_groups() -> dict[str, str]:
 def compute() -> dict[str, str]:
     return {**readme_groups(),
             "fixtures": workloads._digest(*_cli(["fixtures"], "")),
+            "real_side": real_side_group(),
             **workload_groups()}
 
 
