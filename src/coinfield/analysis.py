@@ -17,9 +17,9 @@ from fractions import Fraction
 from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
                     sqrt_in_scalar_field, vanishing_order)
 from .lang import MAX_DEGREE, Expr, NotInFieldError, field_sqrt, lower, parse
-from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, certify_nonneg_int,
-                    int_mul, int_parts, int_sub, isolate_roots, sturm_count,
-                    zeta_parts)
+from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, _count_open, _sign_at,
+                    certify_nonneg_int, int_mul, int_parts, int_sub,
+                    isolate_roots, zeta_parts)
 from .report import json_value
 from .scalars import Scalar, read_rational
 from .zpoly import pair_norm, pmul
@@ -47,9 +47,11 @@ class PiecewiseFn:
     """Real rational pieces on a rational partition of [0,1]; intervals are
     closed-open except the last, which is closed. Pieces must be pole-free
     on the closure of their interval. range_fault says where the first
-    piece that leaves [0,1] does so, or is None when f maps into [0,1]."""
+    piece that leaves [0,1] does so, or is None when f maps into [0,1].
+    Each piece enters the root layer once, as integer lists ints[k] = (N, D)
+    with f = N/D and D > 0 on the closed piece, so g/D >= 0 iff g >= 0."""
 
-    __slots__ = ("pieces", "range_fault")
+    __slots__ = ("pieces", "ints", "range_fault")
 
     def __init__(self, pieces):
         pieces = tuple((Fraction(a), Fraction(b), f) for a, b, f in pieces)
@@ -57,20 +59,23 @@ class PiecewiseFn:
             raise ValueError("piecewise function needs at least one piece")
         if pieces[0][0] != 0 or pieces[-1][1] != 1:
             raise ValueError("pieces must cover [0,1]")
+        ints = []
         for (a, b, f), (a2, _, _) in zip(pieces, pieces[1:] + ((None,) * 3,)):
             if not a < b:
                 raise ValueError(f"empty interval [{a},{b})")
             if a2 is not None and a2 != b:
                 raise ValueError(f"gap or overlap at p = {b}")
-            if not f.is_real():
-                raise ValueError("pieces must be real rational functions")
-            if not f.den.eval_exact(a) or not f.den.eval_exact(b) \
-                    or sturm_count(f.den, a, b) > 0:
+            num, den = int_parts((f.num, f.den),
+                                 "pieces must be real rational functions")
+            s = _sign_at(den, a)
+            if not s or not _sign_at(den, b) or _count_open(den, a, b):
                 raise ValueError(f"piece on [{a},{b}] has a pole")
-        self.pieces = pieces
+            ints.append((num, den) if s > 0 else
+                        ([-c for c in num], [-c for c in den]))
+        self.pieces, self.ints = pieces, tuple(ints)
         self.range_fault = next(filter(None, (
-            _range_fault(a, b, *_positive_parts(f, a))
-            for a, b, f in pieces)), None)
+            _range_fault(a, b, num, den)
+            for (a, b, _), (num, den) in zip(pieces, self.ints))), None)
 
     @staticmethod
     def from_ratfn(f: RatFn) -> "PiecewiseFn":
@@ -88,9 +93,6 @@ class PiecewiseFn:
         if all(f == first for _, _, f in self.pieces[1:]):
             return first
         return None
-
-    def eval_exact(self, x: Fraction) -> Scalar:
-        return self.piece_at(Fraction(x)).eval_exact(Fraction(x))
 
     def eval_float(self, x: float) -> float:
         xf = Fraction(x).limit_denominator(10 ** 15)
@@ -192,9 +194,8 @@ def _square_root_witness(f: RatFn) -> CorollaryResult:
     if f.is_zero():
         return CorollaryResult(True, FE_ZERO,
                                "f is identically 0: the zero ratio, state |1>")
-    u = RatFn(f.num, f.den - f.num)
     try:
-        h = field_sqrt(u)
+        h = field_sqrt(_odds(f))
     except NotInFieldError as err:
         return CorollaryResult(False, None, str(err))
     route = "q*t with q = " + str(h.s) if h.r.is_zero() else "q = " + str(h.r)
@@ -209,8 +210,15 @@ def check_phased_witness(h: FieldElem, f: RatFn) -> bool:
         raise ValueError("probability functions are real")
     if f == ONE_RF:
         return False
-    u = RatFn(f.num, f.den - f.num)
-    return fe_mod_squared(h) == FieldElem(u)
+    return fe_mod_squared(h) == FieldElem(_odds(f))
+
+
+def _odds(f: RatFn) -> RatFn:
+    """u = f/(1 - f) = N/(D - N) for f = N/D other than 1. gcd(N, D - N) =
+    gcd(N, D) = 1, so the only step left is making D - N monic."""
+    den = f.den - f.num
+    linv = den.leading.inverse()
+    return RatFn.from_canonical(f.num * linv, den * linv)
 
 
 # -- classifier: CC part ---------------------------------------------------
@@ -222,18 +230,6 @@ class CCReport:
     reason: str
 
     to_json = json_value
-
-
-# A real piece enters the bound checks as integer lists N and D with f = N/D
-# and D > 0 on the closed piece, where PiecewiseFn has proved D root-free; so
-# g/D >= 0 iff g >= 0, and each check has the degree of the piece itself.
-
-def _positive_parts(f: RatFn, lo: Fraction) -> list[list]:
-    """[N, D] for the piece f from lo: D keeps its sign at lo throughout."""
-    num, den = int_parts((f.num, f.den))
-    if f.den.eval_exact(lo) < 0:
-        return [[-c for c in num], [-c for c in den]]
-    return [num, den]
 
 
 def _range_fault(lo: Fraction, hi: Fraction, num: list, den: list
@@ -266,9 +262,10 @@ def classify_cc(f: PiecewiseFn) -> CCReport:
     verdict is no only for a discontinuity, a range fault or an interior
     zero or one, and yes otherwise; witness_n is the least n up to
     MAX_DEGREE, or None when the least n exceeds it."""
-    for (a, b, f1), (_, _, f2) in zip(f.pieces, f.pieces[1:]):
-        if f1.eval_exact(b) != f2.eval_exact(b):
-            return CCReport("no", None, f"discontinuous at p = {b}")
+    # f1 = f2 at x iff N1*D2 - N2*D1 vanishes there, the Ds being nonzero
+    for (_, x, _), (n1, d1), (n2, d2) in zip(f.pieces, f.ints, f.ints[1:]):
+        if _sign_at(int_sub(int_mul(n1, d2), int_mul(n2, d1)), x):
+            return CCReport("no", None, f"discontinuous at p = {x}")
     if f.range_fault:
         return CCReport("no", None, f.range_fault)
     single = f.single_ratfn()
@@ -276,27 +273,22 @@ def classify_cc(f: PiecewiseFn) -> CCReport:
         return CCReport("yes", None, "constant function")
 
     # interior zeros or ones are fatal for the polynomial bound
-    for _, x, _ in f.pieces[:-1]:
-        v = f.eval_exact(x)
-        if not v:
+    for (_, x, _), (num, den) in zip(f.pieces, f.ints[1:]):
+        if not _sign_at(num, x):
             return CCReport("no", None, f"interior zero at p = {x}")
-        if v == Scalar(1):
+        if not _sign_at(int_sub(den, num), x):
             return CCReport("no", None, f"interior one at p = {x}")
-    for a, b, piece in f.pieces:
-        for g, what in ((piece.num, "zero"), (piece.den - piece.num, "one")):
-            if g.is_zero():
-                return CCReport("no", None,
-                                f"constant {what} piece on [{a},{b}] of a "
-                                "nonconstant function")
-            if sturm_count(g, a, b) > 0:
+    # a piece that is constant 0 or 1 has failed a check above, so g != 0
+    for (a, b, _), (num, den) in zip(f.pieces, f.ints):
+        for g, what in ((num, "zero"), (int_sub(den, num), "one")):
+            if _count_open(g, a, b):
                 return CCReport("no", None,
                                 f"interior {what} inside ({a},{b})")
 
     half = Fraction(1, 2)
-    pieces = [(a, b, *_positive_parts(piece, a)) for a, b, piece in f.pieces]
 
     def bounded(n: int) -> bool:
-        for a, b, num, den in pieces:
+        for (a, b, _), (num, den) in zip(f.pieces, f.ints):
             if a < half and not _bound_holds(num, den, [0] * n + den,
                                              a, min(b, half)):
                 return False

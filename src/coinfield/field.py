@@ -361,8 +361,9 @@ def vanishing_order(h: FieldElem, z: Fraction | int | AlgebraicPoint
         raise ValueError("vanishing order of the zero element")
     # w itself vanishes to order 1/2 at each endpoint, and the integer and
     # half-integer contributions can never cancel
-    na = multiplicity(h.A, z)
-    nb = multiplicity(h.B, z)
+    A, B, C = zeta_parts(*h.parts)[0]
+    na = multiplicity(A, z)
+    nb = multiplicity(B, z)
     if na is None:
         n = Fraction(nb) + Fraction(1, 2)
         why = "A = 0; half-integer order from B alone"
@@ -373,7 +374,7 @@ def vanishing_order(h: FieldElem, z: Fraction | int | AlgebraicPoint
         n = min(Fraction(na), Fraction(nb) + Fraction(1, 2))
         why = (f"min of integer order {na} from A and half-integer "
                f"order {nb} + 1/2 from B; the two kinds cannot cancel")
-    return OrderResult(n - multiplicity(h.C, z), why)
+    return OrderResult(n - multiplicity(C, z), why)
 
 
 def vanishing_order_at_point(h: FieldElem, pt: Fraction | AlgebraicPoint
@@ -402,7 +403,7 @@ def vanishing_order_at_point(h: FieldElem, pt: Fraction | AlgebraicPoint
         V = pmul(A, [zconj(c) for c in B])
         V = padd(V, [zconj(c) for c in V])
         assert V, "equal moduli would force p_ord == 2k"
-        below, above = pt.signs_beside(zeta_poly(V))
+        below, above = pt.signs_beside(V)
         n = p_ord - k if (below < 0 and above < 0) else k
         why = (f"conjugate product vanishes to order {p_ord} > 2k = {2 * k}; "
                f"the modulus-comparison sign ({below}, {above}) assigns the "

@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import ONE_MINUS_P, FieldElem, sqrt_in_scalar_field
-from .polys import Poly, RatFn, square_test, zeta_canonical, zeta_parts
-from .scalars import MAX_DIGITS
+from .field import FieldElem, sqrt_in_scalar_field
+from .polys import (Poly, RatFn, _from_int, _sign_at, int_mul, int_parts,
+                    square_test, zeta_canonical, zeta_parts)
+from .scalars import MAX_DIGITS, ZERO
 from .zpoly import (Z0, Z1, ZNEG1, parts_add, parts_inverse, parts_mul,
                     parts_pow, pscale)
 
@@ -357,33 +358,20 @@ def print_expr(e: Expr) -> str:
 
 # -- lowering into the field -----------------------------------------------
 
-_TAU_INV = RatFn(Poly((1, -1)), Poly((0, 1)))  # (1-p)/p
 _TAU_ODD = {Poly((0, 1)), Poly((-1, 1))}  # p and p - 1
 
-def _sign_probe_points():
-    yield Fraction(1, 2)
-    denom = 4
-    while True:
-        yield Fraction(1, denom)
-        yield Fraction(denom - 1, denom)
-        denom *= 2
-
-
-def _sign_fix(q: RatFn) -> RatFn:
-    """Pick the square-root representative that is nonnegative at p = 1/2,
-    breaking ties (zeros, poles) at points further out."""
-    if q.is_zero():
-        return q
-    for x in _sign_probe_points():
-        try:
-            s = q.eval_exact(x).sign()
-        except ZeroDivisionError:
-            continue
-        if s < 0:
-            return -q
-        if s > 0:
-            return q
-    raise AssertionError("unreachable: nonzero rational function with no sign")
+def _sign_fix(num: list, den: list) -> list:
+    """num or -num, the one that makes num/den positive at p = 1/2, or where
+    it is zero or has a pole there, at the first of 1/4, 3/4, 1/8, 7/8, ...
+    where it is neither; num = [] stays as it is."""
+    k = 2
+    while num:
+        for x in (Fraction(1, k), Fraction(k - 1, k)):
+            s = _sign_at(num, x) * _sign_at(den, x)
+            if s:
+                return num if s > 0 else [-c for c in num]
+        k *= 2
+    return num
 
 
 def _lower_sqrt(child: FieldElem) -> FieldElem:
@@ -395,23 +383,32 @@ def _lower_sqrt(child: FieldElem) -> FieldElem:
     if not u.is_rational():
         raise NotInFieldError(
             "sqrt argument must have rational coefficients")
-    direct = square_test(u)
-    # u = q^2 * p/(1-p) exactly when the odd factors of u are p and p - 1
-    via_t = len(direct.odd_factors) == 2 and set(direct.odd_factors) == _TAU_ODD
-    res = square_test(u * _TAU_INV) if via_t else direct
-    scale = None if res.half is None else sqrt_in_scalar_field(res.lc_ratio)
-    if scale is not None:
-        q = _sign_fix(res.half)
-        if not via_t:  # scale*q stays canonical
-            return FieldElem.from_canonical(q.num * scale, Poly(), q.den)
-        return FieldElem.from_zeta(*zeta_parts(
-            Poly(), q.num * scale, q.den * ONE_MINUS_P)[0])
-    odd = tuple(f.sign_normalized() for f in direct.odd_factors)
-    detail = ", ".join(str(f) for f in odd) if odd else "leading coefficient not a square"
-    raise NotInFieldError(
-        f"sqrt argument is not an exact square, directly or after dividing "
-        f"by p/(1-p); odd-multiplicity factors: {{{detail}}}",
-        odd_factors=odd)
+    res = square_test(u)
+    # u = -lc_ratio * q^2 * p/(1-p) exactly when u's odd factors are p and
+    # p - 1, q being half times p - 1 when that divides u's numerator and
+    # over p when p divides u's denominator; then sqrt(u) is q*t = q*w/(1-p)
+    via_t = len(res.odd_factors) == 2 and set(res.odd_factors) == _TAU_ODD
+    scale = None if res.odd_factors and not via_t else \
+        sqrt_in_scalar_field(-res.lc_ratio if via_t else res.lc_ratio)
+    if scale is None:
+        odd = tuple(f.sign_normalized() for f in res.odd_factors)
+        detail = ", ".join(str(f) for f in odd) if odd else "leading coefficient not a square"
+        raise NotInFieldError(
+            f"sqrt argument is not an exact square, directly or after dividing "
+            f"by p/(1-p); odd-multiplicity factors: {{{detail}}}",
+            odd_factors=odd)
+    num, den = int_parts((res.half.num, res.half.den))
+    if via_t:  # num/den becomes q/(1-p), where p - 1 cancels 1 - p to -1
+        if sum(u.num.coeffs, ZERO):
+            den = int_mul(den, [1, -1])
+        else:
+            num = [-c for c in num]
+        if not u.den.coeffs[0]:
+            den = int_mul(den, [0, 1])
+    # num and den are coprime, so scale*num/den only needs den monic
+    root = Poly([scale * Fraction(c, den[-1]) for c in _sign_fix(num, den)])
+    parts = (Poly(), root) if via_t else (root, Poly())
+    return FieldElem.from_canonical(*parts, _from_int(den))
 
 
 def field_sqrt(u: RatFn) -> FieldElem:

@@ -446,13 +446,13 @@ ONE_RF = RatFn(ONE_POLY)
 #
 # The real-root layer works on dense coefficient lists, ascending degree, no
 # trailing zeros, over Z, or over Z[sqrt2] (_Z2 entries) for a polynomial
-# with a sqrt2 part. A real Poly enters once, through _to_int, as a primitive
-# positive multiple of itself, so signs and roots are those of the Poly, and
-# leaves through _from_int as a monic Poly; a complex Poly or a zpoly list
-# enters through _real_core. Every gcd is primitive, so by Gauss's lemma
-# every exact quotient stays integral. int_parts brings several Polys in at
-# one common positive scale, for callers that combine them with int_mul and
-# int_sub before certify_nonneg_int; canonical() takes its real gcds here.
+# with a sqrt2 part. Everything enters as zpoly lists through _re_im, the one
+# split into real and imaginary integer lists: real Polys through int_parts,
+# at one common positive scale (for callers that combine them with int_mul
+# and int_sub), or _to_int, a primitive positive multiple, so signs and roots
+# are those of the Poly; a complex Poly or a zpoly list through _real_core.
+# Lists leave through _from_int as monic Polys. Every gcd is primitive, so by
+# Gauss's lemma every exact quotient stays integral.
 
 
 class _Z2:
@@ -544,21 +544,26 @@ def _primitive(f: list) -> list:
     return [c // (g if g.sign() > 0 else -g) for c in f]
 
 
+def _re_im(fs) -> list[tuple[list, list]]:
+    """(Re f, Im f) of each zpoly list f as integer lists at one common
+    positive scale, over Z[sqrt2] for all of them when one has a sqrt2
+    part, since 2*f = (2*c0 + (c1 - c3)*sqrt2) + i*(2*c2 + (c1 + c3)*sqrt2)."""
+    if not any(c1 or c3 for f in fs for _, c1, _, c3 in f):
+        return [(_trim([c[0] for c in f]), _trim([c[2] for c in f]))
+                for f in fs]
+    return [(_trim([_Z2(2 * c0, c1 - c3) for c0, c1, _, c3 in f]),
+             _trim([_Z2(2 * c2, c1 + c3) for _, c1, c2, c3 in f]))
+            for f in fs]
+
+
 def int_parts(polys, not_real: str = "") -> list[list]:
     """Real polys as integer lists at one common positive scale, over
     Z[sqrt2] for all of them when one has a sqrt2 part; raises
     ValueError(not_real) for a non-real poly."""
-    cs = [c for f in polys for c in f.coeffs]
-    if any(c.c or c.d for c in cs):
+    parts = _re_im(zeta_parts(*polys)[0])
+    if any(im for _, im in parts):
         raise ValueError(not_real)
-    if any(c.b for c in cs):
-        den = math.lcm(*(x.denominator for c in cs for x in (c.a, c.b)))
-        return [[_Z2(c.a.numerator * (den // c.a.denominator),
-                     c.b.numerator * (den // c.b.denominator))
-                 for c in f.coeffs] for f in polys]
-    den = math.lcm(*(c.a.denominator for c in cs))
-    return [[c.a.numerator * (den // c.a.denominator) for c in f.coeffs]
-            for f in polys]
+    return [re for re, _ in parts]
 
 
 def _to_int(f: Poly, not_real: str) -> list:
@@ -747,41 +752,41 @@ def squarefree_decompose(f: Poly) -> tuple[Scalar, list[tuple[Poly, int]]]:
 
 @dataclass(frozen=True)
 class SquareTest:
-    """Outcome of testing a rational function f for being an exact square.
-    Without odd-multiplicity factors, half is the q with monic numerator
-    and denominator and f = lc_ratio * q^2."""
+    """Outcome of testing a rational function f for being an exact square:
+    f = lc_ratio * half^2 * (the product of odd_factors, each in f's
+    numerator or denominator), half with monic numerator and denominator.
+    f is a square up to lc_ratio exactly when odd_factors is empty."""
     odd_factors: tuple[Poly, ...]
     lc_ratio: Fraction
-    half: "RatFn | None"
+    half: RatFn
 
 
 def square_test(f: RatFn) -> SquareTest:
-    """The odd-multiplicity factors of f over the plain rationals, and the
-    q with f = lc_ratio * q^2 when there are none."""
+    """The odd-multiplicity factors of f over the plain rationals, split at
+    their rational roots, and the root half of f's even part, from one
+    squarefree factorisation of f's numerator and denominator."""
     if not f.is_rational():
         raise ValueError("square detection supports rational coefficients only")
     if f.is_zero():
         return SquareTest((), Fraction(0), ZERO_RF)
-    ln, nf = squarefree_decompose(f.num)
-    ld, df = squarefree_decompose(f.den)
-    odd = tuple(piece for g, m in nf + df if m % 2 == 1
-                for piece in split_rational_roots(g))
-    lc_ratio = ln.as_fraction() / ld.as_fraction()
-    if odd:
-        return SquareTest(odd, lc_ratio, None)
-    num = den = ONE_POLY
-    for g, m in nf:
-        num = num * g ** (m // 2)
-    for g, m in df:
-        den = den * g ** (m // 2)
+    odd, half = [], []
+    for g in int_parts((f.num, f.den)):
+        root = [1]
+        for a, m in _yun(g):
+            if m % 2:
+                odd += _split_roots(a)
+            for _ in range(m // 2):
+                root = int_mul(root, a)
+        half.append(_from_int(root))
+    lc_ratio = f.num.leading.as_fraction() / f.den.leading.as_fraction()
     # monic factors of the coprime num and den of f
-    return SquareTest((), lc_ratio, RatFn.from_canonical(num, den))
+    return SquareTest(tuple(odd), lc_ratio, RatFn.from_canonical(*half))
 
 
 def is_square(f: RatFn) -> RatFn | None:
     """The rational-function square root of f, or None if no exact root exists."""
     res = square_test(f)
-    lcroot = None if res.half is None else sqrt_fraction(res.lc_ratio)
+    lcroot = None if res.odd_factors else sqrt_fraction(res.lc_ratio)
     root = None if lcroot is None else res.half * lcroot
     assert root is None or root * root == f
     return root
@@ -916,12 +921,14 @@ class AlgebraicPoint:
             return AlgebraicPoint._of(f, mid, hi)
         return AlgebraicPoint._of(f, lo, mid)
 
-    def signs_beside(self, v: Poly) -> tuple[int, int]:
-        """The signs of nonzero real v just below and just above the point,
-        read at the 1/16 points of a narrower copy whose interval holds no
-        other root of v (v*f has one root in it) and whose 1/16 points lie
-        on either side of the point."""
-        v, f, pt = _to_int(v, "signs require real coefficients"), self._f, self
+    def signs_beside(self, v) -> tuple[int, int]:
+        """The signs of nonzero real v, a Poly or a zpoly list, just below
+        and just above the point, read at the 1/16 points of a narrower copy
+        whose interval holds no other root of v (v*f has one root in it) and
+        whose 1/16 points lie on either side of the point."""
+        v = _to_int(v, "signs require real coefficients") \
+            if isinstance(v, Poly) else _real_core(v)
+        f, pt = self._f, self
         vf = int_mul(v, f)
         while _count_open(vf, pt.lo, pt.hi) > 1:
             pt = pt.refine()
@@ -948,12 +955,8 @@ def _real_core(f) -> list:
     Poly or zpoly list f: a real point is a root of f exactly when it is one
     of both parts, so it has f's real roots, with their multiplicities."""
     if isinstance(f, Poly):
-        re, im = int_parts((f.real_part(), f.imag_part()))
-    else:
-        # 2*f = (2*c0 + (c1 - c3)*sqrt2) + i*(2*c2 + (c1 + c3)*sqrt2)
-        s2 = any(c1 or c3 for _, c1, _, c3 in f)
-        re = _trim([_Z2(2 * c0, c1 - c3) if s2 else c0 for c0, c1, _, c3 in f])
-        im = _trim([_Z2(2 * c2, c1 + c3) if s2 else c2 for _, c1, c2, c3 in f])
+        f = zeta_parts(f)[0][0]
+    (re, im), = _re_im((f,))
     if not (re and im):
         return _primitive(re or im)
     return _gcd(re, im)
@@ -1018,7 +1021,11 @@ def rational_roots(f: Poly) -> list[Fraction]:
 def split_rational_roots(g: Poly) -> list[Poly]:
     """Split monic real g into linear factors (p - z) for its rational roots
     plus whatever remains; enough granularity for readable diagnoses."""
-    f = _to_int(g, "rational roots require real coefficients")
+    return _split_roots(_to_int(g, "rational roots require real coefficients"))
+
+
+def _split_roots(f: list) -> list[Poly]:
+    """split_rational_roots for a nonzero integer list f."""
     out: list[Poly] = []
     for z in _rational_roots(f):
         m, f = _deflate(f, z)

@@ -268,9 +268,11 @@ class Scalar:
 def to_zeta(s: Scalar) -> tuple[tuple[int, int, int, int], int]:
     """(c, den) with s = (c0 + c1*z + c2*z^2 + c3*z^3)/den, z = exp(i*pi/4),
     and den > 0 the least denominator that makes every c_k an integer."""
-    parts = (s.a, s.b + s.d, s.c, s.d - s.b)
-    den = math.lcm(*(x.denominator for x in parts))
-    return tuple(x.numerator * (den // x.denominator) for x in parts), den
+    a, b, c, d = s.a, s.b, s.c, s.d
+    if b or d:
+        b, d = b + d, d - b
+    den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    return tuple(x.numerator * (den // x.denominator) for x in (a, b, c, d)), den
 
 
 def from_zeta(c: tuple[int, int, int, int], den: int = 1) -> Scalar:

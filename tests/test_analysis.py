@@ -652,6 +652,182 @@ def test_two_distinct_pieces_are_in_cc_not_qq():
     check()
 
 
+def _cc_by_sympy(pieces):
+    """classify_cc's verdict, and its reason when it says no, from sympy
+    alone: values at the breakpoints by subs, and the sign of f and of
+    1 - f on a piece from real_roots of their numerators and a rational
+    point between each pair of neighbouring roots."""
+    sympy = pytest.importorskip("sympy")
+    p = sympy.Symbol("p")
+
+    def dips_below_zero(g, a, b):
+        # g's denominator has no root on [a, b], so g changes sign only at
+        # the roots of its numerator
+        num, _ = sympy.fraction(sympy.together(g))
+        roots = sorted({r for r in sympy.real_roots(sympy.Poly(num, p))
+                        if a < r < b}, key=lambda r: r.evalf(50))
+        points = [a, *roots, b]
+        mids = [(x + y) / 2 if (x + y).is_Rational else
+                sympy.nsimplify(((x + y) / 2).evalf(60), rational=True)
+                for x, y in zip(points, points[1:])]
+        return any(g.subs(p, x) < 0 for x in [a, b, *mids])
+
+    for (_, x, f1), (_, _, f2) in zip(pieces, pieces[1:]):
+        if f1.subs(p, x) != f2.subs(p, x):
+            return "no", f"discontinuous at p = {x}"
+    for a, b, f in pieces:
+        for g, what in ((f, "f < 0"), (1 - f, "f > 1")):
+            if dips_below_zero(g, a, b):
+                return "no", f"{what} somewhere on [{a},{b}]"
+    if all(sympy.simplify(f - pieces[0][2]) == 0 for _, _, f in pieces) \
+            and not sympy.simplify(pieces[0][2]).free_symbols:
+        return "yes", "constant function"
+    for (_, x, _), (_, _, f) in zip(pieces, pieces[1:]):
+        if f.subs(p, x) == 0:
+            return "no", f"interior zero at p = {x}"
+        if f.subs(p, x) == 1:
+            return "no", f"interior one at p = {x}"
+    for a, b, f in pieces:
+        for g, what in ((f, "zero"), (1 - f, "one")):
+            num, _ = sympy.fraction(sympy.together(g))
+            if any(a < r < b for r in sympy.real_roots(sympy.Poly(num, p))):
+                return "no", f"interior {what} inside ({a},{b})"
+    return "yes", None
+
+
+def test_cc_prechecks_match_sympy():
+    # pieces of 2 to 4 at random breakpoints, each from the value v the
+    # last one ended with unless a jump is drawn: Mobius pieces from v to a
+    # drawn value (their pole outside the piece, so D may be negative on
+    # it), v*((p - r)/(a - r))^2 and the like for 1 - f touching 0 or 1 at
+    # r inside (possibly past 1 or 0 at b), and constant 0 or 1 pieces
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    p = sympy.Symbol("p")
+    values = st.sampled_from([Fraction(1, 3), Fraction(3, 4), Fraction(0),
+                              Fraction(1), Fraction(1, 2)])
+
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(2, 4))
+        cuts = sorted(draw(st.sets(st.builds(Fraction, st.integers(1, 11),
+                                             st.just(12)),
+                                   min_size=n - 1, max_size=n - 1)))
+        ends = [Fraction(0), *cuts, Fraction(1)]
+        pieces, v = [], draw(values)
+        for a, b in zip(ends, ends[1:]):
+            if draw(st.integers(0, 5)) == 0:
+                v = draw(values)
+            kind = draw(st.sampled_from(["mobius", "zero", "one", "mobius",
+                                         "const"]))
+            if kind == "const" or (kind == "zero" and not v) or \
+                    (kind == "one" and v == 1):
+                v = v if v in (0, 1) else Fraction(draw(st.integers(0, 1)))
+                text, expr = str(v), sympy.Rational(v)
+            elif kind == "mobius":
+                end = draw(values)
+                s = draw(st.sampled_from([Fraction(-1), Fraction(3, 2),
+                                          Fraction(2)]))
+                # (x*p + y)/(p - s) through (a, v) and (b, end)
+                x = (end * (b - s) - v * (a - s)) / (b - a)
+                y = v * (a - s) - x * a
+                text, expr = f"(({x})*p + ({y}))/(p - ({s}))", \
+                    (x * p + y) / (p - s)
+            else:
+                r = a + (b - a) * Fraction(draw(st.integers(1, 3)), 4)
+                k = (v if kind == "zero" else 1 - v) / (a - r) ** 2
+                text, expr = f"({k})*(p - ({r}))^2", k * (p - r) ** 2
+                if kind == "one":
+                    text, expr = f"1 - {text}", 1 - expr
+            pieces.append((a, b, text, sympy.sympify(expr)))
+            v = Fraction(str(sympy.Rational(expr.subs(p, b))))
+        return pieces
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(case())
+    def check(pieces):
+        lines = [f"[{a},{b}) {text}" for a, b, text, _ in pieces]
+        lines[-1] = lines[-1].replace(")", "]", 1)
+        rep = classify_cc(parse_piecewise("\n".join(lines)))
+        verdict, reason = _cc_by_sympy([(sympy.Rational(a), sympy.Rational(b), e)
+                                        for a, b, _, e in pieces])
+        assert rep.verdict == verdict
+        assert reason is None or rep.reason == reason
+
+    check()
+
+
+def test_odds_ratio_takes_no_gcd(monkeypatch):
+    # u = f/(1 - f) = N/(D - N): gcd(N, D - N) = gcd(N, D) = 1, so _odds
+    # only makes D - N monic and must equal the canonical RatFn
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from coinfield import analysis, polys
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    poly = st.lists(coeff, min_size=1, max_size=4).map(Poly)
+    calls = []
+    real = polys._gcd
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(polys, "_gcd", counted)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(poly, poly, st.booleans())
+    def check(num, den, sqrt2):
+        hypothesis.assume(den)
+        if sqrt2:
+            num = num * Scalar(1, 1)
+        f = RatFn(num, den)
+        hypothesis.assume(f != ONE_RF)
+        calls.clear()
+        u = analysis._odds(f)
+        assert not calls
+        assert u == RatFn(f.num, f.den - f.num)
+
+    check()
+
+
+def test_real_side_runs_on_integer_lists(monkeypatch):
+    # with Poly products, differences, Scalar evaluation and the Poly
+    # canonical form all refused, sqrt lowering and the CC checks give what
+    # they gave when they ran on Polys
+    from coinfield import field, polys
+    q = "((1-2*p)/(p+2))^2"
+    targets = {f"sqrt({c}*{q}{s})": want for c, s, want in (
+        ("1", "", "(1 - 2*p)/(2 + p)"),
+        ("-2", "", "(i*sqrt2 - 2*i*sqrt2*p)/(2 + p)"),
+        ("1", "*p/(1-p)", "(1 - 2*p)/(2 + p)*t"),
+        ("1", "*(1-p)/p", "(1 - 3*p + 2*p^2)/(2*p + p^2)*t"),
+        ("1", "*p*(p-1)", "(i - 3*i*p + 2*i*p^2)/(2 + p)*t"),
+        ("-2", "/(p*(p-1))", "(sqrt2 - 2*sqrt2*p)/(2*p + p^2)*t"))}
+    files = {
+        "[0,1/2) p\n[1/2,1] 1 - p": ("yes", 1, "min(f,1-f) >= min(p^1,(1-p)^1)"),
+        "[0,1/2) 1/2\n[1/2,1] p/2 + 1/4":
+            ("yes", 1, "min(f,1-f) >= min(p^1,(1-p)^1)"),
+        "[0,1/2) p\n[1/2,1] p/2": ("no", None, "discontinuous at p = 1/2"),
+        "[0,1/2) p\n[1/2,1] 2*p - 1/2":
+            ("no", None, "f > 1 somewhere on [1/2,1]"),
+    }
+
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic on the real side")
+
+    with monkeypatch.context() as m:
+        for name in ("__mul__", "__rmul__", "__sub__", "eval_exact"):
+            m.setattr(Poly, name, refuse)
+        m.setattr(polys, "canonical", refuse)
+        m.setattr(field, "canonical", refuse)
+        got = {text: lower(parse(text)) for text in targets}
+        reps = {text: classify_cc(parse_piecewise(text)) for text in files}
+    assert {text: str(h) for text, h in got.items()} == targets
+    assert {text: (r.verdict, r.witness_n, r.reason)
+            for text, r in reps.items()} == files
+
+
 # ---------------------------------------------------------------------------
 # Combined report
 # ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ def test_sqrt_table(shape, c):
     ("sqrt((p + 2)*(1 - 2*p)^2)", 1),
     ("sqrt(2*(1 - 2*p)^2)", 1),
     ("sqrt(3*(1 - 2*p)^2)", 1),
-    ("sqrt(2*(1 - 2*p)^2*p/(1 - p))", 2),
+    ("sqrt(2*(1 - 2*p)^2*p/(1 - p))", 1),
 ])
 def test_sqrt_square_test_count(monkeypatch, text, tests):
     from coinfield import lang
@@ -275,6 +275,72 @@ def test_sqrt_square_test_count(monkeypatch, text, tests):
     monkeypatch.setattr(lang, "square_test", counted)
     decide_qq_ratio(text)
     assert len(calls) == tests
+
+
+def _sqrt_by_two_factorisations(u):
+    """The square-root rule as two factorisations: square_test(u), then
+    square_test(u*(1-p)/p) when u's odd factors are p and p - 1; the root
+    scale*q, or q*t, with q's sign read by Scalar evaluation at 1/2, 1/4,
+    3/4, 1/8, ..., or the sign-normalised odd factors when there is none."""
+    direct = polys.square_test(u)
+    via_t = len(direct.odd_factors) == 2 and \
+        set(direct.odd_factors) == {Poly((0, 1)), Poly((-1, 1))}
+    res = polys.square_test(u * _OMP / _PR) if via_t else direct
+    scale = None if res.odd_factors else field.sqrt_in_scalar_field(res.lc_ratio)
+    if scale is None:
+        return tuple(f.sign_normalized() for f in direct.odd_factors)
+    q, k, sign = res.half, 2, 0
+    while not sign:
+        for x in (Fraction(1, k), Fraction(k - 1, k)):
+            if not sign and q.den.eval_exact(x):
+                sign = q.eval_exact(x).sign()
+        k *= 2
+    q = q * (scale if sign > 0 else -scale)
+    return FieldElem(polys.ZERO_RF, q) if via_t else FieldElem(q)
+
+
+def test_sqrt_rule_matches_two_factorisations():
+    # q has rational roots among 0 and 1, so p and p - 1 also occur in u
+    # with even multiplicity; the one factorisation of u must give the
+    # element, or the odd factors, that the two-factorisation rule gives
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    roots = st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2),
+                                      Fraction(-1), Fraction(2), Fraction(1, 3)]),
+                     max_size=3)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(roots, roots,
+                      st.sampled_from(["1", "4/9", "2", "1/2", "-1", "-2", "3"]),
+                      st.sampled_from(sorted(SQRT_SHAPES)))
+    def check(num_roots, den_roots, c, shape):
+        q = RatFn.const(1)
+        for z in num_roots:
+            q = q * RatFn.from_poly(Poly((-z, 1)))
+        for z in den_roots:
+            q = q / RatFn.from_poly(Poly((-z, 1)))
+        u = RatFn.const(Fraction(c)) * q * q * SQRT_SHAPES[shape]
+        want = _sqrt_by_two_factorisations(u)
+        if isinstance(want, FieldElem):
+            assert field_sqrt(u) == want
+            return
+        with pytest.raises(NotInFieldError) as exc:
+            field_sqrt(u)
+        assert exc.value.odd_factors == want
+
+    check()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: sqrt refuses an "
+                   "argument with coefficients outside Q before it sees "
+                   "that the root lies in the field")
+def test_sqrt_of_a_square_with_irrational_coefficients():
+    # sqrt(i) = z8, sqrt(2i*p^2) = (1 + i)*p, sqrt((3 + 2 sqrt2)*p^2) =
+    # (1 + sqrt2)*p: each prints "simulable: no" today
+    from coinfield.analysis import decide_qq_ratio
+    for arg in ("i", "2*i*p^2", "(3+2*sqrt2)*p^2"):
+        d = decide_qq_ratio(f"sqrt({arg})")
+        assert d.simulable and d.element * d.element == lower(parse(arg))
 
 
 def test_parse_refuses_integer_past_digit_bound():

@@ -99,10 +99,11 @@ def test_is_square_rejects():
 
 
 def test_square_test_reports_odd_factors():
-    # p^2 / (1 - p^2) leaves the two linear factors of the denominator unmatched
+    # p^2 / (1 - p^2) leaves the two linear factors of the denominator
+    # unmatched; half is the root p of the even part
     u = RatFn(P * P, Poly((ONE, Scalar(0), Scalar(-1))))
     res = square_test(u)
-    assert res.half is None and is_square(u) is None
+    assert res.half == RatFn(P) and is_square(u) is None
     want = {P - Poly.const(ONE), P + Poly.const(ONE)}
     assert set(res.odd_factors) == want
 
