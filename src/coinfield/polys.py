@@ -1,11 +1,12 @@
 """Polynomials and rational functions over the exact scalar field.
 
 Provides the canonical-form arithmetic every decision procedure builds on:
-gcd, squarefree decomposition, exact square detection, Sturm-sequence root
-counting on intervals, and certified nonnegativity. The real-root layer runs
-on a private integer core: a real polynomial becomes a primitive polynomial
-over Z, or over Z[sqrt2] when it has a sqrt2 part, once at entry, and a
-complex one, or a zpoly list, becomes gcd(Re f, Im f), with its real roots.
+gcd, squarefree decomposition, exact square detection, root counting on
+intervals by Descartes' rule of signs, and certified nonnegativity. The
+real-root layer runs on a private integer core: a real polynomial becomes a
+primitive polynomial over Z, or over Z[sqrt2] when it has a sqrt2 part, once
+at entry, and a complex one, or a zpoly list, becomes gcd(Re f, Im f), with
+its real roots.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .scalars import (ONE, ZERO, Scalar, from_zeta, sqrt2_sign, sqrt_fraction,
                       to_zeta)
@@ -504,9 +506,6 @@ class _Z2:
     def norm(self) -> int:
         return self.a * self.a - 2 * self.b * self.b
 
-    def sign(self) -> int:
-        return sqrt2_sign(self.a, self.b)
-
 
 def _sgn(x) -> int:
     return sqrt2_sign(x.a, x.b) if type(x) is _Z2 else (x > 0) - (x < 0)
@@ -541,7 +540,7 @@ def _primitive(f: list) -> list:
         g = _z2_gcd(g, c if type(c) is _Z2 else _Z2(c))
         if abs(g.norm()) == 1:
             return f
-    return [c // (g if g.sign() > 0 else -g) for c in f]
+    return [c // (g if _sgn(g) > 0 else -g) for c in f]
 
 
 def _re_im(fs) -> list[tuple[list, list]]:
@@ -606,17 +605,12 @@ def int_mul(f: list, g: list) -> list:
 
 
 def _prem(f: list, g: list) -> list:
-    """The remainder of f by nonzero g times a positive constant: each step
-    scales by |lc(g)|, so the signs a Sturm chain needs survive."""
-    lc = g[-1]
-    s = _sgn(lc)
-    scale = lc * s
+    """The remainder of f by nonzero g times a power of lc(g)."""
+    lc, dg = g[-1], len(g) - 1
     r = list(f)
-    dg = len(g) - 1
     while len(r) > dg:
-        c = r[-1] * s
-        k = len(r) - 1 - dg
-        r = [x * scale for x in r]
+        c, k = r[-1], len(r) - 1 - dg
+        r = [x * lc for x in r]
         for j, y in enumerate(g):
             r[k + j] -= c * y
         r.pop()
@@ -649,6 +643,17 @@ def _sqf(f: list) -> list:
     """The squarefree part of f."""
     g = _gcd(f, _deriv(f))
     return _exquo(f, g) if len(g) > 1 else f
+
+
+def _odd_part(f: list) -> list:
+    """f over the square of the root of its even part: the product of its
+    factors of odd multiplicity, times a constant, with the sign of f
+    wherever f is not 0."""
+    root = [1]
+    for a, m in _yun(f):
+        for _ in range(m // 2):
+            root = int_mul(root, a)
+    return _exquo(f, int_mul(root, root)) if len(root) > 1 else f
 
 
 def _sign_at(f: list, x: Fraction) -> int:
@@ -696,29 +701,86 @@ def _yun(f: list) -> list[tuple[list, int]]:
     return out
 
 
-def _root_counter(f: list):
-    """count(x, y): the number of distinct real roots of nonzero f in
-    (x, y], for x and y not roots of f, by Sturm's theorem on the chain f,
-    f', -rem, ... built once. f need not be squarefree: every member of the
-    chain carries gcd(f, f') as a factor, which does not change the sign
-    variations away from the roots of f."""
-    chain = [f]
-    r = _primitive(_deriv(f))
-    while r:
-        chain.append(r)
-        r = [-c for c in _primitive(_prem(chain[-2], r))]
+# -- Descartes' rule of signs on cells ---------------------------------------
+#
+# A cell (lo, hi) of f is the integer list g(y) = c * f(lo + (hi - lo) * y),
+# c > 0, over Z or Z[sqrt2] like f. The sign variations v of (1 + x)^n * g(1/(1 + x)), whose positive roots are
+# the roots of g in (0, 1), bound the roots of f in the open cell, counted
+# with multiplicity, and share their parity (Descartes): v = 0 means none,
+# v = 1 one simple root. Bisection halves g and shifts the upper half
+# (Collins & Akritas). A cell around a root of even multiplicity keeps
+# v >= 2, so a cell still open after _STALL bisections takes f's
+# squarefree or odd part, whose cells all close.
 
-    def variations(x: Fraction) -> int:
-        signs = [s for s in (_sign_at(g, x) for g in chain) if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return lambda x, y: variations(x) - variations(y)
+_STALL = 2
 
 
-def _count_open(f: list, a: Fraction, b: Fraction) -> int:
-    """Distinct roots of nonzero f in the open interval (a, b)."""
-    f = _deflate(_deflate(f, a)[1], b)[1]
-    return _root_counter(f)(a, b) if len(f) > 1 else 0
+def _taylor1(b: list) -> list:
+    """b(x + 1), in place, for b with descending coefficients: each pass of
+    prefix sums is one synthetic division by x - 1."""
+    for m in range(len(b), 1, -1):
+        b[:m] = accumulate(b[:m])
+    return b
+
+
+def _cell(f: list, lo: Fraction, hi: Fraction) -> list:
+    """The cell (lo, hi) of nonzero f: g(y) = d^n * f((P + W*y)/d) with
+    lo = P/d and hi = (P + W)/d, the sum of f_k * d^(n-k) * (P + W*y)^k.
+    Scaling f_k by P^k makes the shift by P a shift by 1; the j-th
+    coefficient is then divided by P^j, exactly, and scaled by W^j."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    P = lo.numerator * (d // lo.denominator)
+    W = hi.numerator * (d // hi.denominator) - P
+    n = len(f) - 1
+    g = [c * d ** (n - k) * (P or W) ** k for k, c in enumerate(f)]
+    if P:
+        g = [c // P ** j * W ** j
+             for j, c in enumerate(_taylor1(g[::-1])[::-1])]
+    return g
+
+
+def _halves(g: list) -> tuple[list, list]:
+    """The cells of the lower and upper half of g's cell: 2^n * g(y/2) and
+    2^n * g((1 + y)/2), each divided by its content."""
+    n = len(g) - 1
+    lower = _primitive([c * 2 ** (n - j) for j, c in enumerate(g)])
+    return lower, _primitive(_taylor1(lower[::-1])[::-1])
+
+
+def _descartes(g: list) -> tuple[int, int]:
+    """(v, s): the sign variations v of g's cell, and the sign s that, for
+    v = 0, f has throughout the open cell."""
+    signs = [s for s in map(_sgn, _taylor1(list(g))) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:])), signs[0]
+
+
+def _walk(f: list, a: Fraction, b: Fraction, part):
+    """(v, s) for each cell of (a, b) that Descartes' rule settles for
+    nonzero f, v <= 1, and (0, the sign of f there) for the midpoint of each
+    bisected cell. A cell still open after _STALL bisections goes on with
+    part(f), taken once, unless part is None."""
+    sub = None
+    cells = [(a, b, _cell(f, a, b), 0)]
+    while cells:
+        lo, hi, g, depth = cells.pop()
+        v, s = _descartes(g)
+        if v < 2:
+            yield v, s
+        elif depth == _STALL and part:
+            sub = sub or part(f)
+            cells.append((lo, hi, _cell(sub, lo, hi), depth + 1))
+        else:
+            lower, upper = _halves(g)
+            yield 0, _sgn(upper[0])
+            mid = (lo + hi) / 2
+            cells += [(lo, mid, lower, depth + 1), (mid, hi, upper, depth + 1)]
+
+
+def _count_open(f: list, a: Fraction, b: Fraction, part=_sqf) -> int:
+    """Distinct roots of nonzero f in the open interval (a, b): v in each
+    settled cell and one at each midpoint that is a root. A stalled cell
+    goes on with f's squarefree part; part=None is for squarefree f."""
+    return sum(v + (not s) for v, s in _walk(f, a, b, part))
 
 
 def _grid(f: list) -> int:
@@ -792,12 +854,11 @@ def is_square(f: RatFn) -> RatFn | None:
     return root
 
 
-# -- Sturm sequences and certified sign conditions -------------------------
+# -- root counts and certified sign conditions -----------------------------
 
 def sturm_count(f: Poly, a: Fraction | int, b: Fraction | int) -> int:
-    """Number of distinct real roots of f in the open interval (a, b). The
-    Sturm chain counts distinct roots of any f, so f is not made
-    squarefree first."""
+    """Number of distinct real roots of f in the open interval (a, b),
+    counted by Descartes' rule of signs on a bisection of it."""
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError("need a < b")
@@ -808,8 +869,9 @@ def sturm_count(f: Poly, a: Fraction | int, b: Fraction | int) -> int:
 
 
 def certify_nonneg(f: Poly, a: Fraction | int, b: Fraction | int) -> bool:
-    """Certified f >= 0 throughout [a, b]: no interior odd-multiplicity root
-    and nonnegative values at the endpoints and a non-root sample point."""
+    """Certified f >= 0 throughout [a, b]: each cell that Descartes' rule
+    settles holds no root and has a positive sign, f is not negative at any
+    midpoint, and so, by continuity, not at a or b."""
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError("need a < b")
@@ -825,19 +887,10 @@ def certify_nonneg_int(fi: list, a: Fraction, b: Fraction) -> bool:
     positive scale, and rational a < b."""
     if not fi:
         return True
-    # the squarefree factors are coprime: count each odd one on its own
-    if any(_count_open(g, a, b) for g, m in _yun(fi) if m % 2 == 1):
-        return False
-    if _sign_at(fi, a) < 0 or _sign_at(fi, b) < 0:
-        return False
-    denom = 16
-    while True:
-        for k in range(1, denom):
-            s = _sign_at(fi, a + (b - a) * Fraction(k, denom))
-            if s:
-                return s > 0
-        denom *= 4
-        assert denom <= 4 ** 12, "sample scan failed to find a non-root point"
+    # f >= 0 on a settled cell when v = 0 and its sign is positive (v = 1
+    # is a sign change), and at a midpoint when f is not negative there; a
+    # stalled cell goes on with f's odd part, whose sign changes are f's
+    return all(v == 0 and s >= 0 for v, s in _walk(fi, a, b, _odd_part))
 
 
 # -- root isolation and rational-point recognition -------------------------
@@ -845,30 +898,33 @@ def certify_nonneg_int(fi: list, a: Fraction, b: Fraction) -> bool:
 def _peel_rational_roots(f: list, a: Fraction, b: Fraction
                          ) -> tuple[list[Fraction], list]:
     """The rational roots of squarefree f in (a, b), f(a)f(b) != 0, sorted,
-    and f with them divided out. Each interval holding roots is bisected,
-    testing every midpoint, until it holds one root and is narrower than
-    the spacing 1/k of the grid every rational root lies on; then its one
-    grid point, if any, is the only candidate left."""
+    and f with them divided out. Each interval holding two or more roots is
+    bisected, testing its midpoint. In one that holds one root, f changes
+    sign there: a binary search over the grid (1/k)Z that holds every
+    rational root finds the first grid point where f's sign is not f(lo)'s,
+    the only candidate."""
     k = _grid(f)
-    count = _root_counter(f)
     roots: list[Fraction] = []
     stack = [(a, b)]
     while stack:
         lo, hi = stack.pop()
-        n = count(lo, hi)
-        if n == 0:
-            continue
-        if n == 1 and (hi - lo) * k < 1:
-            z = Fraction(math.floor(lo * k) + 1, k)
+        n = _count_open(f, lo, hi, None)
+        if n == 1:
+            s, i, j = _sign_at(f, lo), math.floor(lo * k) + 1, math.ceil(hi * k)
+            while i < j:
+                m = (i + j) // 2
+                i, j = (m + 1, j) if _sign_at(f, Fraction(m, k)) == s else (i, m)
+            z = Fraction(i, k)
             if z >= hi:
                 continue
-        else:
+        elif n:
             z = (lo + hi) / 2
             stack += [(lo, z), (z, hi)]
+        else:
+            continue
         if not _sign_at(f, z):
             roots.append(z)
             f = _deflate(f, z)[1]
-            count = _root_counter(f)
     return sorted(roots), f
 
 
@@ -885,7 +941,7 @@ class AlgebraicPoint:
         lo, hi = Fraction(lo), Fraction(hi)
         if _sign_at(f, lo) * _sign_at(f, hi) >= 0:
             raise ValueError("interval endpoints must straddle a sign change")
-        if _root_counter(f)(lo, hi) != 1:
+        if _count_open(f, lo, hi, None) != 1:
             raise ValueError("interval must isolate exactly one root")
         self._f, self.lo, self.hi = f, lo, hi
 
@@ -942,7 +998,7 @@ class AlgebraicPoint:
     def _multiplicity(self, q: list) -> int:
         """Multiplicity of this point as a root of nonzero integer list q."""
         m = 0
-        while len(q) > 1 and _root_counter(_gcd(self._f, q))(self.lo, self.hi):
+        while len(q) > 1 and _count_open(_gcd(self._f, q), self.lo, self.hi):
             m, q = m + 1, _deriv(q)
         return m
 
@@ -986,13 +1042,12 @@ def isolate_roots(f, a: Fraction | int, b: Fraction | int
     exact, fs = _peel_rational_roots(fs, a, b)
     if len(fs) <= 1:
         return exact, []
-    count = _root_counter(fs)
     # every rational root is peeled, so no midpoint is a root of fs
     stack = [(a, b)]
     intervals: list[tuple[Fraction, Fraction]] = []
     while stack:
         lo, hi = stack.pop()
-        n = count(lo, hi)
+        n = _count_open(fs, lo, hi, None)
         if n == 0:
             continue
         if n == 1:

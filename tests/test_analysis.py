@@ -258,6 +258,31 @@ def test_cc_witness_scales_with_flatness():
         assert rep.verdict == "yes" and rep.witness_n == m
 
 
+def test_cc_witness_search_takes_no_gcd(monkeypatch):
+    # Descartes' rule settles every cell of the bound polynomials, so the
+    # witness search for p^70/(1 + p^70) takes no gcd; the double zero at 1/3
+    # keeps its cells' sign variations at 2, and the stalled cell that takes
+    # the squarefree part still finds the interior zero
+    from coinfield import polys
+    p70 = PiecewiseFn.from_ratfn(lower(parse("p^70/(1+p^70)")).r)
+    u = lower(parse("(p-1/3)^2")).r
+    third = PiecewiseFn.from_ratfn(u / (ONE_RF + u))
+    calls = []
+    real = polys._gcd
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(polys, "_gcd", counted)
+    rep = classify_cc(p70)
+    assert (rep.verdict, rep.witness_n) == ("yes", 71)
+    assert not calls
+    rep = classify_cc(third)
+    assert (rep.verdict, rep.reason) == ("no", "interior zero inside (0,1)")
+    assert calls
+
+
 def test_cc_witness_matches_linear_search():
     # classify_cc gallops and bisects for the least witness n; the reference
     # tries n = 1, 2, ..., MAX_DEGREE in turn on Polys through certify_nonneg

@@ -604,6 +604,67 @@ def test_sturm_and_nonneg_match_sympy(sqrt2):
 
 
 @pytest.mark.parametrize("sqrt2", [False, True])
+def test_descartes_counts_match_sympy_at_planted_roots(sqrt2):
+    # roots planted where the bisection meets them: at the ends of (a, b),
+    # at its dyadic midpoints, at 1/3, which no midpoint of these intervals
+    # hits, and in pairs down to 10^-12 apart; an even order keeps a cell's
+    # sign variations at 2 or more, so its cell stalls
+    hypothesis, st, sympy, poly, to_sympy, settings = _sympy_oracle(sqrt2)
+    third = Fraction(1, 3)
+    intervals = [(Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(3, 4)),
+                 (third, Fraction(2)), (Fraction(-2), third)]
+
+    def linear(z):
+        return Poly((Scalar(-z), ONE))
+
+    @st.composite
+    def case(draw):
+        a, b = draw(st.sampled_from(intervals))
+        mid = (a + b) / 2
+        spot = st.sampled_from([a, b, mid, (a + mid) / 2, (mid + b) / 2, third])
+        order = st.integers(1, 4)
+        f = draw(poly(1))
+        for _ in range(draw(st.integers(1, 3))):
+            f = f * linear(draw(spot)) ** draw(order)
+        if draw(st.booleans()):
+            z = draw(spot)
+            gap = Fraction(draw(st.sampled_from([-1, 1])),
+                           10 ** draw(st.integers(1, 12)))
+            f = f * linear(z) ** draw(order) * linear(z + gap) ** draw(order)
+        return f, a, b
+
+    def distinct_inside(g, lo, hi):
+        sf = g.sqf_part()
+        lo, hi = sympy.Rational(lo), sympy.Rational(hi)
+        return sf.count_roots(lo, hi) - (sf.eval(lo) == 0) - (sf.eval(hi) == 0)
+
+    def nonneg(g, lo, hi):
+        # no odd-order root inside, and g > 0 at an inside point where it is
+        # not 0 (the planted roots lie off the grid k/997 but for the ends)
+        if any(distinct_inside(w, lo, hi) for w, m in g.sqf_list()[1] if m % 2):
+            return False
+        lo, hi = sympy.Rational(lo), sympy.Rational(hi)
+        inside = (g.eval(lo + (hi - lo) * sympy.Rational(k, 997))
+                  for k in range(1, 997))
+        return next(v for v in inside if v != 0) > 0
+
+    @settings
+    @hypothesis.given(case())
+    def check(fab):
+        f, a, b = fab
+        g = to_sympy(f)
+        want = distinct_inside(g, a, b)
+        assert sturm_count(f, a, b) == want
+        assert certify_nonneg(f, a, b) == nonneg(g, a, b)
+        assert certify_nonneg(f * f, a, b)
+        rat, alg = isolate_roots(f, a, b)
+        assert len(rat) + len(alg) == want
+        assert all(not f.eval_exact(r) for r in rat)
+
+    check()
+
+
+@pytest.mark.parametrize("sqrt2", [False, True])
 def test_canonical_integer_path_matches_euclid(sqrt2):
     # real parts take _canonical_real; the canonical form is unique, so it
     # must equal the Euclidean path over the scalar field
