@@ -74,6 +74,9 @@ def cmd_decide(args) -> int:
 
 
 def cmd_corollary(args) -> int:
+    if os.path.exists(args.expr):
+        raise ValueError("corollary takes one expression; classify takes "
+                         "piecewise files")
     res = analysis.decide_real_corollary(analysis.read_real_ratfn(args.expr))
     if args.json:
         print(json.dumps(res.to_json()))

@@ -87,6 +87,15 @@ def test_corollary_rejects_p_squared(capsys):
     assert code == 2
 
 
+def test_corollary_refuses_a_piecewise_file(tmp_path, capsys):
+    spec = tmp_path / "tent.txt"
+    spec.write_text("[0,1/2) p\n[1/2,1] 1 - p\n")
+    code, out, err = run_cli(capsys, "corollary", str(spec))
+    assert code == 1 and out == ""
+    assert err == ("bad input: corollary takes one expression; classify "
+                   "takes piecewise files\n")
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
