@@ -704,13 +704,14 @@ def _yun(f: list) -> list[tuple[list, int]]:
 # -- Descartes' rule of signs on cells ---------------------------------------
 #
 # A cell (lo, hi) of f is the integer list g(y) = c * f(lo + (hi - lo) * y),
-# c > 0, over Z or Z[sqrt2] like f. The sign variations v of (1 + x)^n * g(1/(1 + x)), whose positive roots are
-# the roots of g in (0, 1), bound the roots of f in the open cell, counted
-# with multiplicity, and share their parity (Descartes): v = 0 means none,
-# v = 1 one simple root. Bisection halves g and shifts the upper half
-# (Collins & Akritas). A cell around a root of even multiplicity keeps
-# v >= 2, so a cell still open after _STALL bisections takes f's
-# squarefree or odd part, whose cells all close.
+# c > 0, over Z or Z[sqrt2] like f. The sign variations v of
+# (1 + x)^n * g(1/(1 + x)), whose positive roots are those of g in (0, 1),
+# bound the roots of f in the open cell, counted with multiplicity, and
+# share their parity (Descartes): v = 0 means none, v = 1 one simple root.
+# Bisection halves g and shifts the upper half (Collins & Akritas). A root
+# of even multiplicity keeps v >= 2 around it, so a cell still open after
+# _STALL bisections goes on with f's squarefree or odd part, whose cells
+# all close.
 
 _STALL = 2
 
