@@ -759,7 +759,7 @@ def _walk(f: list, a: Fraction, b: Fraction, part):
     """(v, s) for each cell of (a, b) that Descartes' rule settles for
     nonzero f, v <= 1, and (0, the sign of f there) for the midpoint of each
     bisected cell. A cell still open after _STALL bisections goes on with
-    part(f), taken once, unless part is None."""
+    part(f), taken once."""
     sub = None
     cells = [(a, b, _cell(f, a, b), 0)]
     while cells:
@@ -767,7 +767,7 @@ def _walk(f: list, a: Fraction, b: Fraction, part):
         v, s = _descartes(g)
         if v < 2:
             yield v, s
-        elif depth == _STALL and part:
+        elif depth == _STALL:
             sub = sub or part(f)
             cells.append((lo, hi, _cell(sub, lo, hi), depth + 1))
         else:
@@ -777,11 +777,11 @@ def _walk(f: list, a: Fraction, b: Fraction, part):
             cells += [(lo, mid, lower, depth + 1), (mid, hi, upper, depth + 1)]
 
 
-def _count_open(f: list, a: Fraction, b: Fraction, part=_sqf) -> int:
+def _count_open(f: list, a: Fraction, b: Fraction) -> int:
     """Distinct roots of nonzero f in the open interval (a, b): v in each
-    settled cell and one at each midpoint that is a root. A stalled cell
-    goes on with f's squarefree part; part=None is for squarefree f."""
-    return sum(v + (not s) for v, s in _walk(f, a, b, part))
+    settled cell and one at each midpoint that is a root, with a stalled
+    cell counted on f's squarefree part."""
+    return sum(v + (not s) for v, s in _walk(f, a, b, _sqf))
 
 
 def _grid(f: list) -> int:
@@ -909,7 +909,7 @@ def _peel_rational_roots(f: list, a: Fraction, b: Fraction
     stack = [(a, b)]
     while stack:
         lo, hi = stack.pop()
-        n = _count_open(f, lo, hi, None)
+        n = _count_open(f, lo, hi)
         if n == 1:
             s, i, j = _sign_at(f, lo), math.floor(lo * k) + 1, math.ceil(hi * k)
             while i < j:
@@ -942,7 +942,7 @@ class AlgebraicPoint:
         lo, hi = Fraction(lo), Fraction(hi)
         if _sign_at(f, lo) * _sign_at(f, hi) >= 0:
             raise ValueError("interval endpoints must straddle a sign change")
-        if _count_open(f, lo, hi, None) != 1:
+        if _count_open(f, lo, hi) != 1:
             raise ValueError("interval must isolate exactly one root")
         self._f, self.lo, self.hi = f, lo, hi
 
@@ -1048,7 +1048,7 @@ def isolate_roots(f, a: Fraction | int, b: Fraction | int
     intervals: list[tuple[Fraction, Fraction]] = []
     while stack:
         lo, hi = stack.pop()
-        n = _count_open(fs, lo, hi, None)
+        n = _count_open(fs, lo, hi)
         if n == 0:
             continue
         if n == 1:
