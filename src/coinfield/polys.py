@@ -265,13 +265,14 @@ def canonical(den: Poly, *nums: Poly) -> tuple[Poly, ...]:
     """The parts of the fraction (nums...)/den, nonzero den, in canonical
     form: all divided by the monic gcd of den and every numerator, then
     scaled so den is monic. Returns (den, *nums). Real parts that need a
-    gcd take the integer core; the canonical form is unique, so both paths
-    return the same parts."""
+    gcd take zeta_canonical on integers; the canonical form is unique, so
+    both paths return the same parts."""
     if not any(nums):
         return (ONE_POLY, *nums)
     if den.degree > 0 and any(f.degree > 0 for f in nums) \
             and not any(c.c or c.d for f in (den, *nums) for c in f.coeffs):
-        return _canonical_real(den, nums)
+        parts = zeta_canonical(*zeta_parts(den, *nums)[0])
+        return tuple(zeta_poly(f, parts[0][-1][0]) for f in parts)
     return _canonical_euclid(den, nums)
 
 
@@ -289,19 +290,6 @@ def _canonical_euclid(den: Poly, nums: tuple[Poly, ...]) -> tuple[Poly, ...]:
         linv = lc.inverse()
         parts = tuple(f * linv for f in parts)
     return parts
-
-
-def _canonical_real(den: Poly, nums: tuple[Poly, ...]) -> tuple[Poly, ...]:
-    """canonical() for real parts, den and some numerator nonconstant."""
-    parts = int_parts((den, *nums))
-    g = parts[0]
-    for f in parts[1:]:
-        if len(g) > 1 and f:
-            g = _gcd(f, g) if len(f) > 1 else [1]
-    if len(g) > 1:
-        parts = [_exquo(f, g) for f in parts]
-    lc = parts[0][-1]
-    return tuple(_from_int(f, lc) if f else Poly() for f in parts)
 
 
 def zeta_canonical(den: list, *nums: list) -> list[list]:
@@ -571,10 +559,9 @@ def _to_int(f: Poly, not_real: str) -> list:
     return _primitive(int_parts((f,), not_real)[0])
 
 
-def _from_int(f: list, lc=None) -> Poly:
-    """The Poly f/lc, for nonzero lc; by default lc is the leading
-    coefficient of f, which makes the Poly monic."""
-    lc = f[-1] if lc is None else lc
+def _from_int(f: list) -> Poly:
+    """The monic Poly f/lc(f) of a nonzero integer list f."""
+    lc = f[-1]
     if type(lc) is int and not any(type(c) is _Z2 for c in f):
         return Poly([Fraction(c, lc) for c in f])
     lc = lc if type(lc) is _Z2 else _Z2(lc)

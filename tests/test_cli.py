@@ -63,6 +63,13 @@ def test_decide_not_simulable_exit_two(capsys):
     assert code == 2
 
 
+def test_decide_refuses_sqrt_of_an_argument_with_a_t_part(capsys):
+    code, out, _ = run_cli(capsys, "decide", "sqrt(t)")
+    assert code == 2
+    assert out == ("simulable: no\ndiagnosis: sqrt argument must be a "
+                   "rational function of p alone (no t component)\n")
+
+
 def test_decide_bad_input_exit_one(capsys):
     code, _, err = run_cli(capsys, "decide", "(((")
     assert code == 1 and err
@@ -80,6 +87,12 @@ def test_corollary_recovers_coin(capsys):
     code, out, _ = run_cli(capsys, "corollary", "p")
     assert code == 0
     assert "t" in out
+
+
+def test_corollary_of_one_prints_an_infinite_ratio(capsys):
+    code, out, _ = run_cli(capsys, "corollary", "1")
+    assert code == 0
+    assert "h: inf\n" in out
 
 
 def test_corollary_rejects_p_squared(capsys):
@@ -787,6 +800,20 @@ def test_over_degree_input_is_refused_before_it_is_computed(capsys):
      '= 2, so both conjugates carry order k"}], "ones": []}, "qq": '
      '{"verdict": "yes", "witness": "-1/2*i - 1/2*p + i*p^2 + p^3", '
      '"reason": "supplied witness checks: |h|^2 = f/(1-f)"}}'),
+    # the constants: h = inf is the state |0>, h = 0 the state |1>
+    (["classify", "1"], None,
+     '{"cc": {"verdict": "yes", "witness_n": null, "reason": "constant '
+     'function"}, "qc": null, "qq": {"verdict": "yes", "witness": "inf", '
+     '"reason": "constant 1: the state |0>"}}'),
+    (["classify", "0"], None,
+     '{"cc": {"verdict": "yes", "witness_n": null, "reason": "constant '
+     'function"}, "qc": null, "qq": {"verdict": "yes", "witness": "0", '
+     '"reason": "constant 0: the state |1>"}}'),
+    (["classify", "p/sqrt2"], None,
+     '{"cc": {"verdict": "yes", "witness_n": 2, "reason": "min(f,1-f) '
+     '>= min(p^2,(1-p)^2)"}, "qc": null, "qq": {"verdict": "unknown", '
+     '"witness": null, "reason": "piece has irrational coefficients; '
+     'square detection covers rational coefficients only"}}'),
 ])
 def test_json_lines_are_pinned(capsys, argv, program, want):
     # cost and run read the compiled program of `program`; the run's one

@@ -343,6 +343,18 @@ def test_sqrt_of_a_square_with_irrational_coefficients():
         assert d.simulable and d.element * d.element == lower(parse(arg))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: sqrt refuses an "
+                   "argument with a t part before it sees that the root "
+                   "lies in the field")
+def test_sqrt_of_a_square_with_a_t_part():
+    # t + 1 and p + t are positive on (0, 1), so each is the root of its
+    # square; each prints "simulable: no" today
+    from coinfield.analysis import decide_qq_ratio
+    for arg in ("t+1", "p+t"):
+        d = decide_qq_ratio(f"sqrt(({arg})^2)")
+        assert d.simulable and d.element == lower(parse(arg))
+
+
 def test_parse_refuses_integer_past_digit_bound():
     # refused by the tokenizer, whatever the interpreter's int-string limit
     for text in ("1" * (MAX_DIGITS + 1), "p + 2*" + "9" * 5000,

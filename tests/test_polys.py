@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, _canonical_euclid,
-                             _canonical_real, certify_nonneg, isolate_roots,
+                             canonical, certify_nonneg, isolate_roots,
                              is_square, multiplicity, poly_gcd, rational_roots,
                              split_rational_roots, square_test,
                              squarefree_decompose, sturm_count)
@@ -666,7 +666,7 @@ def test_descartes_counts_match_sympy_at_planted_roots(sqrt2):
 
 @pytest.mark.parametrize("sqrt2", [False, True])
 def test_canonical_integer_path_matches_euclid(sqrt2):
-    # real parts take _canonical_real; the canonical form is unique, so it
+    # real parts take zeta_canonical; the canonical form is unique, so it
     # must equal the Euclidean path over the scalar field
     hypothesis, st, sympy, poly, to_sympy, settings = _sympy_oracle(sqrt2)
 
@@ -675,7 +675,7 @@ def test_canonical_integer_path_matches_euclid(sqrt2):
     def check(den, a, b, shared, b_zero):
         den, a = den * shared, a * shared
         nums = (a, Poly() if b_zero else b * shared)
-        got = _canonical_real(den, nums)
+        got = canonical(den, *nums)
         assert got == _canonical_euclid(den, nums)
         assert got[0].leading == ONE
 

@@ -139,6 +139,33 @@ def test_comparisons_match_float_oracle():
         assert (a < b) == (fa < fb)
 
 
+def _sign_by_cases(u: Fraction, v: Fraction) -> int:
+    """The sign of u + v*sqrt2: the common sign when u and v agree, else the
+    sign of the larger of u^2 and 2*v^2, which differ unless both are 0."""
+    if u >= 0 and v >= 0 or u <= 0 and v <= 0:
+        return (u > 0 or v > 0) - (u < 0 or v < 0)
+    return (1 if u > 0 else -1) if u * u > 2 * v * v else (1 if v > 0 else -1)
+
+
+def test_all_four_order_operators_match_an_exact_oracle():
+    rnd = random.Random(37)
+
+    def frac():
+        return Fraction(rnd.randint(-12, 12), rnd.randint(1, 6))
+
+    # equal pairs, the close calls 7/5 and 17/12 around sqrt2, and random
+    # pairs; an int or Fraction on the right is taken as a rational scalar
+    pairs = [(Scalar(1, 1), Scalar(1, 1)), (SQRT2, Fraction(7, 5)),
+             (SQRT2, Fraction(17, 12)), (Scalar(3, -2), 0), (Scalar(-3, 2), 0)]
+    pairs += [(Scalar(frac(), frac()), Scalar(frac(), frac()))
+              for _ in range(200)]
+    pairs += [(Scalar(frac(), frac()), frac()) for _ in range(50)]
+    for x, y in pairs:
+        o = y if isinstance(y, Scalar) else Scalar(y)
+        s = _sign_by_cases(x.a - o.a, x.b - o.b)
+        assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+
+
 def test_sign_on_complex_raises():
     with pytest.raises(ValueError):
         I_UNIT.sign()

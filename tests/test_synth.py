@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coinfield import synth
-from coinfield.field import FieldElem, INFINITY
+from coinfield.field import FE_ONE, FieldElem, INFINITY
 from coinfield.lang import lower, parse
 from coinfield.polys import Poly, RatFn, zeta_parts
 from coinfield.scalars import SQRT2, Scalar
@@ -106,6 +106,13 @@ def test_compile_zero():
     prog = compile(lower(parse("0")))
     validate_program(prog)
     assert static_counts(prog)["coins"] == 0
+
+
+def test_compile_one():
+    prog = compile(lower(parse("1")))
+    validate_program(prog)
+    assert [type(i).__name__ for i in prog.instructions] == ["AllocConst"]
+    assert run_symbolic(prog) == FE_ONE
 
 
 def test_compile_infinite_ratio():
