@@ -9,12 +9,13 @@ Grammar (precedence high to low: ^, unary -, * /, + -):
     atom   := int | 'p' | 'i' | 'sqrt2' | 't' | 'sqrt' '(' expr ')' | '(' expr ')'
 
 Expressions nest at most MAX_DEPTH levels, counting each operator, sqrt and
-pair of parentheses, an integer has at most scalars.MAX_DIGITS significant
-digits, and lowering refuses, before computing anything, any subexpression
-whose degree bound passes MAX_DEGREE. Rational literals like 3/4 come out
-of the division operator. sqrt(...) is only accepted during lowering when
-its argument is an exact square (possibly after dividing by p/(1-p));
-everything else is reported as outside the field.
+pair of parentheses, and an integer has at most scalars.MAX_DIGITS
+significant digits. Lowering refuses each part it builds whose degree
+passes MAX_DEGREE, and, before raising it, a power whose base's degree or
+integers would pass MAX_DEGREE or MAX_POWER_BITS. Rational literals like
+3/4 come out of the division operator. sqrt(...) is only accepted during
+lowering when its argument is an exact square (possibly after dividing by
+p/(1-p)); everything else is reported as outside the field.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .field import FieldElem, sqrt_in_scalar_field
 from .polys import (Poly, RatFn, _from_int, _sign_at, int_mul, int_parts,
-                    square_test, zeta_canonical, zeta_parts)
+                    square_test, zeta_canonical, zeta_parts, zeta_poly)
 from .scalars import MAX_DIGITS, ZERO
 from .zpoly import (Z0, Z1, ZNEG1, parts_add, parts_inverse, parts_mul,
                     parts_pow, pscale)
@@ -122,7 +123,8 @@ class NotInFieldError(ValueError):
 
 
 class DegreeLimitError(ValueError):
-    """Lowering refused a subexpression whose degree exceeds MAX_DEGREE."""
+    """Lowering refused a subexpression whose degree exceeds MAX_DEGREE, or
+    a power whose integers would exceed MAX_POWER_BITS."""
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -331,10 +333,8 @@ def _render(e: Expr) -> tuple[str, int]:
         return f"-{inner}", _UNARY
     if isinstance(e, (Add, Sub)):
         op = "+" if isinstance(e, Add) else "-"
-        left, lp = _render(e.left)
+        left, _ = _render(e.left)
         right, rp = _render(e.right)
-        if lp < _ADD:
-            left = f"({left})"
         if rp <= _ADD:
             # left-associative grammar: a same-level right child needs parens
             right = f"({right})"
@@ -418,88 +418,59 @@ def field_sqrt(u: RatFn) -> FieldElem:
 
 
 MAX_DEGREE = 128  # bounds the polynomial work one expression can ask for
+# bounds the integers one power can ask for: MAX_DEGREE times the bits of a
+# MAX_DIGITS-digit literal
+MAX_POWER_BITS = MAX_DEGREE * (10 ** MAX_DIGITS - 1).bit_length()
 
 
-def _times(x: int, y: int) -> int:
-    """Degree bound of a product of parts of degree at most x and y, where
-    -1 stands for a part that is zero."""
-    return x + y if x >= 0 and y >= 0 else -1
+def _degree(parts: tuple) -> int:
+    """The degree of (A + B*w)/C: the largest of those of A, B*w and C."""
+    a, b, c = parts
+    return max(len(a) - 1, len(b), len(c) - 1)
 
 
-def _inverse_bounds(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Part bounds of 1/h from those of h = (A + B*w)/C: C*(A - B*w) over
-    A^2 - B^2*p(1-p), or C/A when B is zero."""
-    if b < 0:
-        return c, -1, max(a, 0)
-    return _times(c, a), _times(c, b), max(2 * a, _times(2 * b, 2))
-
-
-def _bounds(e: Expr) -> tuple[int, int, int]:
-    """Upper bounds on the degrees of the parts A, B and C that _parts(e)
-    computes, before the root divides out a common factor; -1 for a part
-    that is surely zero. Raises DegreeLimitError at the first
-    subexpression whose bound passes MAX_DEGREE, the degree of (A + B*w)/C
-    being the largest of those of A, B*w and C, and at least 1."""
-    if isinstance(e, RationalConst):
-        out = (0 if e.value else -1, -1, 0)
-    elif isinstance(e, (I, Sqrt2)):
-        out = (0, -1, 0)
-    elif isinstance(e, P):
-        out = (1, -1, 0)
-    elif isinstance(e, T):
-        out = (-1, 0, 1)
-    elif isinstance(e, (Add, Sub)):
-        (a1, b1, c1), (a2, b2, c2) = _bounds(e.left), _bounds(e.right)
-        out = (max(_times(a1, c2), _times(a2, c1)),
-               max(_times(b1, c2), _times(b2, c1)), c1 + c2)
-    elif isinstance(e, (Mul, Div)):
-        (a1, b1, c1), right = _bounds(e.left), _bounds(e.right)
-        a2, b2, c2 = _inverse_bounds(*right) if isinstance(e, Div) else right
-        # B1*B2*w^2 with w^2 = p(1-p) of degree 2
-        out = (max(_times(a1, a2), _times(_times(b1, b2), 2)),
-               max(_times(a1, b2), _times(b1, a2)), c1 + c2)
-    elif isinstance(e, Pow):
-        a, b, c = _bounds(e.base)
-        degree = max(a, b + 1, c, 1)
-        if degree * abs(e.exp) > MAX_DEGREE:
-            raise DegreeLimitError(
-                f"power ^{e.exp} of a base of degree up to {degree} exceeds "
-                f"degree {MAX_DEGREE}")
-        n = abs(e.exp)
-        top = n * max(a, b + 1)
-        # in (A + B*w)^n the even powers of B*w fall to A, the odd ones to B
-        out = (top if a >= 0 or n % 2 == 0 else -1,
-               top - 1 if b >= 0 and (a >= 0 or n % 2) else -1,
-               n * c) if n else (0, -1, 0)
-        if e.exp < 0:
-            out = _inverse_bounds(*out)
-    elif isinstance(e, Sqrt):
-        # the root of A/C is q, or q*t = q*w/(1-p) when q^2 is A/C divided
-        # by p/(1-p); either way q has at most half the degrees, rounded up
-        a, _, c = _bounds(e.child)
-        out = (a // 2, (a + 1) // 2 if a >= 0 else -1, (c + 1) // 2 + 1)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    degree = max(out[0], out[1] + 1, out[2], 1)
+def _checked(parts: tuple) -> tuple:
+    """The parts, unless their degree passes MAX_DEGREE."""
+    degree = _degree(parts)
     if degree > MAX_DEGREE:
-        raise DegreeLimitError(f"a subexpression of degree up to {degree} "
+        raise DegreeLimitError(f"a subexpression of degree {degree} "
                                f"exceeds degree {MAX_DEGREE}")
-    return out
+    return parts
+
+
+def _power_base(e: Pow) -> tuple:
+    """The parts of e's base in canonical form, unless its degree, at least
+    1, or the bits of its longest integer, times |exponent|, pass
+    MAX_DEGREE or MAX_POWER_BITS."""
+    c, b, a = zeta_canonical(*reversed(_parts(e.base)))
+    n, base = abs(e.exp), (a, b, c)
+    degree = max(_degree(base), 1)
+    if degree * n > MAX_DEGREE:
+        raise DegreeLimitError(f"power ^{e.exp} of a base of degree {degree} "
+                               f"exceeds degree {MAX_DEGREE}")
+    bits = max(abs(x).bit_length() for f in base for z in f for x in z)
+    if bits * n > MAX_POWER_BITS:
+        raise DegreeLimitError(f"power ^{e.exp} of a base with {bits}-bit "
+                               f"integers exceeds {MAX_POWER_BITS} bits")
+    return base
 
 
 def lower(e: Expr) -> FieldElem:
     """Evaluate the tree inside the field; raises NotInFieldError when the
-    expression falls outside it. Raises DegreeLimitError before computing
-    anything when a subexpression can exceed MAX_DEGREE: its parts are
-    bounded from those of its operands before any common factor cancels,
-    and a power is refused when its base's bound times |exponent| exceeds
-    MAX_DEGREE. The operations take no gcd: lowering normalises only at the
-    base of a power, at the argument of a sqrt and once at the root, where
-    a power of a nonzero base with B = 0 needs none."""
-    _bounds(e)
-    if isinstance(e, Pow):
-        return FieldElem.from_zeta(*_parts(e.base)) ** e.exp
-    return FieldElem.from_zeta(*_parts(e))
+    expression falls outside it, and ZeroDivisionError or DegreeLimitError
+    at the first fault it meets. The parts are checked as they are built,
+    before a common factor cancels, and a power's base before it is raised.
+    The operations take no gcd: lowering normalises only at the base of a
+    power, at the argument of a sqrt and once at the root, where a power of
+    a nonzero base with B = 0 needs none."""
+    if not isinstance(e, Pow):
+        return FieldElem.from_zeta(*_parts(e))
+    a, b, c = base = _power_base(e)
+    if b or not a:
+        return FieldElem.from_zeta(*_checked(parts_pow(base, e.exp)))
+    # gcd(A, C) = 1, so FieldElem's power of the base takes no gcd
+    return FieldElem.from_canonical(
+        *(zeta_poly(f, c[-1][0]) for f in base)) ** e.exp
 
 
 _LEAVES = {I: ([(0, 0, 1, 0)], [], [Z1]),
@@ -512,30 +483,33 @@ def _parts(e: Expr) -> tuple[list, list, list]:
     """The parts (A, B, C) of e, meaning (A + B*w)/C with w = sqrt(p(1-p)),
     as zpoly lists over Z[z], without dividing out a common factor. A
     power's base is brought to canonical form first, so a base that cancels
-    collapses before it is raised, and it is raised before it is inverted;
-    so every part stays within _bounds(e)."""
+    collapses before it is raised, and it is raised before it is inverted.
+    Each part built passes _checked."""
     leaf = _LEAVES.get(type(e))
     if leaf is not None:
         return leaf
     if isinstance(e, RationalConst):
         n, d = e.value.numerator, e.value.denominator
         return [(n, 0, 0, 0)] if n else [], [], [(d, 0, 0, 0)]
+    if isinstance(e, Sqrt):
+        # the root has about half the degree of its checked argument
+        root = _lower_sqrt(FieldElem.from_zeta(*_parts(e.child)))
+        return tuple(zeta_parts(*root.parts)[0])
     if isinstance(e, (Add, Sub)):
         x, (a, b, c) = _parts(e.left), _parts(e.right)
         if isinstance(e, Sub):
             a, b = pscale(ZNEG1, a), pscale(ZNEG1, b)
-        return parts_add(x, (a, b, c))
-    if isinstance(e, Mul):
-        return parts_mul(_parts(e.left), _parts(e.right))
-    if isinstance(e, Div):
-        return parts_mul(_parts(e.left), parts_inverse(_parts(e.right)))
-    if isinstance(e, Pow):
-        c, b, a = zeta_canonical(*reversed(_parts(e.base)))
-        return parts_pow((a, b, c), e.exp)
-    if isinstance(e, Sqrt):
-        root = _lower_sqrt(FieldElem.from_zeta(*_parts(e.child)))
-        return tuple(zeta_parts(*root.parts)[0])
-    raise TypeError(f"not an expression node: {e!r}")
+        out = parts_add(x, (a, b, c))
+    elif isinstance(e, Mul):
+        out = parts_mul(_parts(e.left), _parts(e.right))
+    elif isinstance(e, Div):
+        out = parts_mul(_parts(e.left),
+                        _checked(parts_inverse(_parts(e.right))))
+    elif isinstance(e, Pow):
+        out = parts_pow(_power_base(e), e.exp)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return _checked(out)
 
 
 def eval_expr_numeric(e: Expr, p0: float) -> complex:

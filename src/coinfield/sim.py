@@ -235,9 +235,11 @@ class _SymState:
         wsq = self.wsq[0][0]
         return x[0] + y[0] * wsq, x[1] + y[1] * wsq, u[0] + v[0], u[1] + v[1]
 
-    def keep_prob(self, reg: int, keep: int) -> float:
-        """Probability at p0 that measuring reg gives keep, as a float;
-        exactly 0.0 when the kept mass is exactly zero."""
+    def keep_prob(self, reg: int, keep: int) -> tuple[float, int]:
+        """Probability at p0 that measuring reg gives keep, as a frexp
+        mantissa m and a binary exponent e, m * 2**e: kept/total rounded to
+        a float wherever that is normal, and (0.0, 0) when the kept mass is
+        exactly zero."""
         grp = self.group_of[reg]
         masses = [self._mass(a, b) for a, b in grp.amps]
         kept = [sum(col) for col in zip(*(m for m, k in zip(
@@ -245,13 +247,19 @@ class _SymState:
         total = [sum(col) for col in zip(*masses)]
         # the kept mass is x + y*W with W = d*sqrt(p0(1 - p0))
         if _ext_is_zero(kept, self.w_root):
-            return 0.0
-        # each mass times 2^_FIX, as an integer within a few units of it;
-        # an int quotient is a float at any size, so no depth overflows
+            return 0.0, 0
+        # each mass times 2^_FIX, as an integer within a few units of it
         kept, total = ((x0 << _FIX) + x1 * _SQRT2_FIX + y0 * self.w_fix
                        + ((y1 * _SQRT2_FIX * self.w_fix) >> _FIX)
                        for x0, x1, y0, y1 in (kept, total))
-        return min(1.0, max(0.0, kept / total))
+        kept = min(kept, total)
+        if kept <= 0:
+            return 0.0, 0
+        # scaled into [1/2, 2), the quotient cannot underflow, and the
+        # scaling by a power of two leaves its rounding as it was
+        shift = total.bit_length() - kept.bit_length()
+        m, e = math.frexp((kept << shift) / total)
+        return m, e - shift
 
 
 def _ext_is_zero(mass, root) -> bool:
@@ -264,13 +272,13 @@ def _ext_is_zero(mass, root) -> bool:
 
 
 def _exact_pass(prog: CircuitProgram, p0: Fraction | None
-                ) -> tuple[_SymState, dict[int, float]]:
+                ) -> tuple[_SymState, dict[int, tuple[float, int]]]:
     """Run a program exactly with every postselection kept: on polynomials
     in p, or at a rational p0 on values, reading each measurement's keep
-    probability, by instruction index."""
+    probability as keep_prob gives it, by instruction index."""
     validate_program(prog)
     state = _SymState(p0)
-    probs: dict[int, float] = {}
+    probs: dict[int, tuple[float, int]] = {}
     for idx, ins in enumerate(prog.instructions):
         if isinstance(ins, AllocCoin):
             state.alloc_coin(ins.reg)
@@ -281,7 +289,7 @@ def _exact_pass(prog: CircuitProgram, p0: Fraction | None
         else:
             if p0 is not None:
                 probs[idx] = state.keep_prob(ins.reg, ins.keep)
-                if not probs[idx]:
+                if not probs[idx][0]:
                     raise PostselectionError(
                         f"measurement of register {ins.reg} succeeds with "
                         f"probability 0 at p = {p0}")
@@ -318,7 +326,7 @@ class CostReport:
     expected_consts: float | Decimal
     success_probability: float | Decimal
     expected_attempts: dict[int, float | Decimal]
-    measure_probs: dict[int, float]
+    measure_probs: dict[int, float | Decimal]
     static: dict
 
     to_json = json_value
@@ -337,6 +345,21 @@ def _number(m: float, e: int) -> float | Decimal:
     return _DECIMAL.multiply(Decimal(m), _DECIMAL.power(2, e))
 
 
+def _product(numbers) -> tuple[float, int]:
+    """The product of the numbers m * 2**e given as (m, e), in order, as
+    (m, e) too: it rounds as the float product does wherever that is one."""
+    m, e = 0.5, 1
+    for pm, pe in numbers:
+        m, k = math.frexp(m * pm)
+        e += k + pe
+    return m, e
+
+
+def _keep_bound(m: float, e: int) -> int:
+    """ceil(m * 2**(e + 53)) for e <= 1, exactly: m * 2**54 is an integer."""
+    return -(-int(m * 2.0 ** 54) >> (1 - e))
+
+
 def _weighted_sum(terms) -> float | Decimal:
     """The sum of a*n over the (a, n) pairs, added in float arithmetic in
     the order given while the terms and the sum stay floats, else as a
@@ -353,17 +376,17 @@ def _weighted_sum(terms) -> float | Decimal:
     return float(total) if total <= _FLOAT_MAX else total
 
 
-def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
+def _node_plans(prog: CircuitProgram,
+                keep_probs: dict[int, tuple[float, int]]):
     """What one attempt of each provenance node does, folded: its steps in
     order, each the coins and constant coins taken since the step before,
     then either a child to run (ref the child's id, prob and bound None) or
     a measurement to draw against (ref its instruction index, prob its keep
-    probability); then the coins and consts after the last step. Gates cost
-    nothing here. A measurement keeps when its 53-bit draw x is below the
-    integer bound = ceil(prob * 2**53): the product is exact, the scaling
-    being by a power of two, and for an integer x, x < ceil(b) exactly when
-    x < b, so this is the test _uniform(...) < prob. The cost walk reads
-    prob."""
+    probability m * 2**e as a float); then the coins and consts after the
+    last step. Gates cost nothing here. A measurement keeps when its 53-bit
+    draw x is below the integer bound = ceil(m * 2**(e + 53)), and for an
+    integer x, x < ceil(b) exactly when x < b, so this is the test
+    _uniform(...) < m * 2**e."""
     plans = []
     for node in prog.nodes:
         steps = []
@@ -379,9 +402,9 @@ def _node_plans(prog: CircuitProgram, keep_probs: dict[int, float]):
                     consts += 1
                 if not isinstance(ins, Measure):
                     continue
-                prob = keep_probs[ref]
-                steps.append((coins, consts, ref, prob,
-                              math.ceil(prob * 2.0 ** 53)))
+                m, e = keep_probs[ref]
+                steps.append((coins, consts, ref, math.ldexp(m, e),
+                              _keep_bound(m, e)))
             coins = consts = 0
         plans.append((tuple(steps), coins, consts))
     return plans
@@ -397,33 +420,30 @@ def _exact_cost(prog: CircuitProgram, p0: Fraction | float):
     plans = _node_plans(prog, probs)
     attempts: list[float | Decimal] = [0.0] * len(plans)
 
-    # attempts are carried as a frexp mantissa and a binary exponent, so a
-    # deep tree cannot overflow; inside the float range each quotient rounds
-    # exactly as a float quotient would
+    # attempts and keep probabilities are frexp mantissas and binary
+    # exponents, so nothing overflows or underflows; inside the float range
+    # each product and quotient rounds exactly as a float one would
     def walk(nid: int, m: float, e: int) -> None:
         steps = plans[nid][0]
-        own = math.prod(prob for *_, prob, _ in steps if prob is not None)
-        if own == 0.0:
-            raise PostselectionError(
-                f"node {nid} has success probability 0 at p = {p0}")
+        own, j = _product(probs[ref] for *_, ref, _, bound in steps
+                          if bound is not None)
         m, k = math.frexp(m / own)
-        attempts[nid] = _number(m, e + k)
-        for _, _, ref, prob, _ in steps:
-            if prob is None:
-                walk(ref, m, e + k)
+        e += k - j
+        attempts[nid] = _number(m, e)
+        for _, _, ref, _, bound in steps:
+            if bound is None:
+                walk(ref, m, e)
 
     walk(prog.root, 0.5, 1)
     coins = _weighted_sum([(attempts[nid], tail + sum(s[0] for s in steps))
                            for nid, (steps, tail, _) in enumerate(plans)])
     consts = _weighted_sum([(attempts[nid], tail + sum(s[1] for s in steps))
                             for nid, (steps, _, tail) in enumerate(plans)])
-    m, e = 0.5, 1
-    for pr in probs.values():
-        m, k = math.frexp(m * pr)
-        e += k
-    overall = _number(m, e)
-    report = CostReport(float(p0), coins, consts, overall,
-                        dict(enumerate(attempts)), probs, static_counts(prog))
+    report = CostReport(float(p0), coins, consts,
+                        _number(*_product(probs.values())),
+                        dict(enumerate(attempts)),
+                        {idx: _number(m, e) for idx, (m, e) in probs.items()},
+                        static_counts(prog))
     return report, plans, state
 
 
@@ -510,7 +530,7 @@ def _uniform(key: int, draw: int) -> float:
     return (_mix64((key + draw * _GAMMA) & _MASK64) >> 11) * 2.0 ** -53
 
 
-def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
+def _replay(plans, root: int, out_bound: int, seed: int, trials: int,
             max_retries: int):
     """Replay every trial: each measurement attempt draws one uniform and a
     miss restarts the node that holds the measurement; a trial aborts once
@@ -528,7 +548,6 @@ def _replay(plans, root: int, out_prob: float, seed: int, trials: int,
     the run's totals; an aborted trial restores the copy taken at its
     start."""
     mask, gamma, mix1, mix2 = _MASK64, _GAMMA, _MIX1, _MIX2
-    out_bound = math.ceil(out_prob * 2.0 ** 53)
     totals = [0] * len(plans)
     successes = coins_total = consts_total = aborted = aborted_coins = 0
     worst = 0
@@ -649,9 +668,9 @@ def run_numeric(prog: CircuitProgram, p0: float, trials: int, seed: int = 0,
             f"{trials} trials at {coins:.6g} expected coins and {consts:.6g} "
             f"constant coins each exceed the replay bound of "
             f"{MAX_REPLAY_COINS} in all")
-    out_prob = state.keep_prob(prog.output, 0)
+    out_bound = _keep_bound(*state.keep_prob(prog.output, 0))
     (successes, coins_total, consts_total, aborted, aborted_coins, aborts_at,
-     attempts, worst) = _replay(plans, prog.root, out_prob, seed, trials,
+     attempts, worst) = _replay(plans, prog.root, out_bound, seed, trials,
                                 max_retries)
     completed = trials - aborted
     return RunResult(

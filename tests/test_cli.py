@@ -274,6 +274,31 @@ def test_cost_past_the_float_range_prints_finite_numbers(capsys, monkeypatch):
     assert data["expected_coins_analytic"].startswith("7.99558")
 
 
+@pytest.mark.parametrize("digits", [160, 170])
+def test_cost_of_keep_probabilities_below_the_float_range(capsys, digits):
+    # the kept mass of the last measurement is about 10^-2*digits of its
+    # total, below the float range; as a mantissa and an exponent it neither
+    # rounds to 0 nor makes the attempt counts infinite
+    big = 10 ** digits
+    _, prog_json, _ = run_cli(capsys, "compile", f"{big}*p/(p+{big})")
+    code, out, _ = run_cli(capsys, "cost", "--p0", "3/10", "-", stdin=prog_json)
+    assert code == 0
+    assert f"expected coins: 1.22477e+{2 * digits + 1}" in out.splitlines()
+
+    def refuse(name):
+        raise ValueError(name)
+
+    code, out, _ = run_cli(capsys, "cost", "--json", "--p0", "3/10", "-",
+                           stdin=prog_json)
+    assert code == 0 and "null" not in out
+    data = json.loads(out, parse_constant=refuse)
+    assert data["expected_coins"].startswith("1.22477")
+    code, out, err = run_cli(capsys, "run", "--p0", "0.3", "--trials", "10",
+                             "-", stdin=prog_json)
+    assert code == 1 and not out and len(err.splitlines()) == 1
+    assert "1.22477e+" in err and "exceed the replay bound" in err
+
+
 def test_run_refuses_a_replay_past_its_bound(capsys):
     # without the bound these three trials do not end: the program costs
     # 8.0e540 coins per sample at 0.3
@@ -634,7 +659,39 @@ BAD_INPUT = {
     "cost-child-out-of-range": (COST, _mutated_json(_root_items, 0,
                                                     ["child", 1000000]), None),
     "cost-item-tag-int": (COST, _mutated_json(_root_items, 0, [0, 0]), None),
+    "decide-constant-tower": (("decide", "((((2^128)^128)^128)^128)^128"),
+                              None, None),
 }
+
+# program JSON from outside that reaches each refusal of the program reader
+# (synth._provenance and validate_program), with the message it prints
+PROGRAM_FAULTS = {
+    "root-out-of-range": (_mutated_json(lambda d: d["provenance"], "root", 5),
+                          "provenance root out of range"),
+    "node-reached-twice": (_mutated_json(_root_items, 1, ["child", 0]),
+                           "node 0 reached twice"),
+    "unknown-item": (_mutated_json(_root_items, 1, ["gate", 6]),
+                     "unknown provenance item 'gate'"),
+    "instr-out-of-order": (_mutated_json(_root_items, 1, ["instr", 7]),
+                           "provenance must cover instructions in list order"),
+    "instr-left-out": (_mutated_json(
+        lambda d: d["provenance"]["nodes"][1], "items",
+        [["child", 0], ["instr", 6], ["instr", 7]]),
+        "provenance must cover instructions in list order"),
+    "node-unreached": (_mutated_json(
+        lambda d: d["provenance"]["nodes"], slice(2, None),
+        [{"kind": "spare", "items": []}]),
+        "provenance must cover every node exactly once"),
+    "gate-regs-repeat": (_mutated_json(
+        lambda d: _first("gate")(d)["regs"], 1, 0),
+        "gate registers must be distinct"),
+    "measure-dead-reg": (_mutated_json(_first("measure"), "reg", 5),
+                         "measurement of dead register 5"),
+    "measure-keep-two": (_mutated_json(_first("measure"), "keep", 2),
+                         "measurement keeps outcome 0 or 1"),
+}
+BAD_INPUT.update({f"cost-{name}": (COST, program, None)
+                  for name, (program, _) in PROGRAM_FAULTS.items()})
 
 
 @pytest.mark.parametrize("case", BAD_INPUT.values(), ids=list(BAD_INPUT))
@@ -650,6 +707,14 @@ def test_bad_input_exits_one_with_one_line(tmp_path, capsys, case):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("bad input: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", PROGRAM_FAULTS.values(),
+                         ids=list(PROGRAM_FAULTS))
+def test_program_fault_names_its_check(capsys, case):
+    program, message = case
+    code, out, err = run_cli(capsys, *COST, stdin=program)
+    assert (code, out, err) == (1, "", f"bad input: {message}\n")
 
 
 def test_failed_report_leaves_stdout_empty(capsys, monkeypatch):
@@ -704,6 +769,14 @@ def test_fixture_battery_all_pass(capsys):
     assert all(ln.rstrip().endswith("PASS") for ln in lines)
 
 
+def test_fixture_battery_json(capsys):
+    code, out, _ = run_cli(capsys, "fixtures", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["rows"]) == 14 and data["all_pass"] is True
+    assert all(row["pass"] is True for row in data["rows"])
+
+
 def test_closed_pipe_exits_one_without_traceback():
     # the reader has closed its end before the report is written
     import os
@@ -723,8 +796,8 @@ def test_closed_pipe_exits_one_without_traceback():
 
 
 def test_over_degree_input_is_refused_before_it_is_computed(capsys):
-    # both terms lower, but their sum's denominator bound is 200: refused
-    # before either power is computed
+    # both terms lower, but their sum's denominator has degree 200: both
+    # powers are built, in milliseconds, and then the sum is refused
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "decide", "1/(p+1)^100 + 1/(p+2)^100")
     assert time.perf_counter() - t0 < 0.3
@@ -740,6 +813,15 @@ def test_over_degree_input_is_refused_before_it_is_computed(capsys):
      '{"simulable": true, "diagnosis": "", "witness": {"g1": "1", '
      '"g2": "1", "g3": "-1/2 + p", "g4": "1"}, "element": "-1/2 + p + '
      't"}'),
+    # the root of zero: square_test's zero branch, no sign to fix
+    (["decide", "sqrt(0)"], None,
+     '{"simulable": true, "diagnosis": "", "witness": {"g1": "0", "g2": '
+     '"1", "g3": "0", "g4": "1"}, "element": "0"}'),
+    # a unary minus of a sum keeps its parentheses
+    (["parse", "-(p+1) + sqrt(1/2)"], None,
+     '{"printed": "-(p + 1) + sqrt(1/2)", "ast": {"add": [{"sub": '
+     '[{"const": "0"}, {"add": [{"atom": "p"}, {"const": "1"}]}]}, '
+     '{"sqrt": {"div": [{"const": "1"}, {"const": "2"}]}}]}}'),
     (["corollary", "(1-2*p)^2/(1+(1-2*p)^2)"], None,
      '{"simulable": true, "h": "1 - 2*p", "reason": "f/(1-f) is a '
      'square via q = 1 - 2*p"}'),
