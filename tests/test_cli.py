@@ -813,15 +813,6 @@ def test_over_degree_input_is_refused_before_it_is_computed(capsys):
      '{"simulable": true, "diagnosis": "", "witness": {"g1": "1", '
      '"g2": "1", "g3": "-1/2 + p", "g4": "1"}, "element": "-1/2 + p + '
      't"}'),
-    # the root of zero: square_test's zero branch, no sign to fix
-    (["decide", "sqrt(0)"], None,
-     '{"simulable": true, "diagnosis": "", "witness": {"g1": "0", "g2": '
-     '"1", "g3": "0", "g4": "1"}, "element": "0"}'),
-    # a unary minus of a sum keeps its parentheses
-    (["parse", "-(p+1) + sqrt(1/2)"], None,
-     '{"printed": "-(p + 1) + sqrt(1/2)", "ast": {"add": [{"sub": '
-     '[{"const": "0"}, {"add": [{"atom": "p"}, {"const": "1"}]}]}, '
-     '{"sqrt": {"div": [{"const": "1"}, {"const": "2"}]}}]}}'),
     (["corollary", "(1-2*p)^2/(1+(1-2*p)^2)"], None,
      '{"simulable": true, "h": "1 - 2*p", "reason": "f/(1-f) is a '
      'square via q = 1 - 2*p"}'),
@@ -896,6 +887,15 @@ def test_over_degree_input_is_refused_before_it_is_computed(capsys):
      '>= min(p^2,(1-p)^2)"}, "qc": null, "qq": {"verdict": "unknown", '
      '"witness": null, "reason": "piece has irrational coefficients; '
      'square detection covers rational coefficients only"}}'),
+    # the root of zero: square_test's zero branch, no sign to fix
+    (["decide", "sqrt(0)"], None,
+     '{"simulable": true, "diagnosis": "", "witness": {"g1": "0", "g2": '
+     '"1", "g3": "0", "g4": "1"}, "element": "0"}'),
+    # a unary minus of a sum keeps its parentheses
+    (["parse", "-(p+1) + sqrt(1/2)"], None,
+     '{"printed": "-(p + 1) + sqrt(1/2)", "ast": {"add": [{"sub": '
+     '[{"const": "0"}, {"add": [{"atom": "p"}, {"const": "1"}]}]}, '
+     '{"sqrt": {"div": [{"const": "1"}, {"const": "2"}]}}]}}'),
 ])
 def test_json_lines_are_pinned(capsys, argv, program, want):
     # cost and run read the compiled program of `program`; the run's one
