@@ -4,8 +4,8 @@ postselected circuit programs, execute exactly or stochastically, and
 classify probability functions with machine-checkable certificates."""
 
 from .scalars import Scalar, sqrt_fraction
-from .polys import (AlgebraicPoint, Poly, RatFn, certify_nonneg, is_square,
-                    isolate_roots, poly_gcd, rational_roots, square_test,
+from .polys import (AlgebraicPoint, Poly, RatFn, certify_nonneg, isolate_roots,
+                    poly_gcd, rational_roots, square_test,
                     squarefree_decompose, sturm_count)
 from .field import (FieldElem, INFINITY, Infinity, OrderResult, fe_add,
                     fe_conj, fe_eval, fe_inv, fe_mod_squared, fe_mul,

@@ -14,15 +14,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, fe_mod_squared,
-                    sqrt_in_scalar_field, vanishing_order)
-from .lang import MAX_DEGREE, Expr, NotInFieldError, field_sqrt, lower, parse
+from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, _ratfn,
+                    fe_mod_squared, sqrt_in_scalar_field, vanishing_order)
+from .lang import MAX_DEGREE, Expr, NotInFieldError, _lower_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, _count_open, _sign_at,
                     certify_nonneg_int, int_mul, int_parts, int_sub,
                     isolate_roots, zeta_parts)
 from .report import json_value
 from .scalars import Scalar, read_rational
-from .zpoly import pair_norm, pmul
+from .zpoly import ZNEG1, normal, padd, pair_norm, pmul, pscale
 
 __all__ = [
     "read_real_ratfn", "PiecewiseFn", "parse_piecewise", "RatioDecision",
@@ -194,8 +194,9 @@ def _square_root_witness(f: RatFn) -> CorollaryResult:
     if f.is_zero():
         return CorollaryResult(True, FE_ZERO,
                                "f is identically 0: the zero ratio, state |1>")
+    num, den = _odds(f)
     try:
-        h = field_sqrt(_odds(f))
+        h = FieldElem.from_zeta(*_lower_sqrt(num, [], den))
     except NotInFieldError as err:
         return CorollaryResult(False, None, str(err))
     route = "q*t with q = " + str(h.s) if h.r.is_zero() else "q = " + str(h.r)
@@ -210,15 +211,16 @@ def check_phased_witness(h: FieldElem, f: RatFn) -> bool:
         raise ValueError("probability functions are real")
     if f == ONE_RF:
         return False
-    return fe_mod_squared(h) == FieldElem(_odds(f))
+    return fe_mod_squared(h) == FieldElem(_ratfn(*_odds(f)))
 
 
-def _odds(f: RatFn) -> RatFn:
-    """u = f/(1 - f) = N/(D - N) for f = N/D other than 1. gcd(N, D - N) =
-    gcd(N, D) = 1, so the only step left is making D - N monic."""
-    den = f.den - f.num
-    linv = den.leading.inverse()
-    return RatFn.from_canonical(f.num * linv, den * linv)
+def _odds(f: RatFn) -> tuple[list, list]:
+    """u = f/(1 - f) = N/(D - N) for f = N/D other than 1, as canonical
+    zpoly lists (num, den). gcd(N, D - N) = gcd(N, D) = 1, so normal
+    brings them to canonical form with no gcd."""
+    (num, den), _ = zeta_parts(f.num, f.den)
+    den, num = normal(padd(den, pscale(ZNEG1, num)), num)
+    return num, den
 
 
 # -- classifier: CC part ---------------------------------------------------
@@ -348,12 +350,12 @@ class QCReport:
     to_json = json_value
 
 
-def _f_evaluator(h: FieldElem, kind: str):
+def _f_evaluator(h_at, kind: str):
     """x -> f(x) = |h(x)|^2/(1 + |h(x)|^2) in floats for kind "zero", and
     x -> 1 - f(x) = 1/(1 + |h(x)|^2) for kind "one", which 1.0 - f(x) would
-    round to 0 once |h(x)|^2 passes 2^53. At a pole of h and where |h(x)|^2
-    passes the float range, f is 1 and 1 - f is 0."""
-    h_at = h.evaluator()
+    round to 0 once |h(x)|^2 passes 2^53, for h_at = h.evaluator(). At a
+    pole of h and where |h(x)|^2 passes the float range, f is 1 and 1 - f
+    is 0."""
 
     def f(x: float) -> float:
         try:
@@ -393,6 +395,7 @@ def classify_qc(h: FieldElem) -> QCReport:
 
     positions = [float(z) if isinstance(z, Fraction) else z.approx()
                  for z, _, _ in found]
+    h_at = h.evaluator()
     zeros: list[SPBEntry] = []
     ones: list[SPBEntry] = []
     for i, (z, n, residual) in enumerate(found):
@@ -401,7 +404,7 @@ def classify_qc(h: FieldElem) -> QCReport:
         delta = min(0.125, min(others) / 2) if others else 0.125
         k = math.ceil(abs(n))
         kind = "zero" if n > 0 else "one"
-        f_at = _f_evaluator(h, kind)
+        f_at = _f_evaluator(h_at, kind)
         grid_lo = max(0.0, x - delta)
         grid_hi = min(1.0, x + delta)
         vals = []
@@ -420,8 +423,9 @@ def verify_spb(h: FieldElem, report: QCReport) -> bool:
     """Independent re-check of an SPB certificate: recompute each vanishing
     order exactly and test the lower bound on a fresh grid. A bound with
     c <= 0 or delta <= 0 says nothing, and is refused."""
+    h_at = h.evaluator()
     for entry in report.zeros + report.ones:
-        f_at = _f_evaluator(h, entry.kind)
+        f_at = _f_evaluator(h_at, entry.kind)
         res = vanishing_order(h, entry.point)
         want = entry.order if entry.kind == "zero" else -entry.order
         if 2 * res.order != want or not (entry.c > 0 and entry.delta > 0):

@@ -217,8 +217,8 @@ def _fixture_rows():
 
     def row_eq1():
         h = lang.lower(lang.parse("p - 1/2"))
-        u = lang.lower(lang.parse("(p-1/2)^2")).r
-        f = analysis.PiecewiseFn.from_ratfn(analysis.RatFn(u.num, u.den + u.num))
+        f = analysis.PiecewiseFn.from_ratfn(
+            analysis.read_real_ratfn("(p-1/2)^2/(1+(p-1/2)^2)"))
         cc = analysis.classify_cc(f)
         qq = analysis.classify_qq(f)
         return cc.verdict == "no" and qq.verdict == "yes" \

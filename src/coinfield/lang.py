@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldElem, sqrt_in_scalar_field
-from .polys import (Poly, RatFn, _from_int, _sign_at, int_mul, int_parts,
-                    square_test, zeta_canonical, zeta_parts, zeta_poly)
-from .scalars import MAX_DIGITS, ZERO
+from .polys import (Poly, RatFn, _from_int, _sign_at, int_mul, square_test,
+                    zeta_canonical, zeta_parts, zeta_poly)
+from .scalars import MAX_DIGITS, to_zeta
 from .zpoly import (Z0, Z1, ZNEG1, parts_add, parts_inverse, parts_mul,
                     parts_pow, pscale)
 
@@ -358,7 +358,8 @@ def print_expr(e: Expr) -> str:
 
 # -- lowering into the field -----------------------------------------------
 
-_TAU_ODD = {Poly((0, 1)), Poly((-1, 1))}  # p and p - 1
+_TAU_ODD = [[-1, 1], [0, 1]]  # p - 1 and p
+
 
 def _sign_fix(num: list, den: list) -> list:
     """num or -num, the one that makes num/den positive at p = 1/2, or where
@@ -374,47 +375,50 @@ def _sign_fix(num: list, den: list) -> list:
     return num
 
 
-def _lower_sqrt(child: FieldElem) -> FieldElem:
-    if not child.B.is_zero():
+def _lower_sqrt(a: list, b: list, c: list) -> tuple[list, list, list]:
+    """The parts of sqrt((A + B*w)/C) for zpoly parts (A, B, C) in
+    canonical form, or an integer multiple of it: q or q*t for
+    u = A/C = q^2 or q^2 * p/(1-p) with B = 0, the sign of q fixed by
+    _sign_fix. Raises NotInFieldError otherwise."""
+    if b:
         raise NotInFieldError(
             "sqrt argument must be a rational function of p alone "
             "(no t component)")
-    u = child.r
-    if not u.is_rational():
+    if any(x[1] or x[2] or x[3] for f in (a, c) for x in f):
         raise NotInFieldError(
             "sqrt argument must have rational coefficients")
-    res = square_test(u)
+    num, den = [x[0] for x in a], [x[0] for x in c]
+    res = square_test(num, den)
     # u = -lc_ratio * q^2 * p/(1-p) exactly when u's odd factors are p and
     # p - 1, q being half times p - 1 when that divides u's numerator and
     # over p when p divides u's denominator; then sqrt(u) is q*t = q*w/(1-p)
-    via_t = len(res.odd_factors) == 2 and set(res.odd_factors) == _TAU_ODD
+    via_t = sorted(res.odd_factors) == _TAU_ODD
     scale = None if res.odd_factors and not via_t else \
         sqrt_in_scalar_field(-res.lc_ratio if via_t else res.lc_ratio)
     if scale is None:
-        odd = tuple(f.sign_normalized() for f in res.odd_factors)
+        odd = tuple(_from_int(f).sign_normalized() for f in res.odd_factors)
         detail = ", ".join(str(f) for f in odd) if odd else "leading coefficient not a square"
         raise NotInFieldError(
             f"sqrt argument is not an exact square, directly or after dividing "
             f"by p/(1-p); odd-multiplicity factors: {{{detail}}}",
             odd_factors=odd)
-    num, den = int_parts((res.half.num, res.half.den))
-    if via_t:  # num/den becomes q/(1-p), where p - 1 cancels 1 - p to -1
-        if sum(u.num.coeffs, ZERO):
-            den = int_mul(den, [1, -1])
-        else:
-            num = [-c for c in num]
-        if not u.den.coeffs[0]:
-            den = int_mul(den, [0, 1])
-    # num and den are coprime, so scale*num/den only needs den monic
-    root = Poly([scale * Fraction(c, den[-1]) for c in _sign_fix(num, den)])
-    parts = (Poly(), root) if via_t else (root, Poly())
-    return FieldElem.from_canonical(*parts, _from_int(den))
+    hn, hd = res.half
+    if via_t:  # hn/hd becomes q/(1-p), up to the sign _sign_fix sets
+        if _sign_at(num, 1):  # p - 1 divides den, not num
+            hd = int_mul(hd, [1, -1])
+        if not den[0]:
+            hd = int_mul(hd, [0, 1])
+    m, d = to_zeta(scale)
+    root = [tuple(k * x for x in m) for k in _sign_fix(hn, hd)]
+    parts = ([], root) if via_t else (root, [])
+    return (*parts, [(k * d, 0, 0, 0) for k in hd])
 
 
 def field_sqrt(u: RatFn) -> FieldElem:
     """Square root of a real rational function inside the field: u = q^2
     gives q, u = q^2 * p/(1-p) gives q*t. Raises NotInFieldError otherwise."""
-    return _lower_sqrt(FieldElem(u))
+    (a, c), _ = zeta_parts(u.num, u.den)
+    return FieldElem.from_zeta(*_lower_sqrt(a, [], c))
 
 
 MAX_DEGREE = 128  # bounds the polynomial work one expression can ask for
@@ -493,8 +497,8 @@ def _parts(e: Expr) -> tuple[list, list, list]:
         return [(n, 0, 0, 0)] if n else [], [], [(d, 0, 0, 0)]
     if isinstance(e, Sqrt):
         # the root has about half the degree of its checked argument
-        root = _lower_sqrt(FieldElem.from_zeta(*_parts(e.child)))
-        return tuple(zeta_parts(*root.parts)[0])
+        c, b, a = zeta_canonical(*reversed(_parts(e.child)))
+        return _lower_sqrt(a, b, c)
     if isinstance(e, (Add, Sub)):
         x, (a, b, c) = _parts(e.left), _parts(e.right)
         if isinstance(e, Sub):

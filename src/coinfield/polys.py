@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .scalars import (ONE, ZERO, Scalar, from_zeta, sqrt2_sign, sqrt_fraction,
-                      to_zeta)
+from .scalars import ONE, ZERO, Scalar, from_zeta, sqrt2_sign, to_zeta
 from .zpoly import Z1, exquo, gcd, normal, pair_pow
 
 
@@ -802,44 +801,34 @@ def squarefree_decompose(f: Poly) -> tuple[Scalar, list[tuple[Poly, int]]]:
 
 @dataclass(frozen=True)
 class SquareTest:
-    """Outcome of testing a rational function f for being an exact square:
-    f = lc_ratio * half^2 * (the product of odd_factors, each in f's
-    numerator or denominator), half with monic numerator and denominator.
-    f is a square up to lc_ratio exactly when odd_factors is empty."""
-    odd_factors: tuple[Poly, ...]
+    """Outcome of testing f = num/den for being an exact square:
+    f = lc_ratio * (half[0]/half[1])^2 * (the product of odd_factors made
+    monic, each in num or den), half[0]/half[1] the ratio of two monic
+    roots. The lists are over Z. f is a square up to lc_ratio exactly when
+    odd_factors is empty."""
+    odd_factors: tuple[list, ...]
     lc_ratio: Fraction
-    half: RatFn
+    half: tuple[list, list]
 
 
-def square_test(f: RatFn) -> SquareTest:
-    """The odd-multiplicity factors of f over the plain rationals, split at
-    their rational roots, and the root half of f's even part, from one
-    squarefree factorisation of f's numerator and denominator."""
-    if not f.is_rational():
-        raise ValueError("square detection supports rational coefficients only")
-    if f.is_zero():
-        return SquareTest((), Fraction(0), ZERO_RF)
+def square_test(num: list, den: list) -> SquareTest:
+    """The odd-multiplicity factors of f = num/den, for coprime integer
+    lists and nonzero den, split at their rational roots, and the root half
+    of f's even part, from one squarefree factorisation of each list."""
+    if not num:
+        return SquareTest((), Fraction(0), ([], [1]))
     odd, half = [], []
-    for g in int_parts((f.num, f.den)):
+    for g in (num, den):
         root = [1]
         for a, m in _yun(g):
             if m % 2:
                 odd += _split_roots(a)
             for _ in range(m // 2):
                 root = int_mul(root, a)
-        half.append(_from_int(root))
-    lc_ratio = f.num.leading.as_fraction() / f.den.leading.as_fraction()
-    # monic factors of the coprime num and den of f
-    return SquareTest(tuple(odd), lc_ratio, RatFn.from_canonical(*half))
-
-
-def is_square(f: RatFn) -> RatFn | None:
-    """The rational-function square root of f, or None if no exact root exists."""
-    res = square_test(f)
-    lcroot = None if res.odd_factors else sqrt_fraction(res.lc_ratio)
-    root = None if lcroot is None else res.half * lcroot
-    assert root is None or root * root == f
-    return root
+        half.append(root)
+    hn, hd = half
+    return SquareTest(tuple(odd), Fraction(num[-1], den[-1]),
+                      ([c * hd[-1] for c in hn], [c * hn[-1] for c in hd]))
 
 
 # -- root counts and certified sign conditions -----------------------------
@@ -1064,15 +1053,17 @@ def rational_roots(f: Poly) -> list[Fraction]:
 def split_rational_roots(g: Poly) -> list[Poly]:
     """Split monic real g into linear factors (p - z) for its rational roots
     plus whatever remains; enough granularity for readable diagnoses."""
-    return _split_roots(_to_int(g, "rational roots require real coefficients"))
+    return [_from_int(f) for f in
+            _split_roots(_to_int(g, "rational roots require real coefficients"))]
 
 
-def _split_roots(f: list) -> list[Poly]:
-    """split_rational_roots for a nonzero integer list f."""
-    out: list[Poly] = []
+def _split_roots(f: list) -> list[list]:
+    """split_rational_roots for a nonzero integer list f, as integer lists:
+    [-n, d] for a rational root n/d, then whatever remains."""
+    out: list[list] = []
     for z in _rational_roots(f):
         m, f = _deflate(f, z)
-        out += [Poly([-z, 1])] * m
+        out += [[-z.numerator, z.denominator]] * m
     if len(f) > 1:
-        out.append(_from_int(f))
+        out.append(f)
     return out

@@ -380,10 +380,10 @@ def _node_plans(prog: CircuitProgram,
                 keep_probs: dict[int, tuple[float, int]]):
     """What one attempt of each provenance node does, folded: its steps in
     order, each the coins and constant coins taken since the step before,
-    then either a child to run (ref the child's id, prob and bound None) or
-    a measurement to draw against (ref its instruction index, prob its keep
-    probability m * 2**e as a float); then the coins and consts after the
-    last step. Gates cost nothing here. A measurement keeps when its 53-bit
+    then either a child to run (ref the child's id, bound None) or a
+    measurement to draw against (ref its instruction index, bound from its
+    keep probability m * 2**e); then the coins and consts after the last
+    step. Gates cost nothing here. A measurement keeps when its 53-bit
     draw x is below the integer bound = ceil(m * 2**(e + 53)), and for an
     integer x, x < ceil(b) exactly when x < b, so this is the test
     _uniform(...) < m * 2**e."""
@@ -393,7 +393,7 @@ def _node_plans(prog: CircuitProgram,
         coins = consts = 0
         for tag, ref in node.items:
             if tag == "child":
-                steps.append((coins, consts, ref, None, None))
+                steps.append((coins, consts, ref, None))
             else:
                 ins = prog.instructions[ref]
                 if isinstance(ins, AllocCoin):
@@ -402,9 +402,8 @@ def _node_plans(prog: CircuitProgram,
                     consts += 1
                 if not isinstance(ins, Measure):
                     continue
-                m, e = keep_probs[ref]
-                steps.append((coins, consts, ref, math.ldexp(m, e),
-                              _keep_bound(m, e)))
+                steps.append((coins, consts, ref,
+                              _keep_bound(*keep_probs[ref])))
             coins = consts = 0
         plans.append((tuple(steps), coins, consts))
     return plans
@@ -425,12 +424,12 @@ def _exact_cost(prog: CircuitProgram, p0: Fraction | float):
     # each product and quotient rounds exactly as a float one would
     def walk(nid: int, m: float, e: int) -> None:
         steps = plans[nid][0]
-        own, j = _product(probs[ref] for *_, ref, _, bound in steps
+        own, j = _product(probs[ref] for *_, ref, bound in steps
                           if bound is not None)
         m, k = math.frexp(m / own)
         e += k - j
         attempts[nid] = _number(m, e)
-        for _, _, ref, _, bound in steps:
+        for _, _, ref, bound in steps:
             if bound is None:
                 walk(ref, m, e)
 
@@ -581,7 +580,7 @@ def _replay(plans, root: int, out_bound: int, seed: int, trials: int,
                 steps, tail_coins, tail_consts = plans[nid]
                 n = len(steps)
                 continue
-            step_coins, step_consts, ref, _, bound = steps[i]
+            step_coins, step_consts, ref, bound = steps[i]
             i += 1
             coins += step_coins
             consts += step_consts

@@ -12,7 +12,7 @@ from coinfield.analysis import (ONE_RF, PiecewiseFn, _candidate_points,
                                 classify, classify_cc, classify_qc,
                                 classify_qq, decide_qq_ratio,
                                 decide_real_corollary, parse_piecewise,
-                                verify_spb)
+                                read_real_ratfn, verify_spb)
 from coinfield.field import (FE_ZERO, FieldElem, INFINITY, fe_eval,
                              fe_mod_squared, fe_mul, w_mul, w_norm)
 from coinfield.lang import MAX_DEGREE, NotInFieldError, lower, parse
@@ -785,10 +785,10 @@ def test_cc_prechecks_match_sympy():
 
 def test_odds_ratio_takes_no_gcd(monkeypatch):
     # u = f/(1 - f) = N/(D - N): gcd(N, D - N) = gcd(N, D) = 1, so _odds
-    # only makes D - N monic and must equal the canonical RatFn
+    # only normalises N and D - N and must equal the canonical RatFn
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from coinfield import analysis, polys
+    from coinfield import analysis, field, polys, zpoly
     coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
     poly = st.lists(coeff, min_size=1, max_size=4).map(Poly)
     calls = []
@@ -797,6 +797,9 @@ def test_odds_ratio_takes_no_gcd(monkeypatch):
     def counted(f, g):
         calls.append(1)
         return real(f, g)
+
+    def refuse(*args):
+        raise AssertionError("the odds ratio took a zpoly gcd")
 
     monkeypatch.setattr(polys, "_gcd", counted)
 
@@ -808,18 +811,22 @@ def test_odds_ratio_takes_no_gcd(monkeypatch):
             num = num * Scalar(1, 1)
         f = RatFn(num, den)
         hypothesis.assume(f != ONE_RF)
+        want = RatFn(f.num, f.den - f.num)
         calls.clear()
-        u = analysis._odds(f)
+        with monkeypatch.context() as m:
+            m.setattr(zpoly, "gcd", refuse)
+            m.setattr(polys, "gcd", refuse)
+            u = analysis._odds(f)
         assert not calls
-        assert u == RatFn(f.num, f.den - f.num)
+        assert field._ratfn(*u) == want
 
     check()
 
 
 def test_real_side_runs_on_integer_lists(monkeypatch):
     # with Poly products, differences, Scalar evaluation and the Poly
-    # canonical form all refused, sqrt lowering and the CC checks give what
-    # they gave when they ran on Polys
+    # canonical form all refused, sqrt lowering, the square-root corollary
+    # and the CC checks give what they gave when they ran on Polys
     from coinfield import field, polys
     q = "((1-2*p)/(p+2))^2"
     targets = {f"sqrt({c}*{q}{s})": want for c, s, want in (
@@ -837,6 +844,15 @@ def test_real_side_runs_on_integer_lists(monkeypatch):
         "[0,1/2) p\n[1/2,1] 2*p - 1/2":
             ("no", None, "f > 1 somewhere on [1/2,1]"),
     }
+    # f = u/(1 + u) for u = c*q^2*s >= 0 on each of the five shapes s
+    roots = {f"{c}*{q}{s}": want for c, s, want in (
+        ("1", "", "q = (1 - 2*p)/(2 + p)"),
+        ("1", "*p/(1-p)", "q*t with q = (1 - 2*p)/(2 + p)"),
+        ("1", "*(1-p)/p", "q*t with q = (1 - 3*p + 2*p^2)/(2*p + p^2)"),
+        ("-1", "*p*(p-1)", "q*t with q = (1 - 3*p + 2*p^2)/(2 + p)"),
+        ("-2", "/(p*(p-1))",
+         "q*t with q = (sqrt2 - 2*sqrt2*p)/(2*p + p^2)"))}
+    fs = {u: read_real_ratfn(f"({u})/(1 + {u})") for u in roots}
 
     def refuse(*args):
         raise AssertionError("Poly arithmetic on the real side")
@@ -848,7 +864,11 @@ def test_real_side_runs_on_integer_lists(monkeypatch):
         m.setattr(field, "canonical", refuse)
         got = {text: lower(parse(text)) for text in targets}
         reps = {text: classify_cc(parse_piecewise(text)) for text in files}
+        cors = {u: decide_real_corollary(f) for u, f in fs.items()}
     assert {text: str(h) for text, h in got.items()} == targets
+    assert {u: cor.reason for u, cor in cors.items()} == {
+        u: "f/(1-f) is a square via " + want for u, want in roots.items()}
+    assert all(check_phased_witness(cors[u].h, f) for u, f in fs.items())
     assert {text: (r.verdict, r.witness_n, r.reason)
             for text, r in reps.items()} == files
 

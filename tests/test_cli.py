@@ -777,6 +777,51 @@ def test_fixture_battery_json(capsys):
     assert all(row["pass"] is True for row in data["rows"])
 
 
+def test_poly_arithmetic_is_left_to_field_and_polys(tmp_path, capsys,
+                                                   monkeypatch):
+    # the commands run on integer lists; Poly and RatFn arithmetic serves
+    # only FieldElem's own operations and the Poly canonical form
+    import os
+    from coinfield.polys import Poly, RatFn
+    tent = tmp_path / "tent.txt"
+    tent.write_text("[0,1/2) p\n[1/2,1] 1 - p\n")
+    outside = set()
+
+    def watched(op, name):
+        def wrapper(*args):
+            code = sys._getframe(1).f_code
+            if os.path.basename(code.co_filename) not in ("field.py",
+                                                          "polys.py"):
+                outside.add((code.co_filename, code.co_name, name))
+            return op(*args)
+        return wrapper
+
+    for cls, names in (
+            (Poly, ("__add__", "__sub__", "__mul__", "__rmul__",
+                    "__divmod__")),
+            (RatFn, ("__add__", "__neg__", "__sub__", "__mul__", "__rmul__",
+                     "inverse", "__truediv__", "__pow__"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, watched(getattr(cls, name), name))
+    commands = [["decide", text] for text in (
+        "t + p - 1/2", "p/(1 + p)", "sqrt(p^2/(1-p^2))", "sqrt(3*p^2)",
+        "sqrt((p-1/3)^2*p/(1-p))", "sqrt(-2*(1-2*p)^2*(1-p)/p)")]
+    commands += [[cmd, text] for cmd in ("corollary", "classify")
+                 for text in ("(1-2*p)^2/(1+(1-2*p)^2)", "p", "p^2", "2*p",
+                              "(p-1/2)^2/(1+(p-1/2)^2)",
+                              "p^3*(1-p)/(1+p^3*(1-p))")]
+    commands += [["classify", str(tent)], ["fixtures"]]
+    for argv in commands:
+        for extra in ([], ["--json"]):
+            run_cli(capsys, *argv, *extra)
+    for text in ("p", "1 - 2*p", "(1+p)^3", "t + p - 1/2"):
+        _, program, _ = run_cli(capsys, "compile", text)
+        for argv in (["simulate", "-"], ["cost", "--p0", "3/10", "-"]):
+            code, _, _ = run_cli(capsys, *argv, stdin=program)
+            assert code == 0
+    assert not outside
+
+
 def test_closed_pipe_exits_one_without_traceback():
     # the reader has closed its end before the report is written
     import os

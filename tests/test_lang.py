@@ -290,13 +290,21 @@ def test_sqrt_square_test_count(monkeypatch, text, tests):
     calls = []
     real = lang.square_test
 
-    def counted(u):
-        calls.append(u)
-        return real(u)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(lang, "square_test", counted)
     decide_qq_ratio(text)
     assert len(calls) == tests
+
+
+def _square_test(u):
+    """square_test on the integer lists of a rational RatFn u, its odd
+    factors as monic Polys and its half as a RatFn."""
+    res = polys.square_test(*polys.int_parts((u.num, u.den)))
+    return (tuple(polys._from_int(f) for f in res.odd_factors), res.lc_ratio,
+            RatFn(*(Poly(f) for f in res.half)))
 
 
 def _sqrt_by_two_factorisations(u):
@@ -304,14 +312,15 @@ def _sqrt_by_two_factorisations(u):
     square_test(u*(1-p)/p) when u's odd factors are p and p - 1; the root
     scale*q, or q*t, with q's sign read by Scalar evaluation at 1/2, 1/4,
     3/4, 1/8, ..., or the sign-normalised odd factors when there is none."""
-    direct = polys.square_test(u)
-    via_t = len(direct.odd_factors) == 2 and \
-        set(direct.odd_factors) == {Poly((0, 1)), Poly((-1, 1))}
-    res = polys.square_test(u * _OMP / _PR) if via_t else direct
-    scale = None if res.odd_factors else field.sqrt_in_scalar_field(res.lc_ratio)
+    odd, lc_ratio, half = _square_test(u)
+    direct = odd
+    via_t = len(direct) == 2 and set(direct) == {Poly((0, 1)), Poly((-1, 1))}
+    if via_t:
+        odd, lc_ratio, half = _square_test(u * _OMP / _PR)
+    scale = None if odd else field.sqrt_in_scalar_field(lc_ratio)
     if scale is None:
-        return tuple(f.sign_normalized() for f in direct.odd_factors)
-    q, k, sign = res.half, 2, 0
+        return tuple(f.sign_normalized() for f in direct)
+    q, k, sign = half, 2, 0
     while not sign:
         for x in (Fraction(1, k), Fraction(k - 1, k)):
             if not sign and q.den.eval_exact(x):
@@ -319,6 +328,26 @@ def _sqrt_by_two_factorisations(u):
         k *= 2
     q = q * (scale if sign > 0 else -scale)
     return FieldElem(polys.ZERO_RF, q) if via_t else FieldElem(q)
+
+
+@pytest.mark.parametrize("c", ["1", "4/9", "2", "-1", "-2"])
+@pytest.mark.parametrize("shape", ["", "*p/(1-p)", "*(1-p)/p", "*p*(p-1)",
+                                   "/(p*(p-1))"])
+def test_sqrt_lowers_on_integer_lists(monkeypatch, shape, c):
+    # a sqrt argument and its root stay zpoly parts: with Poly refused,
+    # _parts lowers a sum with a square root in it, and the root squares
+    # back to the argument
+    arg = f"{c}*((1-2*p)/(p+2))^2{shape}"
+    e = parse(f"sqrt({arg}) + p")
+
+    def refuse(*args):
+        raise AssertionError("a Poly built while lowering")
+
+    with monkeypatch.context() as m:
+        m.setattr(Poly, "__init__", refuse)
+        parts = lang._parts(e)
+    root = FieldElem.from_zeta(*parts) - lower(parse("p"))
+    assert root * root == lower(parse(arg))
 
 
 def test_sqrt_rule_matches_two_factorisations():

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, _canonical_euclid,
-                             canonical, certify_nonneg, isolate_roots,
-                             is_square, multiplicity, poly_gcd, rational_roots,
-                             split_rational_roots, square_test,
+from coinfield.polys import (AlgebraicPoint, P, Poly, RatFn, SquareTest,
+                             _canonical_euclid, canonical, certify_nonneg,
+                             int_parts, isolate_roots, multiplicity, poly_gcd,
+                             rational_roots, split_rational_roots, square_test,
                              squarefree_decompose, sturm_count)
 from coinfield.scalars import ONE, SQRT2, Scalar, sqrt_fraction
 
@@ -84,36 +84,22 @@ def test_squarefree_decompose_reconstructs():
     assert mults == [2, 3]
 
 
-def test_is_square_detects_perfect_squares():
-    q = RatFn(P * P - Poly.const(ONE), P + Poly.const(Scalar(2)))
-    sq = q * q
-    root = is_square(sq)
-    assert root is not None
-    assert root * root == sq
-
-
-def test_is_square_rejects():
-    assert is_square(RatFn.from_poly(P)) is None
-    assert is_square(RatFn.const(Scalar(2))) is None
-    assert is_square(RatFn.const(Scalar(Fraction(9, 4)))) is not None
-
-
 def test_square_test_reports_odd_factors():
     # p^2 / (1 - p^2) leaves the two linear factors of the denominator
     # unmatched; half is the root p of the even part
-    u = RatFn(P * P, Poly((ONE, Scalar(0), Scalar(-1))))
-    res = square_test(u)
-    assert res.half == RatFn(P) and is_square(u) is None
-    want = {P - Poly.const(ONE), P + Poly.const(ONE)}
-    assert set(res.odd_factors) == want
+    res = square_test([0, 0, 1], [1, 0, -1])
+    assert res.half == ([0, 1], [1]) and res.lc_ratio == -1
+    assert sorted(res.odd_factors) == [[-1, 1], [1, 1]]  # p - 1, p + 1
 
 
 def test_square_test_accepts_square():
-    u = RatFn(P * P, Poly.const(Scalar(4)))
-    assert square_test(u).odd_factors == ()
-    root = is_square(u)
-    assert root is not None
-    assert root * root == u
+    # p^2/4 at two scales of its lists, and zero
+    for num, den in (([0, 0, 1], [4]), ([0, 0, 2], [8])):
+        res = square_test(num, den)
+        assert res.odd_factors == () and res.lc_ratio == Fraction(1, 4)
+        assert res.half[0] == [0, res.half[1][0]] and len(res.half[1]) == 1
+    assert square_test([], [1]) == square_test([], [3, 1]) \
+        == SquareTest((), Fraction(0), ([], [1]))
 
 
 # ---------------------------------------------------------------------------
@@ -543,25 +529,27 @@ def test_gcd_and_squarefree_match_sympy(sqrt2):
             == _factor_set(F.sqf_list()[1])
         u = RatFn(f, g)
         if not u.is_rational():
-            with pytest.raises(ValueError):
-                square_test(u)
             return
-        res = square_test(u)
+        res = square_test(*int_parts((u.num, u.den)))
         (ln, num), (ld, den) = (to_sympy(part).sqf_list()
                                 for part in (u.num, u.den))
         even = all(m % 2 == 0 for _, m in num + den)
-        root = is_square(u)
-        assert (root is not None) == (even and sympy.sqrt(ln / ld).is_rational)
+        square = not res.odd_factors and sqrt_fraction(res.lc_ratio) is not None
+        assert square == (even and sympy.sqrt(ln / ld).is_rational)
         odd = to_sympy(Poly.const(ONE))
         for piece in res.odd_factors:
-            odd = odd * to_sympy(piece)
+            odd = odd * to_sympy(Poly(piece)).monic()
         want = to_sympy(Poly.const(ONE))
         for w, m in num + den:
             want = want * w.monic() ** (m % 2)
         assert odd == want
-        if root is not None:
-            assert root * root == u
-        assert is_square(u * u) ** 2 == u * u
+        # with no odd factor, u is lc_ratio times the square of half
+        for v in (u, u * u):
+            res = square_test(*int_parts((v.num, v.den)))
+            hn, hd = res.half
+            assert v is u or not res.odd_factors
+            if not res.odd_factors:
+                assert RatFn(Poly(hn), Poly(hd)) ** 2 * res.lc_ratio == v
 
     check()
 
