@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import (FE_ZERO, FieldElem, INFINITY, Infinity, _ratfn,
+from .field import (FE_ZERO, FieldElem, INFINITY, Infinity,
                     fe_mod_squared, sqrt_in_scalar_field, vanishing_order)
 from .lang import MAX_DEGREE, Expr, NotInFieldError, _lower_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, _count_open, _sign_at,
@@ -196,7 +196,7 @@ def _square_root_witness(f: RatFn) -> CorollaryResult:
                                "f is identically 0: the zero ratio, state |1>")
     num, den = _odds(f)
     try:
-        h = FieldElem.from_zeta(*_lower_sqrt(num, [], den))
+        h = FieldElem.from_coprime(*_lower_sqrt(num, [], den))
     except NotInFieldError as err:
         return CorollaryResult(False, None, str(err))
     route = "q*t with q = " + str(h.s) if h.r.is_zero() else "q = " + str(h.r)
@@ -211,7 +211,8 @@ def check_phased_witness(h: FieldElem, f: RatFn) -> bool:
         raise ValueError("probability functions are real")
     if f == ONE_RF:
         return False
-    return fe_mod_squared(h) == FieldElem(_ratfn(*_odds(f)))
+    num, den = _odds(f)
+    return fe_mod_squared(h) == FieldElem.from_coprime(num, [], den)
 
 
 def _odds(f: RatFn) -> tuple[list, list]:

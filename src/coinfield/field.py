@@ -14,7 +14,8 @@ from fractions import Fraction
 from .polys import (AlgebraicPoint, Poly, RatFn, ZERO_RF, canonical,
                     multiplicity, zeta_canonical, zeta_parts, zeta_poly)
 from .scalars import Scalar, sqrt_fraction
-from .zpoly import Z1, ZNEG1, padd, pair_norm, parts_pow, pmul, zconj
+from .zpoly import (Z1, ZNEG1, normal, padd, pair_norm, parts_add, parts_pow,
+                    pmul, zconj)
 
 # t^2 = p/(1-p); w = sqrt(p(1-p)) = t*(1-p) is the polynomial-friendly twin
 TAU = RatFn(Poly((0, 1)), Poly((1, -1)))
@@ -84,10 +85,10 @@ class FieldElem:
             # r is already coprime with a monic denominator
             self.A, self.B, self.C = r.num, _PZERO, r.den
             return
-        # r + s*t = [rn*sd*(1-p) + sn*rd*w] / [rd*sd*(1-p)]
-        rn, rd, sn, sd = r.num, r.den, s.num, s.den
-        h = FieldElem.from_abc(rn * sd * ONE_MINUS_P, sn * rd,
-                               rd * sd * ONE_MINUS_P)
+        # r + s*t, s*t = s*w/(1-p), as lowering sums it on integers
+        (rn, rd, sn, sd), _ = zeta_parts(r.num, r.den, s.num, s.den)
+        h = FieldElem.from_zeta(*parts_add((rn, [], rd),
+                                           ([], sn, pmul(sd, [Z1, ZNEG1]))))
         self.A, self.B, self.C = h.A, h.B, h.C
 
     # -- constructors ------------------------------------------------------
@@ -103,11 +104,13 @@ class FieldElem:
 
     @staticmethod
     def from_zeta(A: list, B: list, C: list) -> "FieldElem":
-        """The element (A + B*w)/C of zpoly lists, nonzero C, brought to
-        canonical form on integers by one zeta_canonical."""
-        parts = zeta_canonical(C, A, B)
-        C, A, B = (zeta_poly(f, parts[0][-1][0]) for f in parts)
-        return FieldElem.from_canonical(A, B, C)
+        """(A + B*w)/C of zpoly lists, nonzero C, canonical by one gcd."""
+        return _from_normal(*zeta_canonical(C, A, B))
+
+    @staticmethod
+    def from_coprime(A: list, B: list, C: list) -> "FieldElem":
+        """from_zeta for parts sharing no factor, A or B nonzero: no gcd."""
+        return _from_normal(*normal(C, A, B))
 
     @staticmethod
     def from_canonical(A: Poly, B: Poly, C: Poly) -> "FieldElem":
@@ -204,15 +207,11 @@ class FieldElem:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FieldElem":
-        if not self.B and self.A and n < 0:
-            return self.inverse() ** -n
-        # raised on integers; for n >= 0 the parts are (A + B*w)^n over C^n
-        x, den = zeta_parts(*self.parts)
-        xs = parts_pow(x, n)
+        # raised on integers; gcd(A, C) = 1 gives gcd(A^n, C^n) = 1 when B = 0
+        xs = parts_pow(zeta_parts(*self.parts)[0], n)
         if self.B or not self.A:
             return FieldElem.from_zeta(*xs)
-        # gcd(A, C) = 1 gives gcd(A^n, C^n) = 1, and C^n stays monic
-        return FieldElem.from_canonical(*(zeta_poly(f, den ** n) for f in xs))
+        return FieldElem.from_coprime(*xs)
 
     def conj(self) -> "FieldElem":
         # w is real on (0, 1), so conjugation acts on the coefficients only
@@ -280,6 +279,12 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
+
+
+def _from_normal(C: list, A: list, B: list) -> FieldElem:
+    """The element (A + B*w)/C of zpoly lists in zpoly's normal form."""
+    n = C[-1][0]
+    return FieldElem.from_canonical(*(zeta_poly(f, n) for f in (A, B, C)))
 
 
 def _ratfn(num: list, den: list) -> RatFn:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .field import FieldElem, sqrt_in_scalar_field
 from .polys import (Poly, RatFn, _from_int, _sign_at, int_mul, square_test,
-                    zeta_canonical, zeta_parts, zeta_poly)
+                    zeta_canonical, zeta_parts)
 from .scalars import MAX_DIGITS, to_zeta
 from .zpoly import (Z0, Z1, ZNEG1, parts_add, parts_inverse, parts_mul,
                     parts_pow, pscale)
@@ -418,7 +418,7 @@ def field_sqrt(u: RatFn) -> FieldElem:
     """Square root of a real rational function inside the field: u = q^2
     gives q, u = q^2 * p/(1-p) gives q*t. Raises NotInFieldError otherwise."""
     (a, c), _ = zeta_parts(u.num, u.den)
-    return FieldElem.from_zeta(*_lower_sqrt(a, [], c))
+    return FieldElem.from_coprime(*_lower_sqrt(a, [], c))
 
 
 MAX_DEGREE = 128  # bounds the polynomial work one expression can ask for
@@ -465,16 +465,15 @@ def lower(e: Expr) -> FieldElem:
     at the first fault it meets. The parts are checked as they are built,
     before a common factor cancels, and a power's base before it is raised.
     The operations take no gcd: lowering normalises only at the base of a
-    power, at the argument of a sqrt and once at the root, where a power of
-    a nonzero base with B = 0 needs none."""
+    power, at the argument of a sqrt and once at the root, but not for the
+    coprime parts of a sqrt or of a power of a nonzero base with B = 0."""
+    if isinstance(e, Sqrt):  # hn and hd come from a coprime num and den
+        return FieldElem.from_coprime(*_parts(e))
     if not isinstance(e, Pow):
         return FieldElem.from_zeta(*_parts(e))
-    a, b, c = base = _power_base(e)
-    if b or not a:
-        return FieldElem.from_zeta(*_checked(parts_pow(base, e.exp)))
-    # gcd(A, C) = 1, so FieldElem's power of the base takes no gcd
-    return FieldElem.from_canonical(
-        *(zeta_poly(f, c[-1][0]) for f in base)) ** e.exp
+    a, b, _ = base = _power_base(e)
+    xs = _checked(parts_pow(base, e.exp))
+    return (FieldElem.from_zeta if b or not a else FieldElem.from_coprime)(*xs)
 
 
 _LEAVES = {I: ([(0, 0, 1, 0)], [], [Z1]),

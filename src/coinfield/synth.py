@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .field import INFINITY, FieldElem, Infinity
+from .field import FieldElem, Infinity
 from .scalars import SQRT2, ZERO, Scalar, from_zeta
 from .zpoly import Z0, padd
 

@@ -822,6 +822,56 @@ def test_poly_arithmetic_is_left_to_field_and_polys(tmp_path, capsys,
     assert not outside
 
 
+def test_field_keeps_poly_arithmetic_to_its_operations(capsys, monkeypatch):
+    # inside field.py, Poly +, -, * and the Poly canonical form serve only
+    # FieldElem's +, * and inverse and the helpers they build on; every
+    # other element is built on integer lists
+    import os
+    from coinfield import field
+    from coinfield.analysis import check_phased_witness, read_real_ratfn
+    from coinfield.field import FieldElem
+    from coinfield.lang import field_sqrt, lower, parse
+    from coinfield.polys import Poly
+    allowed = {"__add__", "__mul__", "inverse", "from_abc", "w_mul",
+               "w_norm", "_times"}
+    outside = set()
+
+    def watched(op, name):
+        def wrapper(*args):
+            code = sys._getframe(1).f_code
+            if os.path.basename(code.co_filename) == "field.py" \
+                    and code.co_name not in allowed:
+                outside.add((code.co_name, name))
+            return op(*args)
+        return wrapper
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Poly, name, watched(getattr(Poly, name), name))
+    monkeypatch.setattr(field, "canonical",
+                        watched(field.canonical, "canonical"))
+    h = lower(parse("(p + i)/(p - 3) + (2*p - 1)/(p^2 + 5)*t"))
+    g = lower(parse("(2*p - 1/3)/(p + i)"))
+    assert FieldElem(h.r, h.s) == h
+    for x in (h, g):
+        for n in (3, -3, 0):
+            x ** n
+    assert field_sqrt(read_real_ratfn("4*p^2/(p+2)^2"))
+    assert check_phased_witness(
+        lower(parse("(sqrt2*p/(1+p))*t + i*p/(1+p)")), read_real_ratfn("p^2"))
+    for argv in (["decide", "((p^2+i*p+1/3)/(p+1/5))^-3"],
+                 ["decide", "sqrt((p-1/3)^2*p/(1-p))"],
+                 ["decide", "1/(t + p)^2"],
+                 ["corollary", "(1-2*p)^2/(1+(1-2*p)^2)"],
+                 ["classify", "p^2", "--witness",
+                  "(sqrt2*p/(1+p))*t + i*p/(1+p)"]):
+        for extra in ([], ["--json"]):
+            code, _, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0
+    _, program, _ = run_cli(capsys, "compile", "t + p - 1/2")
+    code, _, _ = run_cli(capsys, "simulate", "-", stdin=program)
+    assert code == 0 and not outside
+
+
 def test_closed_pipe_exits_one_without_traceback():
     # the reader has closed its end before the report is written
     import os

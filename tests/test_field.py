@@ -582,3 +582,108 @@ def test_canonical_form_properties():
                 assert close(fe_eval(inv, p0), 1 / want)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Construction on integers: FieldElem(r, s), powers, from_coprime
+# ---------------------------------------------------------------------------
+
+def _refuse(*args):
+    raise AssertionError("Poly arithmetic, a gcd or an inverse in a "
+                         "construction on integers")
+
+
+def test_init_with_t_part_runs_on_integer_lists(monkeypatch):
+    # FieldElem(r, s) sums r and s*w/(1-p) as lowering does, on zpoly
+    # lists, and ends in from_zeta: no Poly product or sum, no Poly
+    # canonical form
+    from coinfield import field
+    rnd = random.Random(30)
+    pairs = [(random_ratfn(rnd), random_ratfn(rnd)) for _ in range(30)]
+    pairs = [(r, s) for r, s in pairs if not s.is_zero()]
+    with monkeypatch.context() as m:
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+            m.setattr(Poly, name, _refuse)
+        m.setattr(polys, "canonical", _refuse)
+        m.setattr(field, "canonical", _refuse)
+        got = [FieldElem(r, s) for r, s in pairs]
+    for h, (r, s) in zip(got, pairs):
+        # the r + s*t formula on Polys, brought to canonical form by a gcd
+        want = FieldElem.from_abc(r.num * s.den * ONE_MINUS_P, s.num * r.den,
+                                  r.den * s.den * ONE_MINUS_P)
+        assert h == want and (h.r, h.s) == (r, s)
+
+
+@pytest.mark.parametrize("n", [3, -3])
+def test_t_free_powers_take_no_inverse_and_no_gcd(monkeypatch, n):
+    # a power of a nonzero element with B = 0, by ** or lowered at the
+    # root, is raised on integers and made canonical by zpoly's normal
+    # form: its parts stay coprime
+    from coinfield import field
+    texts = ["(2*p - 1/3)/(p + i)", "sqrt2*p^2 + 1/5", "3/(p^2 + 1)", "7"]
+    hs = [lower(parse(x)) for x in texts]
+    with monkeypatch.context() as m:
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+            m.setattr(Poly, name, _refuse)
+        m.setattr(FieldElem, "inverse", _refuse)
+        m.setattr(field, "zeta_canonical", _refuse)
+        powers = [h ** n for h in hs]
+        lowered = [lower(parse(f"({x})^{n}")) for x in texts]
+    for h, got, low in zip(hs, powers, lowered):
+        cube = h * h * h
+        assert got == low == (cube if n > 0 else cube.inverse())
+
+
+def test_from_coprime_matches_from_zeta_on_powers():
+    # canonical t-free bases from lowering random shapes, raised on
+    # integers: their parts share no factor, so normal alone gives the
+    # canonical form the gcd gives
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from coinfield import lang
+    from coinfield.zpoly import parts_pow
+    atom = st.sampled_from(["p", "i", "sqrt2", "2", "1/3", "(p - 1/2)",
+                            "(p + 2)", "(1 - p)"])
+    shape = st.recursive(
+        atom, lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner)
+        .map(lambda x: f"({x[0]} {x[1]} {x[2]})"), max_leaves=6)
+    exps = st.integers(-5, 5).filter(bool)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(shape, exps)
+    def check(text, n):
+        try:
+            base = lang._power_base(lang.Pow(parse(text), n))
+        except ZeroDivisionError:
+            hypothesis.assume(False)
+        hypothesis.assume(base[0])
+        assert not base[1]
+        xs = parts_pow(base, n)
+        assert FieldElem.from_coprime(*xs) == FieldElem.from_zeta(*xs)
+
+    check()
+
+
+def test_init_matches_the_parsers_sum():
+    # FieldElem(r, s) against lowering r + s*t from text, for r and s of
+    # the acceptance shapes: r of degree at most 2 over 1, s 1 over 1,
+    # Gaussian-rational coefficients
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    gaussian = st.builds(
+        lambda a, b, c, d: Scalar(Fraction(a, b), 0, Fraction(c, d)),
+        st.integers(-3, 3), st.integers(1, 2),
+        st.integers(-3, 3), st.integers(1, 2))
+
+    def ratfn(ndeg, ddeg):
+        poly = lambda d: st.lists(gaussian, min_size=1, max_size=d + 1).map(
+            lambda cs: Poly(tuple(cs)))
+        return st.tuples(poly(ndeg), poly(ddeg).filter(bool)).map(
+            lambda nd: RatFn(*nd))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(ratfn(2, 1), ratfn(1, 1))
+    def check(r, s):
+        assert FieldElem(r, s) == lower(parse(f"({r}) + ({s})*t"))
+
+    check()

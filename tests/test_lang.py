@@ -350,6 +350,44 @@ def test_sqrt_lowers_on_integer_lists(monkeypatch, shape, c):
     assert root * root == lower(parse(arg))
 
 
+def _zeta_canonical_calls(monkeypatch, run) -> int:
+    """How many times run() brings parts to canonical form by a gcd, through
+    any module's name for zeta_canonical."""
+    calls = []
+    with monkeypatch.context() as m:
+        for mod in (polys, field, lang):
+            def counted(*args, _real=getattr(mod, "zeta_canonical")):
+                calls.append(args)
+                return _real(*args)
+            m.setattr(mod, "zeta_canonical", counted)
+        run()
+    return len(calls)
+
+
+def test_square_roots_take_no_gcd_for_the_root(monkeypatch):
+    # a root's parts come from a coprime numerator and denominator, so
+    # normal alone makes them canonical: the root of a sqrt takes no gcd
+    from coinfield.analysis import decide_real_corollary, read_real_ratfn
+    u = "4*p^2/(p+2)^2"
+    arg, f = (read_real_ratfn(x) for x in (u, f"({u})/(1 + {u})"))
+    got = []
+    assert _zeta_canonical_calls(
+        monkeypatch, lambda: got.append(field_sqrt(arg))) == 0
+    assert _zeta_canonical_calls(
+        monkeypatch, lambda: got.append(decide_real_corollary(f))) == 0
+    root = lower(parse("2*p/(p+2)"))
+    assert got[0] == root and got[1].simulable and got[1].h == root
+    # the two powers and the argument: lowering sqrt(u) takes as many
+    # gcds as lowering u, whose root takes one
+    assert _zeta_canonical_calls(
+        monkeypatch, lambda: lower(parse(f"sqrt({u})"))) == 3
+    for arg in (u, "(p-1/3)^126*p/(1-p)", "-2*(1-2*p)^2*(1-p)/p",
+                "(3*p^2-p+1/7)^42/(p+5)^20"):
+        counts = [_zeta_canonical_calls(monkeypatch, lambda: lower(parse(x)))
+                  for x in (arg, f"sqrt({arg})")]
+        assert counts[0] == counts[1]
+
+
 def test_sqrt_rule_matches_two_factorisations():
     # q has rational roots among 0 and 1, so p and p - 1 also occur in u
     # with even multiplicity; the one factorisation of u must give the
