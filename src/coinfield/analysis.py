@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .field import (FE_ZERO, FieldElem, INFINITY, Infinity,
-                    fe_mod_squared, sqrt_in_scalar_field, vanishing_order)
+                    fe_mod_squared, format_element, sqrt_in_scalar_field,
+                    vanishing_order)
 from .lang import MAX_DEGREE, Expr, NotInFieldError, _lower_sqrt, lower, parse
 from .polys import (AlgebraicPoint, ONE_RF, Poly, RatFn, _count_open, _sign_at,
                     certify_nonneg_int, int_mul, int_parts, int_sub,
@@ -138,6 +139,10 @@ class RatioDecision:
     witness: tuple[Poly, Poly, Poly, Poly] | None  # (g1, g2, g3, g4)
     element: FieldElem | None
     diagnosis: str
+    # the views (r, s) of element that decide_qq_ratio read the witness
+    # from; a decision built otherwise, by dataclasses.replace too, has none
+    views: tuple[RatFn, RatFn] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         out = {"simulable": self.simulable, "diagnosis": self.diagnosis}
@@ -145,8 +150,15 @@ class RatioDecision:
             g1, g2, g3, g4 = self.witness
             out["witness"] = {"g1": str(g1), "g2": str(g2),
                              "g3": str(g3), "g4": str(g4)}
-            out["element"] = str(self.element)
+            out["element"] = self.element_text
         return out
+
+    @property
+    def element_text(self) -> str:
+        """str(element), from the views already read when there are some."""
+        if self.views is None:
+            return str(self.element)
+        return format_element(*self.views)
 
 
 def decide_qq_ratio(e: Expr | str) -> RatioDecision:
@@ -160,8 +172,9 @@ def decide_qq_ratio(e: Expr | str) -> RatioDecision:
     except NotInFieldError as err:
         return RatioDecision(False, None, None, str(err))
     r, s = h.r, h.s
-    witness = (s.num, s.den, r.num, r.den)
-    return RatioDecision(True, witness, h, "")
+    decision = RatioDecision(True, (s.num, s.den, r.num, r.den), h, "")
+    object.__setattr__(decision, "views", (r, s))
+    return decision
 
 
 # -- square-root witnesses for probability functions -----------------------

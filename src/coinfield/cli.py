@@ -64,7 +64,7 @@ def cmd_decide(args) -> int:
         print(json.dumps(d.to_json()))
     elif d.simulable:
         print("simulable: yes")
-        print(f"element: {d.element}")
+        print(f"element: {d.element_text}")
         for k, g in enumerate(d.witness, 1):
             print(f"g{k}: {g}")
     else:

@@ -266,19 +266,23 @@ class FieldElem:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        r, s = self.r, self.s
-        if s.is_zero():
-            return str(r)
-        s = str(s)
-        if " " in s and not (s.startswith("(") and s.endswith(")")):
-            s = f"({s})"
-        tpart = "t" if s == "1" else f"{s}*t"
-        if r.is_zero():
-            return tpart
-        return f"{r} + {tpart}"
+        return format_element(self.r, self.s)
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
+
+
+def format_element(r: RatFn, s: RatFn) -> str:
+    """The text of r + s*t, as str of a FieldElem with these views gives it."""
+    if s.is_zero():
+        return str(r)
+    s = str(s)
+    if " " in s and not (s.startswith("(") and s.endswith(")")):
+        s = f"({s})"
+    tpart = "t" if s == "1" else f"{s}*t"
+    if r.is_zero():
+        return tpart
+    return f"{r} + {tpart}"
 
 
 def _from_normal(C: list, A: list, B: list) -> FieldElem:

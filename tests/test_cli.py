@@ -311,6 +311,16 @@ def test_run_refuses_a_replay_past_its_bound(capsys):
         assert err.startswith("bad input:") and "7.99558e+540 expected coins" in err
 
 
+def test_run_refuses_a_replay_of_minutes(capsys):
+    # three trials at 0.999999 expect 7.8e8 coins and constant coins, some
+    # minutes of replay; the bound refuses them before any trial runs
+    _, prog_json, _ = run_cli(capsys, "compile", "(1+p)^5")
+    code, out, err = run_cli(capsys, "run", "--p0", "0.999999", "--trials",
+                             "3", "-", stdin=prog_json)
+    assert code == 1 and not out and len(err.splitlines()) == 1
+    assert err.startswith("bad input:") and "replay bound" in err
+
+
 def test_run_seeded(capsys):
     from coinfield.synth import program_to_json, worked_example_program
     prog_json = json.dumps(program_to_json(worked_example_program()))
@@ -380,6 +390,30 @@ def test_run_takes_one_exact_pass(capsys, monkeypatch):
                            "--seed", "5", "-", stdin=prog_json)
     assert code == 0 and "expected_attempts: " in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_decide_takes_each_view_once(capsys, monkeypatch, extra):
+    from coinfield.field import FieldElem
+    from coinfield.lang import lower, parse
+    expr = "(1/3+i*p/7+p^2/5)^6/(t+1/2)^3"
+    want = run_cli(capsys, "decide", expr, *extra)
+    calls = []
+    real = FieldElem.zeta_view
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldElem, "zeta_view", counted)
+    assert run_cli(capsys, "decide", expr, *extra) == want
+    assert want[0] == 0 and len(calls) == 2
+    # the element prints as str of the lowered element does
+    element = str(lower(parse(expr)))
+    if extra:
+        assert json.loads(want[1])["element"] == element
+    else:
+        assert want[1].splitlines()[1] == f"element: {element}"
 
 
 def test_run_rejects_negative_seed(capsys):

@@ -524,6 +524,93 @@ def test_replay_bound_refuses_runs_just_over_it(monkeypatch):
         run_numeric(prog, 0.3, trials=15, seed=1)                  # 51.7
 
 
+def _count_exact_passes(monkeypatch) -> list:
+    calls = []
+    real = sim._exact_pass
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(sim, "_exact_pass", counted)
+    return calls
+
+
+def test_repeated_runs_take_one_exact_pass_per_p0(monkeypatch):
+    calls = _count_exact_passes(monkeypatch)
+    prog = worked_example_program()
+    first = run_numeric(prog, 0.3, trials=100, seed=1)
+    assert run_numeric(prog, 0.3, trials=200, seed=2).trials == 200
+    assert calls == [Fraction(3, 10)]
+    run_numeric(prog, 0.5, trials=100, seed=1)
+    assert calls == [Fraction(3, 10), Fraction(1, 2)]
+    # the slot holds the last p0 only, and a fresh object prices itself
+    assert run_numeric(prog, 0.3, trials=100, seed=1) == first
+    assert len(calls) == 3
+    assert run_numeric(worked_example_program(), 0.3, trials=100,
+                       seed=1) == first
+    assert len(calls) == 4
+    # the bound is read on every call, also from a kept pricing
+    monkeypatch.setattr(sim, "MAX_REPLAY_COINS", 50)
+    with pytest.raises(ValueError, match="replay bound of 50"):
+        run_numeric(prog, 0.3, trials=15, seed=1)
+    assert len(calls) == 4
+
+
+def test_a_pass_that_raises_is_not_kept(monkeypatch):
+    calls = _count_exact_passes(monkeypatch)
+    # the measurement keeps the branch of a register prepared in |1>
+    prog = CircuitProgram(
+        (AllocConst(Scalar(0), 0), AllocConst(Scalar(1), 1), Measure(0, 0)),
+        1,
+        (ProvNode("leaf", (("instr", 0), ("instr", 1), ("instr", 2))),), 0)
+    for _ in range(2):
+        with pytest.raises(PostselectionError):
+            run_numeric(prog, 0.5, trials=10, seed=1)
+    assert len(calls) == 2
+
+
+def test_kept_pricing_matches_a_fresh_pass():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    makers = {"worked_example": worked_example_program,
+              "construct_p": construct_p}
+    call = st.tuples(st.sampled_from(sorted(makers)),
+                     st.sampled_from([0.3, 0.5, 0.7]),
+                     st.integers(0, 2 ** 64), st.integers(1, 8))
+
+    @hypothesis.settings(max_examples=15, deadline=None, database=None)
+    @hypothesis.given(st.lists(call, min_size=1, max_size=6), st.randoms())
+    def check(calls, rnd):
+        progs = {name: make() for name, make in makers.items()}
+        rnd.shuffle(calls)
+        for name, p0, seed, trials in calls:
+            got = run_numeric(progs[name], p0, trials, seed=seed)
+            want = run_numeric(makers[name](), p0, trials, seed=seed)
+            assert got == want
+
+    check()
+
+
+def test_kept_pricing_dies_with_its_program():
+    import gc
+    import weakref
+    prog = construct_p()
+    run_numeric(prog, 0.3, trials=2, seed=1)
+    ref = weakref.ref(prog)
+    del prog
+    gc.collect()
+    assert ref() is None
+
+
+def test_results_do_not_share_expected_attempts():
+    prog = construct_p()
+    one = run_numeric(prog, 0.3, trials=2, seed=1)
+    two = run_numeric(prog, 0.3, trials=2, seed=2)
+    assert one.expected_attempts == two.expected_attempts
+    assert one.expected_attempts is not two.expected_attempts
+
+
 def test_numeric_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_numeric(coin_program(), 0.0, trials=10)
